@@ -1,8 +1,9 @@
-"""Per-agent consensus update rules and the macro-round gather/average state machine.
+"""Consensus update rules and the whole-array round kernel that runs them.
 
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
-midpoint, extreme-point averaging, hull centroid. Every rule runs through the
-same state machine: agents accumulate gather memory each round and apply their
+midpoint, extreme-point averaging, hull centroid. The standalone `*_update`
+functions apply one rule to one received set. `advance` runs a round for all
+agents at once: agents accumulate gather memory each round and apply their
 base update whenever the 1-based round index hits a multiple of the period
 (period 1 is the plain per-round algorithm; the amortized variants default the
 period to n-1).
@@ -11,17 +12,13 @@ period to n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import geometry
 
 TAGS = ("equal-neighbor", "midpoint", "component-midpoint", "extreme-point", "centroid")
-
-
-class ProtocolError(ValueError):
-    """Message payload does not match the algorithm's wire format."""
 
 
 @dataclass(frozen=True)
@@ -41,21 +38,6 @@ class AlgorithmKind:
     tie_break: str = "index"
     frame_reduction: bool = True
     allow_unsafe_dim: bool = False
-
-
-@dataclass
-class AgentState:
-    """Position plus gather memory; round_in_macro counts rounds since averaging."""
-
-    x: np.ndarray
-    gather: object
-    round_in_macro: int = 0
-
-
-@dataclass(frozen=True)
-class Message:
-    sender: int
-    payload: object
 
 
 def parse_kind(s: str) -> AlgorithmKind:
@@ -204,129 +186,136 @@ def centroid_update(received: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# gather/average state machine
+# whole-array round kernel
+#
+# Every agent keeps gather memory next to its position: the extremes of all it
+# has heard since it last moved. (n, 2, d) received lows and highs for the
+# midpoint rules, (n, 2d, d) per-component minimal and maximal candidate points
+# for extreme-point, one (m, d) point set per agent for centroid, and nothing
+# for equal-neighbor. A round merges the memories of each agent's in-neighbours
+# (a masked reduction over the round's adjacency) and, when the 1-based round
+# index is a multiple of the period, applies the base update and resets the
+# memory to the new position.
 
 
-def _reset_gather(kind: AlgorithmKind, x: np.ndarray, d: int):
-    if kind.tag == "midpoint":
-        return np.array([x[0], x[0]])
-    if kind.tag == "component-midpoint":
-        return np.vstack([x, x])
+def init_gather(kind: AlgorithmKind, x: np.ndarray):
+    """Gather memory of agents at positions x (n, d) that have just moved."""
+    n, d = x.shape
+    if kind.tag in ("midpoint", "component-midpoint"):
+        return np.stack([x, x], axis=1)
     if kind.tag == "extreme-point":
-        return np.tile(x, (2 * d, 1))
+        return np.repeat(x[:, None, :], 2 * d, axis=1)
     if kind.tag == "centroid":
-        return x.reshape(1, d)
+        return [x[p].reshape(1, d) for p in range(n)]
     if kind.tag == "equal-neighbor":
-        return x.reshape(1, d)
+        return None
     raise ValueError(f"unknown algorithm {kind.tag!r}")
 
 
-def init_state(kind: AlgorithmKind, x, d: Optional[int] = None) -> AgentState:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if d is None:
-        d = len(x)
-    if len(x) != d:
-        raise ValueError(f"position has dimension {len(x)}, expected {d}")
-    return AgentState(x.copy(), _reset_gather(kind, x, d), 0)
+def masked_min(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Row p is the componentwise minimum of values[q] over q with adj[q, p]."""
+    return np.where(adj[:, :, None], values[:, None, :], np.inf).min(axis=0)
 
 
-def make_message(kind: AlgorithmKind, state: AgentState, sender: int) -> Message:
-    if kind.tag == "equal-neighbor":
-        return Message(sender, state.x.copy())
-    gather = state.gather
-    return Message(sender, gather.copy() if isinstance(gather, np.ndarray) else gather)
+def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Row p is the componentwise maximum of values[q] over q with adj[q, p]."""
+    return np.where(adj[:, :, None], values[:, None, :], -np.inf).max(axis=0)
 
 
-def _check_payload(kind: AlgorithmKind, payload, d: int) -> np.ndarray:
-    arr = np.asarray(payload, dtype=float)
-    if kind.tag == "midpoint":
-        ok = arr.shape == (2,) and arr[0] <= arr[1]
-    elif kind.tag == "component-midpoint":
-        ok = arr.shape == (2, d)
-    elif kind.tag == "extreme-point":
-        ok = arr.shape == (2 * d, d)
-    elif kind.tag == "centroid":
-        ok = arr.ndim == 2 and arr.shape[0] >= 1 and arr.shape[1] == d
-    elif kind.tag == "equal-neighbor":
-        ok = arr.shape == (d,)
-    else:
-        raise ValueError(f"unknown algorithm {kind.tag!r}")
-    if not ok or not np.isfinite(arr).all():
-        raise ProtocolError(f"malformed {kind.tag} payload with shape {arr.shape}")
-    return arr
-
-
-def _merge(kind: AlgorithmKind, payloads: List[np.ndarray], senders: List[int],
-           d: int, rng: Optional[np.random.Generator]):
-    if kind.tag == "midpoint":
-        stack = np.array(payloads)
-        return np.array([stack[:, 0].min(), stack[:, 1].max()])
-    if kind.tag == "component-midpoint":
-        stack = np.vstack(payloads)
-        return np.vstack([stack.min(axis=0), stack.max(axis=0)])
-    if kind.tag == "extreme-point":
-        # candidates carry the id of whoever sent them this round
-        pts = np.vstack(payloads)
-        ids = [s for s, payload in zip(senders, payloads) for _ in range(len(payload))]
-        merged = np.empty((2 * d, d))
-        for i in range(d):
-            merged[i] = _select_extreme(pts, ids, i, False, rng)
-            merged[d + i] = _select_extreme(pts, ids, i, True, rng)
+def _merge_extremes(kind: AlgorithmKind, gather: np.ndarray, adj: np.ndarray,
+                    t: int, tie_seed: int) -> np.ndarray:
+    """Per agent and component, the minimal and maximal candidate point among
+    the gathered points of its in-neighbours."""
+    n, m, d = gather.shape
+    cand = gather.reshape(n * m, d)
+    sender = np.repeat(np.arange(n), m)
+    recv = adj[sender]  # recv[c, p]: agent p hears candidate c
+    merged = np.empty_like(gather)
+    if kind.tie_break == "random":
+        # tie indices are positions in p's candidate stack, ordered by sender
+        for p in range(n):
+            rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
+            pts, ids = cand[recv[:, p]], sender[recv[:, p]]
+            for i in range(d):
+                merged[p, i] = _select_extreme(pts, ids, i, False, rng)
+                merged[p, d + i] = _select_extreme(pts, ids, i, True, rng)
         return merged
-    if kind.tag in ("centroid", "equal-neighbor"):
-        stack = np.vstack(payloads)
-        if kind.tag == "centroid":
-            if kind.frame_reduction:
-                return geometry.convex_hull(stack).vertices.copy()
+    # Ties go to the lowest sender, then the lexicographically smallest point:
+    # sort all candidates once by (value, sender, point) and give each agent
+    # the first one it received.
+    rank = np.empty(n * m, dtype=np.intp)
+    rank[np.lexsort(cand.T[::-1])] = np.arange(n * m)
+    for i in range(d):
+        for j, key in ((i, cand[:, i]), (d + i, -cand[:, i])):
+            order = np.lexsort((rank, sender, key))
+            merged[:, j] = cand[order[recv[order].argmax(axis=0)]]
+    return merged
+
+
+def _centroid_round(kind: AlgorithmKind, x: np.ndarray, gather: list, adj: np.ndarray,
+                    average: bool):
+    """Agent by agent: stack the in-neighbours' point sets, reduce them to their
+    frame (or only deduplicate them without frame reduction) and, on an
+    averaging round, move to the centroid of their hull."""
+    new_x, new_gather = x.copy(), []
+    for p in range(len(gather)):
+        stack = np.vstack([gather[q] for q in np.flatnonzero(adj[:, p])])
+        if kind.frame_reduction:
+            merged = geometry.convex_hull(stack).vertices
+        else:
             extent = float((stack.max(axis=0) - stack.min(axis=0)).max())
-            return _dedup_rows(stack, geometry.DUP_TOL * extent)
-        return stack
-    raise ValueError(f"unknown algorithm {kind.tag!r}")
+            merged = geometry.dedup(stack, geometry.DUP_TOL * extent)
+        if average:
+            new_x[p] = geometry.centroid(geometry.convex_hull(merged)).centroid
+            merged = new_x[p:p + 1]
+        new_gather.append(merged)
+    return new_x, new_gather
 
 
-def _dedup_rows(arr: np.ndarray, tol: float) -> np.ndarray:
-    keep = [0]
-    for i in range(1, len(arr)):
-        if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
-            keep.append(i)
-    return arr[keep]
+def _equal_neighbor_round(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    # x[nb].mean over a compacted (agents, k, d) block adds the k received
+    # positions exactly as a per-agent (k, d) mean does, including numpy's
+    # pairwise summation at d = 1; a masked sum over all n rows would not.
+    deg = adj.sum(axis=0)
+    out = np.empty_like(x)
+    for k in np.unique(deg):
+        rows = np.flatnonzero(deg == k)
+        nb = np.nonzero(adj[:, rows].T)[1].reshape(len(rows), k)
+        out[rows] = x[nb].mean(axis=1)
+    return out
 
 
-def _average(kind: AlgorithmKind, gather, d: int) -> np.ndarray:
-    if kind.tag == "midpoint":
-        return np.array([midpoint_update_1d(float(gather[0]), float(gather[1]))])
-    if kind.tag == "component-midpoint":
-        return (gather[0] + gather[1]) / 2
-    if kind.tag == "extreme-point":
-        return gather.mean(axis=0)
-    if kind.tag == "centroid":
-        return geometry.centroid(geometry.convex_hull(gather)).centroid
-    if kind.tag == "equal-neighbor":
-        return gather.mean(axis=0)
-    raise ValueError(f"unknown algorithm {kind.tag!r}")
+def advance(kind: AlgorithmKind, x: np.ndarray, gather, adj: np.ndarray, t: int,
+            period: int, tie_seed: int = 0):
+    """One round for all agents: returns the positions and gather memory after
+    round t (1-based) from those before it.
 
-
-def amortize(kind: AlgorithmKind, state: AgentState, received: List[Message],
-             round: int, *, period: int, rng: Optional[np.random.Generator] = None) -> AgentState:
-    """One round of the gather/average state machine for a single agent.
-
-    Gathering rounds merge the incoming memories; when the 1-based round index
-    is a multiple of `period` the base update is applied to the gathered memory
-    and the memory resets to the new position. Messages must all come from the
-    current round (rounds are communication closed).
+    adj[q, p] is True when p hears q this round. Agents move only when t is a
+    multiple of `period`; otherwise they keep their position and only merge
+    what they hear into their gather memory.
+    Random tie-breaks draw from a per-(tie_seed, t, agent) stream.
     """
     if period < 1:
         raise ValueError(f"need period >= 1, got {period}")
-    if not received:
-        raise ProtocolError("no messages received; self-loops guarantee at least one")
-    if kind.tag == "equal-neighbor" and period != 1:
-        raise ProtocolError("equal-neighbor cannot gather across rounds")
-    d = len(state.x)
-    payloads = [_check_payload(kind, m.payload, d) for m in received]
-    senders = [m.sender for m in received]
-    tie_rng = rng if kind.tie_break == "random" else None
-    gather = _merge(kind, payloads, senders, d, tie_rng)
-    if round % period == 0:
-        x = _average(kind, gather, d)
-        return AgentState(x, _reset_gather(kind, x, d), 0)
-    return AgentState(state.x.copy(), gather, round % period)
+    average = t % period == 0
+    if kind.tag == "equal-neighbor":
+        if period != 1:
+            raise ValueError("equal-neighbor cannot gather across rounds")
+        return _equal_neighbor_round(x, adj), None
+    if kind.tag in ("midpoint", "component-midpoint"):
+        lo, hi = masked_min(gather[:, 0], adj), masked_max(gather[:, 1], adj)
+        if not average:
+            return x, np.stack([lo, hi], axis=1)
+        new = (lo + hi) / 2
+    elif kind.tag == "extreme-point":
+        merged = _merge_extremes(kind, gather, adj, t, tie_seed)
+        if not average:
+            return x, merged
+        # the d minima, then the d maxima: the order of the 2d additions is
+        # part of the artifacts' bytes
+        new = merged.mean(axis=1)
+    elif kind.tag == "centroid":
+        return _centroid_round(kind, x, gather, adj, average)
+    else:
+        raise ValueError(f"unknown algorithm {kind.tag!r}")
+    return new, init_gather(kind, new)

@@ -94,7 +94,8 @@ def _as_points(points, d: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def _dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+def dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of arr in order, without those within distance tol of a kept row."""
     keep = [0]
     for i in range(1, len(arr)):
         if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
@@ -113,7 +114,7 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
     dim = arr.shape[1]
     extent = float((arr.max(axis=0) - arr.min(axis=0)).max()) if len(arr) > 1 else 0.0
 
-    unique = _dedup(arr, DUP_TOL * extent) if extent > 0 else arr[:1].copy()
+    unique = dedup(arr, DUP_TOL * extent) if extent > 0 else arr[:1].copy()
     origin = unique.mean(axis=0)
     centered = unique - origin
     if len(unique) == 1:

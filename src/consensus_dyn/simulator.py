@@ -4,7 +4,7 @@ round bounds.
 
 Rounds are 1-based: configuration t is the state after round t, configuration 0
 is the initial one. Every round is a full gather/update step for all agents,
-driven by snapshots (all messages of round t carry state from round t-1).
+driven by snapshots (every agent reads the state after round t-1).
 """
 
 import csv
@@ -15,17 +15,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .algorithms import (
-    AgentState,
     AlgorithmKind,
-    amortize,
+    advance,
     claimed_alpha,
     effective_period,
     format_kind,
-    init_state,
-    make_message,
+    init_gather,
+    masked_max,
+    masked_min,
     validate_kind,
 )
-from .graphs import CommGraph, CommPattern, NetworkModelKind, in_neighbors, is_nonsplit, is_rooted
+from .graphs import CommGraph, CommPattern, NetworkModelKind, is_nonsplit, is_rooted
 
 # component ranges at or below this are treated as already collapsed
 RANGE_FLOOR = 1e-30
@@ -33,32 +33,6 @@ RANGE_FLOOR = 1e-30
 
 class UnsupportedScenarioError(RuntimeError):
     """No worst-case bound is on file for this algorithm/network pairing."""
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Positions of all agents after a given round; row p is agent p."""
-
-    positions: np.ndarray
-    round: int = 0
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2:
-            raise ValueError(f"positions must be (n, d), got shape {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions must be finite")
-        if self.round < 0:
-            raise ValueError(f"round must be >= 0, got {self.round}")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.positions.shape[1]
 
 
 @dataclass
@@ -89,9 +63,6 @@ class RunTrace:
     margins: np.ndarray  # (T, n) realized per-round safety margins, NaN when vacuous
     metrics: Metrics
 
-    def configuration(self, t: int) -> Configuration:
-        return Configuration(self.positions[t], t)
-
 
 def delta_components(positions: np.ndarray) -> np.ndarray:
     """Per-component range max_p x_p^k - min_p x_p^k."""
@@ -99,25 +70,15 @@ def delta_components(positions: np.ndarray) -> np.ndarray:
     return positions.max(axis=0) - positions.min(axis=0)
 
 
-def step(config: Configuration, g: CommGraph, states: List[AgentState],
-         algorithm: AlgorithmKind, tie_seed: int = 0) -> Tuple[Configuration, List[AgentState]]:
-    """Advance one round. All messages are built from `states` before any agent
-    updates, so the result does not depend on agent iteration order."""
-    n = config.n
-    if g.n != n or len(states) != n:
-        raise ValueError(f"size mismatch: {n} positions, graph on {g.n} nodes, {len(states)} states")
-    t = config.round + 1
-    period = effective_period(algorithm, n)
-    msgs = [make_message(algorithm, states[q], q) for q in range(n)]
-    new_states = []
-    for p in range(n):
-        received = [msgs[q] for q in sorted(in_neighbors(g, p))]
-        rng = None
-        if algorithm.tie_break == "random":
-            rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
-        new_states.append(amortize(algorithm, states[p], received, t, period=period, rng=rng))
-    positions = np.stack([s.x for s in new_states])
-    return Configuration(positions, t), new_states
+def step(x: np.ndarray, gather, g: CommGraph, algorithm: AlgorithmKind, t: int,
+         tie_seed: int = 0):
+    """Advance every agent through round t from positions x (n, d) and gather
+    memory `gather` (see `algorithms.init_gather`). Every agent reads the
+    state before the round, so the result does not depend on agent order."""
+    n = len(x)
+    if g.n != n:
+        raise ValueError(f"size mismatch: {n} positions, graph on {g.n} nodes")
+    return advance(algorithm, x, gather, g.adj, t, effective_period(algorithm, n), tie_seed)
 
 
 def _validate_spec(spec: RunSpec) -> np.ndarray:
@@ -145,21 +106,16 @@ def _validate_spec(spec: RunSpec) -> np.ndarray:
     return initial.copy()
 
 
-def _margin_row(prev: np.ndarray, g: CommGraph, new: np.ndarray) -> np.ndarray:
-    """Realized relative margin of each agent against its received range this
-    round; NaN when every component range had already collapsed."""
-    n = len(prev)
-    row = np.full(n, np.nan)
-    for p in range(n):
-        pts = prev[sorted(in_neighbors(g, p))]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        span = hi - lo
-        live = span > RANGE_FLOOR
-        if live.any():
-            gap = np.minimum(new[p] - lo, hi - new[p])
-            row[p] = float((gap[live] / span[live]).min())
-    return row
+def _margin_row(prev: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Realized relative margin of each agent against the range of prev over
+    its in-neighbours (adj[q, p]); NaN when every component range had already
+    collapsed."""
+    lo, hi = masked_min(prev, adj), masked_max(prev, adj)
+    span = hi - lo
+    live = span > RANGE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(live, np.minimum(new - lo, hi - new) / span, np.inf)
+    return np.where(live.any(axis=1), ratio.min(axis=1), np.nan)
 
 
 def run(spec: RunSpec) -> RunTrace:
@@ -174,15 +130,15 @@ def run(spec: RunSpec) -> RunTrace:
     if not active.any():
         t_eps = 0
     else:
-        config = Configuration(initial, 0)
-        states = [init_state(spec.algorithm, initial[p], spec.d) for p in range(spec.n)]
+        x = initial
+        gather = init_gather(spec.algorithm, initial)
         for t in range(1, spec.max_rounds + 1):
             g = spec.pattern.graph(t)
-            prev = config.positions
-            config, states = step(config, g, states, spec.algorithm, tie_seed=spec.seed)
-            positions.append(config.positions)
-            deltas.append(delta_components(config.positions))
-            margins.append(_margin_row(prev, g, config.positions))
+            prev = x
+            x, gather = step(x, gather, g, spec.algorithm, t, tie_seed=spec.seed)
+            positions.append(x)
+            deltas.append(delta_components(x))
+            margins.append(_margin_row(prev, g.adj, x))
             if (deltas[-1][active] <= spec.epsilon * delta0[active]).all():
                 t_eps = t
                 break

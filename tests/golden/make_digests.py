@@ -1,0 +1,127 @@
+"""SHA-256 digests of the engine's artifacts over a fixed scenario matrix.
+
+The matrix covers every rule, per round and amortized where the rule allows
+it, on the random-nonsplit, random-rooted, rotating-star and
+bidirectional-intermittent patterns; both extreme-point tie-break modes;
+centroid gathering with and without frame reduction; equal-neighbor at d = 1
+with in-degrees of 8 and more (where numpy's mean switches to pairwise
+summation); and seeded draws next to integer-grid inputs. Seeded draws never
+tie across senders, so only the grid inputs exercise the sender tie key.
+
+Each scenario goes through `consensus-dyn run`. The digests cover trace.csv
+and deltas.csv of every scenario, and margins.csv of the per-round ones.
+
+Regenerate the digests from the commit an engine change starts from, then
+check the change against them with tests/test_engine_golden.py:
+
+    python3 tests/golden/make_digests.py --src PARENT_CHECKOUT/src
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+DIGESTS = HERE / "digests.json"
+
+N = 6
+PATTERNS = {
+    "nonsplit": {"family": "random-nonsplit", "seed": 3},
+    "rooted": {"family": "random-rooted", "seed": 5},
+    "star": {"family": "rotating-star"},
+    "bidir": {"family": "bidirectional-intermittent", "period": 4, "seed": 2},
+}
+PER_ROUND = [("midpoint", 1), ("component-midpoint", 2), ("extreme-point", 1),
+             ("extreme-point", 3), ("equal-neighbor", 2), ("centroid", 2)]
+AMORTIZED = [("midpoint+amortized", 1), ("component-midpoint+amortized", 2),
+             ("extreme-point+amortized", 3), ("centroid+amortized", 2),
+             ("extreme-point+amortized:2", 2)]
+# every agent hears itself and its 8 predecessors: in-degree 9
+DENSE = {"family": "fixed", "graph": {"n": 12, "edges": [
+    [p, (p + k) % 12] for p in range(12) for k in range(9)]}}
+
+
+def _grid(n, d):
+    """Integer-grid positions: many exact ties across senders and components."""
+    return [[float((3 * p + 2 * k + p * k) % 4) for k in range(d)] for p in range(n)]
+
+
+def _config(algorithm, d, pattern, n=N, **extra):
+    cfg = {"n": n, "d": d, "algorithm": algorithm, "pattern": pattern,
+           "epsilon": 1e-6, "seed": 11, "max_rounds": 60}
+    cfg.update(extra)
+    return cfg
+
+
+def scenarios():
+    """(name, config) pairs of the matrix, in a fixed order."""
+    out = []
+    for pname, pattern in PATTERNS.items():
+        for alg, d in PER_ROUND + AMORTIZED:
+            out.append((f"{pname}/{alg}/d{d}", _config(alg, d, pattern)))
+    for pname in ("nonsplit", "star"):
+        pattern = PATTERNS[pname]
+        for alg, d in (("extreme-point", 2), ("extreme-point", 3),
+                       ("extreme-point+amortized", 2), ("extreme-point+amortized", 3)):
+            grid = {"kind": "explicit", "positions": _grid(N, d)}
+            for tie in ("index", "random"):
+                out.append((f"{pname}/{alg}/d{d}/grid/{tie}",
+                            _config(alg, d, pattern, initial=grid, tie_break=tie)))
+            out.append((f"{pname}/{alg}/d{d}/seeded/random",
+                        _config(alg, d, pattern, tie_break="random")))
+        for alg, d in (("midpoint", 1), ("component-midpoint+amortized", 2), ("centroid", 2)):
+            grid = {"kind": "explicit", "positions": _grid(N, d)}
+            out.append((f"{pname}/{alg}/d{d}/grid", _config(alg, d, pattern, initial=grid)))
+    for alg, d in (("centroid+amortized", 2), ("centroid+amortized", 3)):
+        for frames in (True, False):
+            out.append((f"rooted/{alg}/d{d}/frames-{frames}",
+                        _config(alg, d, PATTERNS["rooted"], frame_reduction=frames)))
+    for d in (1, 2):
+        out.append((f"dense/equal-neighbor/d{d}", _config("equal-neighbor", d, DENSE, n=12)))
+        out.append((f"nonsplit-n14/equal-neighbor/d{d}",
+                    _config("equal-neighbor", d, {"family": "random-nonsplit", "seed": 8}, n=14)))
+    return out
+
+
+def digests(workdir: Path) -> dict:
+    """Run every scenario under `workdir` and return {name/file: sha256}."""
+    from consensus_dyn import cli
+
+    out = {}
+    for name, cfg in scenarios():
+        d = workdir / name.replace("/", "_").replace(":", "-")
+        d.mkdir(parents=True)
+        (d / "config.json").write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", "--config", str(d / "config.json"), "--out", str(d)])
+        if code != 0:
+            raise RuntimeError(f"{name}: run exited {code}")
+        files = ["trace.csv", "deltas.csv"]
+        if "+amortized" not in cfg["algorithm"]:
+            files.append("margins.csv")
+        for f in files:
+            out[f"{name}/{f}"] = hashlib.sha256((d / f).read_bytes()).hexdigest()
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(HERE.parents[1] / "src"),
+                        help="source tree whose consensus_dyn produces the digests")
+    parser.add_argument("--out", default=str(DIGESTS))
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    with tempfile.TemporaryDirectory() as tmp:
+        result = digests(Path(tmp))
+    Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
+    print(f"{len(result)} digests -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

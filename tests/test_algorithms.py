@@ -3,10 +3,8 @@ import pytest
 
 from consensus_dyn import geometry
 from consensus_dyn.algorithms import (
-    AgentState,
     AlgorithmKind,
-    ProtocolError,
-    amortize,
+    advance,
     centroid_update,
     claimed_alpha,
     component_midpoint_update,
@@ -14,8 +12,7 @@ from consensus_dyn.algorithms import (
     equal_neighbor_update,
     extreme_point_update,
     format_kind,
-    init_state,
-    make_message,
+    init_gather,
     midpoint_update_1d,
     parse_kind,
     validate_kind,
@@ -23,20 +20,12 @@ from consensus_dyn.algorithms import (
 from consensus_dyn.graphs import adversarial_rotating_star, in_neighbors, random_rooted
 
 
-def _run_states(kind, x0, pattern, rounds, period):
-    # minimal local round loop over the agent state machines
-    n, d = x0.shape
-    states = [init_state(kind, x0[p], d) for p in range(n)]
+def _rounds(kind, x0, pattern, rounds, period):
+    # minimal local round loop over the kernel: (t, positions, gather) after each round
+    x, gather = x0, init_gather(kind, x0)
     for t in range(1, rounds + 1):
-        g = pattern.graph(t)
-        msgs = [make_message(kind, states[p], p) for p in range(n)]
-        states = [
-            amortize(kind, states[p],
-                     [msgs[q] for q in sorted(in_neighbors(g, p))],
-                     t, period=period)
-            for p in range(n)
-        ]
-    return states
+        x, gather = advance(kind, x, gather, pattern.graph(t).adj, t, period)
+        yield t, x, gather
 
 
 def test_equal_neighbor_update():
@@ -235,27 +224,29 @@ def test_claimed_alpha():
     assert claimed_alpha(AlgorithmKind("equal-neighbor"), n=4, d=1) == 0.25
 
 
-def test_message_payload_sizes():
+def test_gather_memory_shapes():
     d = 3
-    x = np.array([1.0, 2.0, 3.0])
-    mid = make_message(AlgorithmKind("midpoint", amortized=True), init_state(
-        AlgorithmKind("midpoint", amortized=True), np.array([4.0]), 1), 0)
-    assert mid.payload.shape == (2,)
-    ext = make_message(AlgorithmKind("extreme-point"), init_state(AlgorithmKind("extreme-point"), x, d), 0)
-    assert ext.payload.shape == (2 * d, d)
-    cen = make_message(AlgorithmKind("centroid"), init_state(AlgorithmKind("centroid"), x, d), 0)
-    assert cen.payload.shape == (1, d)
-    eq = make_message(AlgorithmKind("equal-neighbor"), init_state(AlgorithmKind("equal-neighbor"), x, d), 0)
-    assert eq.payload.shape == (d,)
+    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    mid = init_gather(AlgorithmKind("midpoint", amortized=True), np.array([[4.0], [1.0]]))
+    assert mid.shape == (2, 2, 1)
+    assert init_gather(AlgorithmKind("component-midpoint"), x).shape == (2, 2, d)
+    ext = init_gather(AlgorithmKind("extreme-point"), x)
+    assert ext.shape == (2, 2 * d, d)
+    assert (ext == x[:, None, :]).all()
+    cen = init_gather(AlgorithmKind("centroid"), x)
+    assert [c.shape for c in cen] == [(1, d), (1, d)]
+    assert init_gather(AlgorithmKind("equal-neighbor"), x) is None
 
 
-def test_amortize_rejects_malformed_payload():
+def test_advance_rejects_bad_period():
+    x = np.zeros((2, 1))
+    adj = np.ones((2, 2), dtype=bool)
     kind = AlgorithmKind("midpoint", amortized=True)
-    state = init_state(kind, np.array([0.0]), 1)
-    msg = make_message(AlgorithmKind("extreme-point"), init_state(
-        AlgorithmKind("extreme-point"), np.array([0.0, 1.0]), 2), 0)
-    with pytest.raises(ProtocolError):
-        amortize(kind, state, [msg], 1, period=2)
+    with pytest.raises(ValueError):
+        advance(kind, x, init_gather(kind, x), adj, 1, 0)
+    kind = AlgorithmKind("equal-neighbor")
+    with pytest.raises(ValueError):
+        advance(kind, x, None, adj, 1, 2)
 
 
 def test_amortize_period_one_matches_direct_updates():
@@ -269,23 +260,19 @@ def test_amortize_period_one_matches_direct_updates():
         (AlgorithmKind("equal-neighbor"), 2, equal_neighbor_update),
     ]
     for kind, d, direct in cases:
-        x = rng.uniform(0, 1, (4, d))
-        states = [init_state(kind, x[p], d) for p in range(4)]
-        for t in range(1, 4):
+        x0 = rng.uniform(0, 1, (4, d))
+        x = x0
+        for t, new, _ in _rounds(kind, x0, pattern, 3, period=1):
             g = pattern.graph(t)
-            msgs = [make_message(kind, states[p], p) for p in range(4)]
-            new_states = []
             for p in range(4):
                 nbrs = sorted(in_neighbors(g, p))
-                new_states.append(amortize(kind, states[p], [msgs[q] for q in nbrs], t, period=1))
                 received = np.array([x[q] for q in nbrs])
                 if direct is not None:
                     expected = np.atleast_1d(direct(received))
                 else:
                     expected = extreme_point_update(received, d, senders=nbrs)
-                assert np.allclose(new_states[p].x, expected, atol=1e-12), kind.tag
-            states = new_states
-            x = np.array([s.x for s in states])
+                assert np.allclose(new[p], expected, atol=1e-12), kind.tag
+            x = new
 
 
 def test_amortized_midpoint_intervals_overlap_after_gathering():
@@ -293,22 +280,13 @@ def test_amortized_midpoint_intervals_overlap_after_gathering():
     kind = AlgorithmKind("midpoint", amortized=True)
     x0 = np.array([[0.0], [1.0], [4.0]])
     pattern = adversarial_rotating_star(3)
-    states = [init_state(kind, x0[p], 1) for p in range(3)]
-    for t in (1, 2):
-        g = pattern.graph(t)
-        msgs = [make_message(kind, states[p], p) for p in range(3)]
-        states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                           t, period=3) for p in range(3)]
-    ms = [s.gather[0] for s in states]
-    bigs = [s.gather[1] for s in states]
-    assert max(ms) <= min(bigs)
+    states = list(_rounds(kind, x0, pattern, 3, period=3))
+    _, _, gather = states[1]
+    ms, bigs = gather[:, 0, 0], gather[:, 1, 0]
+    assert ms.max() <= bigs.min()
     # the averaging round resets memory to the new position
-    g = pattern.graph(3)
-    msgs = [make_message(kind, states[p], p) for p in range(3)]
-    states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                       3, period=3) for p in range(3)]
-    for s in states:
-        assert s.gather[0] == s.gather[1] == s.x[0]
+    _, x, gather = states[2]
+    assert (gather[:, 0] == x).all() and (gather[:, 1] == x).all()
 
 
 def test_amortized_midpoint_interval_brackets_position():
@@ -316,15 +294,12 @@ def test_amortized_midpoint_interval_brackets_position():
     pattern = random_rooted(5, seed=6)
     rng = np.random.default_rng(7)
     x0 = rng.uniform(0, 1, (5, 1))
-    states = [init_state(kind, x0[p], 1) for p in range(5)]
-    for t in range(1, 13):
-        g = pattern.graph(t)
-        msgs = [make_message(kind, states[p], p) for p in range(5)]
-        states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                           t, period=4) for p in range(5)]
-        for s in states:
-            assert s.gather[0] <= s.x[0] <= s.gather[1]
-            assert s.round_in_macro == t % 4
+    for t, x, gather in _rounds(kind, x0, pattern, 12, period=4):
+        assert (gather[:, 0] <= x).all() and (x <= gather[:, 1]).all()
+        # positions hold still inside a block and move only at its end
+        if t % 4:
+            assert np.array_equal(x, x0)
+        x0 = x
 
 
 def test_extreme_point_gather_tracks_componentwise_extremes():
@@ -332,14 +307,8 @@ def test_extreme_point_gather_tracks_componentwise_extremes():
     pattern = random_rooted(4, seed=9)
     rng = np.random.default_rng(11)
     x0 = rng.uniform(0, 1, (4, 2))
-    states = [init_state(kind, x0[p], 2) for p in range(4)]
-    for t in range(1, 7):
-        g = pattern.graph(t)
-        msgs = [make_message(kind, states[p], p) for p in range(4)]
-        states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                           t, period=3) for p in range(4)]
-        for s in states:
-            tracked = s.gather
+    for _, _, gather in _rounds(kind, x0, pattern, 6, period=3):
+        for tracked in gather:
             for i in range(2):
                 assert tracked[i, i] == tracked[:, i].min()
                 assert tracked[2 + i, i] == tracked[:, i].max()
@@ -352,13 +321,8 @@ def test_centroid_frame_reduction_is_transparent():
     results = []
     for reduce_frames in (True, False):
         kind = AlgorithmKind("centroid", amortized=True, frame_reduction=reduce_frames)
-        states = [init_state(kind, x0[p], 2) for p in range(4)]
-        for t in range(1, 7):
-            g = pattern.graph(t)
-            msgs = [make_message(kind, states[p], p) for p in range(4)]
-            states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                               t, period=3) for p in range(4)]
-        results.append(np.array([s.x for s in states]))
+        *_, (_, x, _) = _rounds(kind, x0, pattern, 6, period=3)
+        results.append(x)
     assert np.allclose(results[0], results[1], atol=1e-12)
 
 
@@ -367,11 +331,6 @@ def test_centroid_position_stays_in_gathered_hull():
     pattern = random_rooted(4, seed=13)
     rng = np.random.default_rng(13)
     x0 = rng.uniform(0, 1, (4, 2))
-    states = [init_state(kind, x0[p], 2) for p in range(4)]
-    for t in range(1, 7):
-        g = pattern.graph(t)
-        msgs = [make_message(kind, states[p], p) for p in range(4)]
-        states = [amortize(kind, states[p], [msgs[q] for q in sorted(in_neighbors(g, p))],
-                           t, period=3) for p in range(4)]
-        for s in states:
-            assert geometry.contains(geometry.convex_hull(s.gather), s.x)
+    for _, x, gather in _rounds(kind, x0, pattern, 6, period=3):
+        for p in range(4):
+            assert geometry.contains(geometry.convex_hull(gather[p]), x[p])

@@ -1,0 +1,23 @@
+"""The round engine must reproduce the recorded artifacts byte for byte.
+
+tests/golden/digests.json holds SHA-256 digests of trace.csv, deltas.csv and
+(per-round scenarios only) margins.csv over the scenario matrix in
+tests/golden/make_digests.py, generated from the engine before its last
+rewrite. Regenerate them only from the commit an engine change starts from.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "golden"))
+
+import make_digests  # noqa: E402
+
+
+def test_engine_artifacts_match_golden_digests(tmp_path):
+    expected = json.loads(make_digests.DIGESTS.read_text())
+    actual = make_digests.digests(tmp_path)
+    assert sorted(actual) == sorted(expected)
+    differing = [k for k in expected if actual[k] != expected[k]]
+    assert not differing, f"{len(differing)} artifacts differ, first: {differing[:5]}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from consensus_dyn import geometry
-from consensus_dyn.algorithms import AlgorithmKind, init_state, parse_kind
+from consensus_dyn.algorithms import AlgorithmKind, init_gather, parse_kind
 from consensus_dyn.graphs import (
     CommGraph,
     adversarial_rotating_star,
@@ -17,7 +17,6 @@ from consensus_dyn.graphs import (
     self_loops_only,
 )
 from consensus_dyn.simulator import (
-    Configuration,
     Metrics,
     RunSpec,
     RunTrace,
@@ -48,35 +47,30 @@ def test_step_self_loops_only_is_identity():
         kind = AlgorithmKind(tag)
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (3, d))
-        config = Configuration(x, 0)
-        states = [init_state(kind, x[p], d) for p in range(3)]
-        out, _ = step(config, self_loops_only(3), states, kind)
-        assert out.round == 1
-        assert np.allclose(out.positions, x, atol=1e-12)
+        out, _ = step(x, init_gather(kind, x), self_loops_only(3), kind, 1)
+        assert out.shape == x.shape
+        assert np.allclose(out, x, atol=1e-12)
 
 
 def test_step_complete_graph_midpoint():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("midpoint")
-    states = [init_state(kind, x[p], 1) for p in range(3)]
-    out, _ = step(Configuration(x, 0), complete_graph(3), states, kind)
-    assert np.array_equal(out.positions, np.full((3, 1), 1.0))
+    out, _ = step(x, init_gather(kind, x), complete_graph(3), kind, 1)
+    assert np.array_equal(out, np.full((3, 1), 1.0))
 
 
 def test_step_complete_graph_equal_neighbor():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("equal-neighbor")
-    states = [init_state(kind, x[p], 1) for p in range(3)]
-    out, _ = step(Configuration(x, 0), complete_graph(3), states, kind)
-    assert np.allclose(out.positions, 1.0)
+    out, _ = step(x, init_gather(kind, x), complete_graph(3), kind, 1)
+    assert np.allclose(out, 1.0)
 
 
 def test_step_size_mismatch():
     x = np.zeros((3, 1))
     kind = AlgorithmKind("midpoint")
-    states = [init_state(kind, x[p], 1) for p in range(3)]
     with pytest.raises(ValueError):
-        step(Configuration(x, 0), self_loops_only(4), states, kind)
+        step(x, init_gather(kind, x), self_loops_only(4), kind, 1)
 
 
 def test_run_single_agent():
