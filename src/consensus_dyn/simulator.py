@@ -60,7 +60,10 @@ class RunTrace:
     spec: RunSpec
     positions: np.ndarray  # (T+1, n, d), row t is the configuration after round t
     deltas: np.ndarray  # (T+1, d) per-component ranges
-    margins: np.ndarray  # (T, n) realized per-round safety margins, NaN when vacuous
+    # (T, n) realized safety margins, row t-1 for round t; for amortized rules
+    # only block ends carry one (against the block's product graph), and NaN
+    # marks rounds inside a block and vacuous constraints
+    margins: np.ndarray
     metrics: Metrics
 
 
@@ -132,13 +135,20 @@ def run(spec: RunSpec) -> RunTrace:
     else:
         x = initial
         gather = init_gather(spec.algorithm, initial)
+        period = effective_period(spec.algorithm, spec.n)
+        inside_block = np.full(spec.n, np.nan)
         for t in range(1, spec.max_rounds + 1):
             g = spec.pattern.graph(t)
-            prev = x
+            # reach[q, p]: q's value can reach p within the current block, so
+            # an update is safe against the range over reach, not over g alone
+            reach = g.adj if (t - 1) % period == 0 else reach @ g.adj
             x, gather = step(x, gather, g, spec.algorithm, t, tie_seed=spec.seed)
             positions.append(x)
             deltas.append(delta_components(x))
-            margins.append(_margin_row(prev, g.adj, x))
+            if t % period == 0:
+                margins.append(_margin_row(positions[t - period], reach, x))
+            else:
+                margins.append(inside_block)
             if (deltas[-1][active] <= spec.epsilon * delta0[active]).all():
                 t_eps = t
                 break

@@ -292,3 +292,18 @@ def test_csv_round_trip(tmp_path):
     first = (tmp_path / "trace.csv").read_bytes()
     write_trace_csv(run(spec), path)
     assert path.read_bytes() == first
+
+
+def test_amortized_margins_are_block_end_margins():
+    # each averaging round is measured against the block's product graph;
+    # gathering rounds carry no margin of their own
+    d, n = 5, 16
+    spec = _spec(n=n, d=d, algorithm=AlgorithmKind("extreme-point", amortized=True),
+                 pattern=adversarial_rotating_star(n), epsilon=1e-9, seed=3)
+    trace = run(spec)
+    period = n - 1
+    rounds = np.arange(1, len(trace.margins) + 1)
+    assert np.isnan(trace.margins[rounds % period != 0]).all()
+    live = trace.margins[~np.isnan(trace.margins)]
+    assert live.size > 0
+    assert (live >= 1 / (2 * d) - 1e-9).all()
