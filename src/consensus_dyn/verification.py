@@ -27,6 +27,10 @@ from .simulator import RANGE_FLOOR, RunTrace
 
 # slack applied when comparing realized margins against a claimed constant
 AUDIT_TOL = 1e-9
+# A shortfall below this many ulps of the endpoints is the rounding of the
+# update itself: (lo + hi) / 2 alone can land half an ulp off the exact value,
+# which on a span of a few ulps reads as a large relative shortfall.
+ROUNDING_ULPS = 4
 
 
 class SafenessViolationError(RuntimeError):
@@ -132,7 +136,9 @@ def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
 
     With period > 1 the audit works on macro-rounds: extremes are taken over
     the block's graph product, matching algorithms that gather for period
-    rounds before moving. Only complete blocks are audited.
+    rounds before moving. Only complete blocks are audited. A margin below
+    the claim is a violation when it falls short by more than AUDIT_TOL of
+    the span and by more than ROUNDING_ULPS ulps of the endpoints.
     """
     positions = np.asarray(trace.positions, dtype=float)
     total, n, d = positions.shape
@@ -170,7 +176,9 @@ def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
                 margins[s, p, k] = m
                 worst = min(worst, m)
                 if m < claimed_alpha - AUDIT_TOL:
-                    violations.append((end, p, k, m))
+                    shortfall = (claimed_alpha - m) * span[k]
+                    if shortfall > ROUNDING_ULPS * np.spacing(max(abs(lo[k]), abs(hi[k]))):
+                        violations.append((end, p, k, m))
     return SafenessReport(claimed_alpha=claimed_alpha, period=period,
                           margins=margins, worst_alpha=worst, violations=violations)
 

@@ -232,3 +232,40 @@ def test_verify_clean_and_tampered(tmp_path):
     lines[-1] = ",".join(parts)
     trace_file.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", path, "--out", str(out)]) == 3
+
+
+ALL_AUDITS = {"safeness": True, "matrices": True, "moreau": True}
+
+
+def test_verify_accepts_rounding_on_tiny_spans(tmp_path):
+    # spans shrink to ~1e-13 of the endpoints here, where the half-ulp
+    # rounding of an honest update reads as a large relative shortfall
+    bidir = {"family": "bidirectional-intermittent"}
+    cases = [
+        {"n": 6, "d": 1, "algorithm": "midpoint", "seed": 1,
+         "pattern": dict(bidir, period=6, seed=5)},
+        {"n": 8, "d": 2, "algorithm": "centroid", "seed": 721306,
+         "pattern": dict(bidir, period=11, seed=835194)},
+    ]
+    for i, case in enumerate(cases):
+        path = _write(tmp_path, dict(case, epsilon=1e-12, audits=ALL_AUDITS), f"c{i}.json")
+        out = str(tmp_path / f"out{i}")
+        assert main(["run", "--config", path, "--out", out]) == 0, case["algorithm"]
+        assert main(["verify", "--config", path, "--out", out]) == 0, case["algorithm"]
+
+
+def test_verify_flags_outward_move_on_tiny_span(tmp_path):
+    # the rounding allowance is a few ulps: a move of 1e-3 of a 1e-8 span
+    # (about 1e5 ulps) is still a violation
+    lo, hi = 0.5, 0.5 + 1e-8
+    path = _write(tmp_path, _minimal(n=2, initial={"kind": "explicit",
+                                                   "positions": [[lo], [hi]]}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    trace_file = out / "trace.csv"
+    lines = trace_file.read_text().splitlines()
+    mid = float(lines[-2].split(",")[-1])
+    lines[-2] = f"1,0,{mid + 1e-3 * (hi - lo)!r}"
+    trace_file.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
