@@ -36,6 +36,7 @@ from .simulator import (
     RunSpec,
     RunTrace,
     delta_components,
+    initial_positions,
     read_trace_csv,
     run,
     write_deltas_csv,
@@ -452,6 +453,15 @@ def cmd_verify(args) -> int:
     n, d = positions.shape[1], positions.shape[2]
     _require((n, d) == (spec.n, spec.d),
              f"stored trace is for n={n}, d={d}; config says n={spec.n}, d={spec.d}")
+    # Without this a trace that never moves satisfies every margin vacuously.
+    initial = initial_positions(spec)
+    differ = (positions[0].view(np.uint64) != initial.view(np.uint64)).any(axis=1)
+    if differ.any():
+        p = int(np.argmax(differ))
+        print(f"verify: round 0 of the trace is not the configured initial configuration:"
+              f" agent {p} is at {positions[0, p].tolist()}, the config gives"
+              f" {initial[p].tolist()}", file=sys.stderr)
+        return 3
     deltas = np.stack([delta_components(p) for p in positions])
     trace = RunTrace(spec, positions, deltas, np.empty((0, n)),
                      Metrics(t_eps=None, converged=False, empirical_rate=0.0, bound_t=None))

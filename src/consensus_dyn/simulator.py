@@ -84,7 +84,8 @@ def step(x: np.ndarray, gather, g: CommGraph, algorithm: AlgorithmKind, t: int,
     return advance(algorithm, x, gather, g.adj, t, effective_period(algorithm, n), tie_seed)
 
 
-def _validate_spec(spec: RunSpec) -> np.ndarray:
+def initial_positions(spec: RunSpec) -> np.ndarray:
+    """Validate the spec and return x(0): its explicit positions or the seeded draw."""
     if spec.n < 1:
         raise ValueError(f"need n >= 1, got {spec.n}")
     if spec.d < 1:
@@ -122,7 +123,7 @@ def _margin_row(prev: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarra
 
 
 def run(spec: RunSpec) -> RunTrace:
-    initial = _validate_spec(spec)
+    initial = initial_positions(spec)
     delta0 = delta_components(initial)
     active = delta0 > 0.0
     positions = [initial]
@@ -288,6 +289,13 @@ def read_trace_csv(path) -> Tuple[List[int], np.ndarray]:
         positions[t, p] = vals
     if np.isnan(positions).any():
         raise ValueError("trace file is missing (round, agent) rows")
+    if len(records) > positions.shape[0] * n:
+        # every (round, agent) cell is filled, so some row comes more than once
+        seen = set()
+        for t, p, _ in records:
+            if (t, p) in seen:
+                raise ValueError(f"trace file repeats the row of round {t}, agent {p}")
+            seen.add((t, p))
     return list(range(t_max + 1)), positions
 
 

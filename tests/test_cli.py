@@ -269,3 +269,32 @@ def test_verify_flags_outward_move_on_tiny_span(tmp_path):
     lines[-2] = f"1,0,{mid + 1e-3 * (hi - lo)!r}"
     trace_file.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", path, "--out", str(out)]) == 3
+
+
+def _extreme_point_run(tmp_path):
+    cfg = {"n": 4, "d": 2, "algorithm": "extreme-point",
+           "pattern": {"family": "random-nonsplit", "seed": 2}, "epsilon": 1e-6, "seed": 7}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    return path, out / "trace.csv"
+
+
+def test_verify_rejects_forged_constant_trace(tmp_path, capsys):
+    # every margin constraint of a trace that never moves is vacuous; only
+    # round 0 against the configured draw tells it apart
+    path, trace_file = _extreme_point_run(tmp_path)
+    lines = trace_file.read_text().splitlines()
+    forged = [lines[0]] + [",".join(line.split(",")[:2] + ["0.25", "0.75"]) for line in lines[1:]]
+    trace_file.write_text("\n".join(forged) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(trace_file.parent)]) == 3
+    assert "agent 0" in capsys.readouterr().err
+
+
+def test_verify_rejects_duplicate_trace_row(tmp_path):
+    path, trace_file = _extreme_point_run(tmp_path)
+    lines = trace_file.read_text().splitlines()
+    trace_file.write_text("\n".join(lines + [lines[-1]]) + "\n")
+    assert main(["verify", "--config", path, "--out", str(trace_file.parent)]) == 2
