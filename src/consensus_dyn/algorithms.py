@@ -256,17 +256,27 @@ def _centroid_round(kind: AlgorithmKind, x: np.ndarray, gather: list, adj: np.nd
                     average: bool):
     """Agent by agent: stack the in-neighbours' point sets, reduce them to their
     frame (or only deduplicate them without frame reduction) and, on an
-    averaging round, move to the centroid of their hull."""
+    averaging round, move to the centroid of their hull.
+
+    Agents whose stacks are equal byte for byte share one reduction and one
+    centroid per round: the same bytes through the same calls give the same
+    bytes out."""
     new_x, new_gather = x.copy(), []
+    done = {}
     for p in range(len(gather)):
         stack = np.vstack([gather[q] for q in np.flatnonzero(adj[:, p])])
-        if kind.frame_reduction:
-            merged = geometry.convex_hull(stack).vertices
-        else:
-            extent = float((stack.max(axis=0) - stack.min(axis=0)).max())
-            merged = geometry.dedup(stack, geometry.DUP_TOL * extent)
+        key = (stack.shape, stack.tobytes())
+        if key not in done:
+            if kind.frame_reduction:
+                merged = geometry.convex_hull(stack).vertices
+            else:
+                extent = float((stack.max(axis=0) - stack.min(axis=0)).max())
+                merged = geometry.dedup(stack, geometry.DUP_TOL * extent)
+            point = geometry.centroid(geometry.convex_hull(merged)).centroid if average else None
+            done[key] = merged, point
+        merged, point = done[key]
         if average:
-            new_x[p] = geometry.centroid(geometry.convex_hull(merged)).centroid
+            new_x[p] = point
             merged = new_x[p:p + 1]
         new_gather.append(merged)
     return new_x, new_gather

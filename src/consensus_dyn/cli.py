@@ -10,9 +10,7 @@ import csv
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,8 +47,6 @@ from .verification import (
     check_moreau_assumptions,
     reconstruct_matrices,
 )
-
-THREADS_ENV = "CONSENSUS_DYN_THREADS"
 
 _TOP_KEYS = {"n", "d", "algorithm", "pattern", "initial", "epsilon", "max_rounds",
              "seed", "audits", "tie_break", "frame_reduction", "allow_unsafe_dim",
@@ -375,11 +371,8 @@ def cmd_sweep(args) -> int:
         scenarios.append((idx, sub, _build_spec(sub, seed_override=None)))
     if args.seed is not None:
         raise ValueError("--seed cannot override a sweep; put seeds on the sweep axis")
-    threads = args.threads or int(os.environ.get(THREADS_ENV, "1"))
-    _require(threads >= 1, f"need at least one worker thread, got {threads}")
     out = _outdir(args, cfg)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(lambda s: _sweep_row(*s), scenarios))
+    rows = [_sweep_row(*s) for s in scenarios]
     cols = ["scenario", "n", "d", "algorithm", "seed", "t_eps", "bound_t",
             "worst_alpha", "empirical_rate", "converged", "within_bound"]
     with open(out / "sweep.csv", "w", newline="") as fh:
@@ -495,8 +488,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run the cartesian product of the sweep axes")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=None,
-                         help=f"worker threads (default: ${THREADS_ENV} or 1)")
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -63,15 +63,6 @@ class Polytope:
             if arr is not None:
                 arr.setflags(write=False)
 
-    @property
-    def facets(self) -> Optional[np.ndarray]:
-        """Facet half-spaces in ambient coordinates; None unless full-dimensional."""
-        if self.equations is None or self.dim_affine != self.dim_ambient:
-            return None
-        normals = self.equations[:, :-1] @ self.basis
-        offsets = self.equations[:, -1] - normals @ self.origin
-        return np.column_stack([normals, offsets])
-
 
 @dataclass(frozen=True)
 class CentroidResult:
@@ -95,12 +86,29 @@ def _as_points(points, d: Optional[int] = None) -> np.ndarray:
 
 
 def dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of arr in order, without those within distance tol of a kept row."""
-    keep = [0]
-    for i in range(1, len(arr)):
-        if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
-            keep.append(i)
-    return arr[keep]
+    """Rows of arr in order, without those within distance tol of a kept row.
+
+    Later exact copies of a row go first: greedy always drops them, since the
+    first copy is kept or lies within tol of a kept row. The u rows left share
+    one (u, u, d) distance matrix, so memory is O(u^2 d); in the round engine
+    u <= n, because gathered points are copies of the n start positions.
+    """
+    rows = np.ascontiguousarray(arr)
+    as_void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    first = np.sort(np.unique(as_void, return_index=True)[1])
+    a = arr[first]
+    # norm over the last axis adds the d squares as norm(a[keep] - a[i], axis=1) does
+    close = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2) <= tol
+    close &= np.tri(len(a), k=-1, dtype=bool)
+    isolated = ~close.any(axis=1)
+    # When every row with a close earlier row has one among the isolated rows,
+    # greedy keeps exactly the isolated rows (by induction over the rows).
+    if (isolated | (close & isolated).any(axis=1)).all():
+        return a[isolated]
+    kept = np.zeros(len(a), dtype=bool)
+    for i in range(len(a)):
+        kept[i] = not (close[i] & kept).any()
+    return a[kept]
 
 
 def convex_hull(points, d: Optional[int] = None) -> Polytope:
@@ -212,13 +220,13 @@ def centroid(poly: Polytope) -> CentroidResult:
         return CentroidResult(poly.origin + mid * poly.basis[0], length)
 
     apex = poly.proj_vertices.mean(axis=0)
-    total = 0.0
-    acc = np.zeros(r)
-    for simplex in poly.simplices:
-        pts = poly.proj_points[simplex]
-        vol = abs(np.linalg.det(pts - apex)) / math.factorial(r)
-        total += vol
-        acc += vol * (pts.sum(axis=0) + apex) / (r + 1)
+    pts = poly.proj_points[poly.simplices]
+    vols = np.abs(np.linalg.det(pts - apex)) / math.factorial(r)
+    # cumsum adds left to right, as a running sum from 0.0 over the simplices
+    # does; the zero row keeps a -0.0 first term from surviving as -0.0
+    terms = vols[:, None] * (pts.sum(axis=1) + apex) / (r + 1)
+    total = np.cumsum(vols)[-1]
+    acc = np.cumsum(np.vstack([np.zeros(r), terms]), axis=0)[-1]
     if total <= 0.0 or not np.isfinite(total):
         raise GeometryError(f"degenerate fan decomposition: volume={total!r} at rank {r}")
     return CentroidResult(poly.origin + (acc / total) @ poly.basis, total)

@@ -285,9 +285,9 @@ def infinitely_often_union(pattern: CommPattern, window: int,
 
 
 def graph_to_json(g: CommGraph) -> dict:
-    """Graph literal: {"n": int, "edges": [[p, q], ...]} with self-loops implied."""
-    edges = sorted((p, q) for p, q in g.edges if p != q)
-    return {"n": g.n, "edges": [[p, q] for p, q in edges]}
+    """Graph literal: {"n": int, "edges": [[p, q], ...]}, self-loops listed, so
+    reading it back has no loop to add."""
+    return {"n": g.n, "edges": [[p, q] for p, q in sorted(g.edges)]}
 
 
 def graph_from_json(obj: dict) -> CommGraph:

@@ -219,10 +219,10 @@ def _pattern_classes(pattern: CommPattern) -> Tuple[bool, bool]:
     return False, False
 
 
-def theorem_bound(spec: RunSpec, delta0: Optional[np.ndarray] = None) -> int:
+def theorem_bound(spec: RunSpec) -> int:
     """Worst-case number of rounds until every component range has shrunk by
-    the factor epsilon. The convergence criterion is relative, so delta0 is
-    accepted for interface compatibility but does not change the count.
+    the factor epsilon. The convergence criterion is relative, so the count
+    does not depend on the initial ranges.
 
     Covered pairings: any non-amortized rule on always-nonsplit patterns, and
     the amortized rules at period n-1 on always-rooted patterns. Anything else

@@ -3,7 +3,8 @@
 The matrix covers every rule, per round and amortized where the rule allows
 it, on the random-nonsplit, random-rooted, rotating-star and
 bidirectional-intermittent patterns; both extreme-point tie-break modes;
-centroid gathering with and without frame reduction; equal-neighbor at d = 1
+centroid per round at d = 2 to 4 and gathering with and without frame
+reduction, at n = 12 on the rotating star too; equal-neighbor at d = 1
 with in-degrees of 8 and more (where numpy's mean switches to pairwise
 summation); and seeded draws next to integer-grid inputs. Seeded draws never
 tie across senders, so only the grid inputs exercise the sender tie key.
@@ -81,6 +82,13 @@ def scenarios():
         for frames in (True, False):
             out.append((f"rooted/{alg}/d{d}/frames-{frames}",
                         _config(alg, d, PATTERNS["rooted"], frame_reduction=frames)))
+    for pname in ("nonsplit", "rooted"):
+        for d in (3, 4):
+            out.append((f"{pname}/centroid/d{d}", _config("centroid", d, PATTERNS[pname])))
+    for frames in (True, False):
+        out.append((f"star-n12/centroid+amortized/d3/frames-{frames}",
+                    _config("centroid+amortized", 3, PATTERNS["star"], n=12,
+                            frame_reduction=frames)))
     for d in (1, 2):
         out.append((f"dense/equal-neighbor/d{d}", _config("equal-neighbor", d, DENSE, n=12)))
         out.append((f"nonsplit-n14/equal-neighbor/d{d}",

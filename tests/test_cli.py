@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 
 from consensus_dyn.cli import load_config, main, serialize_config
@@ -84,6 +85,42 @@ def test_run_fixed_graph_literal(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def _loop_warnings(caplog):
+    return [r for r in caplog.records if "missing self-loops" in r.getMessage()]
+
+
+def test_fixed_graph_with_every_self_loop_logs_nothing(tmp_path, caplog):
+    cfg = _minimal(sweep={"seed": [0, 1]})
+    cfg["pattern"] = {"family": "fixed",
+                      "graph": {"n": 3, "edges": [[0, 0], [1, 1], [2, 2], [0, 1], [1, 2]]}}
+    path, out = _write(tmp_path, cfg), str(tmp_path / "out")
+    with caplog.at_level(logging.WARNING, logger="consensus_dyn.graphs"):
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+        cfg.pop("sweep")
+        path = _write(tmp_path, cfg, "one.json")
+        assert main(["run", "--config", path, "--out", out]) == 0
+        assert main(["verify", "--config", path, "--out", out]) == 0
+    assert _loop_warnings(caplog) == []
+
+
+def test_fixed_graph_missing_self_loops_logs_once_per_load(tmp_path, caplog):
+    cfg = _minimal(sweep={"seed": [0, 1, 2]})
+    cfg["pattern"] = {"family": "fixed", "graph": {"n": 3, "edges": [[0, 0], [0, 1], [1, 2]]}}
+    path, out = _write(tmp_path, cfg), str(tmp_path / "out")
+    with caplog.at_level(logging.WARNING, logger="consensus_dyn.graphs"):
+        assert main(["sweep", "--config", path, "--out", out]) == 0
+        assert len(_loop_warnings(caplog)) == 1
+        assert "[1, 2]" in _loop_warnings(caplog)[0].getMessage()
+        caplog.clear()
+        cfg.pop("sweep")
+        path = _write(tmp_path, cfg, "one.json")
+        assert main(["run", "--config", path, "--out", out]) == 0
+        assert len(_loop_warnings(caplog)) == 1
+        caplog.clear()
+        assert main(["verify", "--config", path, "--out", out]) == 0
+        assert len(_loop_warnings(caplog)) == 1
+
+
 def test_run_centroid_audit(tmp_path):
     cfg = {
         "n": 4, "d": 2, "algorithm": "centroid",
@@ -135,8 +172,7 @@ def test_sweep_axis_order_and_columns(tmp_path):
         "sweep": {"n": [3, 4], "seed": [0, 1]},
     }
     out = tmp_path / "out"
-    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out),
-                 "--threads", "2"]) == 0
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
     rows = _read_rows(out / "sweep.csv")
     assert [r["scenario"] for r in rows] == ["0", "1", "2", "3"]
     assert [r["n"] for r in rows] == ["3", "3", "4", "4"]

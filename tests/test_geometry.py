@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from consensus_dyn import algorithms, geometry
 from consensus_dyn.geometry import (
     GeometryError,
     OracleUnreliableError,
@@ -14,6 +15,7 @@ from consensus_dyn.geometry import (
     component_extrema,
     contains,
     convex_hull,
+    dedup,
     poly_from_json,
     poly_to_json,
 )
@@ -89,6 +91,54 @@ def test_convex_hull_rejects_bad_input():
 def test_convex_hull_deduplicates():
     poly = convex_hull([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (1.0 + 1e-15, 0.0), (0.0, 1.0)])
     assert len(poly.vertices) == 3
+
+
+def _greedy_dedup(arr, tol):
+    """The row-by-row loop dedup replaced: keep a row unless a kept row is within tol."""
+    keep = [0]
+    for i in range(1, len(arr)):
+        if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
+            keep.append(i)
+    return arr[keep]
+
+
+@st.composite
+def _near_duplicate_rows(draw):
+    d = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
+    shape = draw(st.sampled_from(["chain", "copies", "signed-zeros"]))
+    if shape == "chain":
+        # consecutive steps around tol: a row can be close only to a dropped
+        # row, where greedy and "drop if any earlier row is close" differ
+        steps = draw(st.lists(st.floats(0.5, 1.05), min_size=1, max_size=12))
+        direction = np.array(draw(st.lists(st.floats(0.1, 1), min_size=d, max_size=d)))
+        direction /= np.linalg.norm(direction)
+        rows = np.cumsum(np.outer(steps, direction) * max(tol, 1e-12), axis=0)
+    elif shape == "copies":
+        base = np.array(draw(st.lists(st.lists(st.floats(-1, 1), min_size=d, max_size=d),
+                                      min_size=1, max_size=4)))
+        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
+        rows = base[picks]
+    else:
+        values = [0.0, -0.0, tol, -tol]
+        rows = np.array(draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
+                                      min_size=1, max_size=12)))
+    order = draw(st.permutations(range(len(rows))))
+    return rows[list(order)], tol
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_duplicate_rows())
+def test_dedup_matches_greedy_loop_bit_for_bit(case):
+    rows, tol = case
+    got, want = dedup(rows, tol), _greedy_dedup(rows, tol)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_dedup_greedy_chain_keeps_row_close_only_to_dropped_row():
+    rows = np.array([[0.0], [0.8], [1.6]])
+    assert dedup(rows, 1.0).tolist() == [[0.0], [1.6]]
 
 
 def test_convex_hull_matches_brute_frame_2d():
@@ -223,6 +273,33 @@ def test_centroid_affine_invariance():
             assert np.allclose(lhs, rhs, atol=1e-9 * scale)
 
 
+def _fan_centroid(poly):
+    """The simplex-by-simplex fan loop centroid replaced, for full-rank hulls."""
+    r = poly.dim_affine
+    apex = poly.proj_vertices.mean(axis=0)
+    total = 0.0
+    acc = np.zeros(r)
+    for simplex in poly.simplices:
+        pts = poly.proj_points[simplex]
+        vol = abs(np.linalg.det(pts - apex)) / math.factorial(r)
+        total += vol
+        acc += vol * (pts.sum(axis=0) + apex) / (r + 1)
+    return poly.origin + (acc / total) @ poly.basis, total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(0, 12))
+def test_centroid_matches_fan_loop_bit_for_bit(seed, d, extra):
+    rng = np.random.default_rng(seed)
+    poly = convex_hull(rng.uniform(-3, 3, (d + 1 + extra, d)))
+    if poly.dim_affine < 2:
+        return
+    res = centroid(poly)
+    want, volume = _fan_centroid(poly)
+    assert res.centroid.tobytes() == want.tobytes()
+    assert res.volume == volume
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 12))
 def test_box_center_inside_hull_2d(seed, k):
@@ -329,3 +406,25 @@ def test_poly_json_round_trip():
     poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2)])
     again = poly_from_json(poly_to_json(poly))
     assert _vertex_set(again) == _vertex_set(poly)
+
+
+def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
+    calls = []
+    real = geometry.convex_hull
+
+    def counting(points, d=None):
+        calls.append(1)
+        return real(points, d)
+
+    monkeypatch.setattr(geometry, "convex_hull", counting)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0, 1, (4, 2))
+    adj = np.eye(4, dtype=bool)
+    adj[[0, 1, 2], 0] = adj[[0, 1, 2], 1] = True  # agents 0 and 1 both hear 0, 1, 2
+    adj[3, 2] = adj[0, 3] = True
+    kind = algorithms.parse_kind("centroid")
+    new_x, _ = algorithms.advance(kind, x, algorithms.init_gather(kind, x), adj, t=1, period=1)
+    # frame, then centroid hull, once per distinct stack: 3 stacks, not 4
+    assert len(calls) == 6
+    alone = centroid(real(real(x[:3]).vertices)).centroid
+    assert new_x[0].tobytes() == new_x[1].tobytes() == alone.tobytes()
