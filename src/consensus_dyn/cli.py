@@ -1,6 +1,8 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 validation or IO failure, 3 audit violation.
+Exit codes: 0 success, 2 validation or IO failure, 3 audit violation (for
+verify also a round 0 that is not the configured start, or motion inside an
+amortized block).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
@@ -43,9 +45,11 @@ from .simulator import (
 )
 from .verification import (
     SafenessViolationError,
+    audit_rounds,
     audit_safeness,
     check_moreau_assumptions,
     reconstruct_matrices,
+    round_graphs,
 )
 
 _TOP_KEYS = {"n", "d", "algorithm", "pattern", "initial", "epsilon", "max_rounds",
@@ -252,11 +256,18 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
     period = effective_period(spec.algorithm, spec.n)
     alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
     rounds = len(trace.positions) - 1
+    safeness = audits["safeness"] and rounds >= period
+    matrices = (audits["matrices"] or audits["moreau"]) and period == 1
+    graphs = None
+    if safeness or matrices:
+        # one adjacency stack of the round graphs serves every audit below
+        graphs = round_graphs(spec.pattern, audit_rounds(spec.pattern, rounds,
+                                                         moreau=matrices and audits["moreau"]))
     if audits["safeness"]:
-        if rounds < period:
+        if not safeness:
             out["safeness"] = {"skipped": f"trace has {rounds} rounds, shorter than one period-{period} block"}
         else:
-            report = audit_safeness(trace, spec.pattern, alpha, period=period)
+            report = audit_safeness(trace, spec.pattern, alpha, period=period, graphs=graphs)
             out["safeness"] = _trim_safeness(report)
             if report.violations:
                 code = 3
@@ -265,7 +276,7 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
             raise ValueError("matrix reconstruction audits apply to per-round runs only;"
                              " amortized rules hold positions still during gathering rounds")
         try:
-            seq = reconstruct_matrices(trace, spec.pattern, alpha)
+            seq = reconstruct_matrices(trace, spec.pattern, alpha, graphs=graphs)
         except SafenessViolationError as e:
             if audits["matrices"]:
                 out["matrices"] = {"ok": False, "error": str(e)}
@@ -276,7 +287,7 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
             out["matrices"] = {"ok": True, "rounds": int(seq.matrices.shape[0]),
                                "alpha": alpha}
         if audits["moreau"]:
-            out["moreau"] = check_moreau_assumptions(seq, spec.pattern).to_json()
+            out["moreau"] = check_moreau_assumptions(seq, spec.pattern, graphs=graphs).to_json()
     return out, code
 
 
@@ -455,6 +466,19 @@ def cmd_verify(args) -> int:
               f" agent {p} is at {positions[0, p].tolist()}, the config gives"
               f" {initial[p].tolist()}", file=sys.stderr)
         return 3
+    # An amortized rule only gathers inside a block: every round must repeat
+    # the block start bit for bit, the trailing partial block included.
+    period = effective_period(spec.algorithm, spec.n)
+    if period > 1:
+        start = positions[np.arange(len(positions)) // period * period]
+        moved = (positions.view(np.uint64) != start.view(np.uint64)).any(axis=2)
+        if moved.any():
+            t, p = (int(i) for i in np.argwhere(moved)[0])
+            print(f"verify: agent {p} moves inside an amortized block: it is at"
+                  f" {positions[t, p].tolist()} in round {t}, at {start[t, p].tolist()}"
+                  f" in round {t - t % period}, where the period-{period} block starts",
+                  file=sys.stderr)
+            return 3
     deltas = np.stack([delta_components(p) for p in positions])
     trace = RunTrace(spec, positions, deltas, np.empty((0, n)),
                      Metrics(t_eps=None, converged=False, empirical_rate=0.0, bound_t=None))

@@ -238,20 +238,20 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
     _check_params(n, seed, period)
     base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     perm = base_rng.permutation(n)
-    tree_edges = []
+    # base[r]: self-loops plus the tree edges of residue r. Residues at or past
+    # n - 1 carry no tree edge, so they all share the last, loops-only entry.
+    base = np.broadcast_to(np.eye(n, dtype=bool), (min(period, n), n, n)).copy()
     for i in range(1, n):
         j = int(base_rng.integers(0, i))
-        tree_edges.append((int(perm[i]), int(perm[j])))
+        u, v = int(perm[i]), int(perm[j])
+        r = (i - 1) % period
+        base[r, u, v] = base[r, v, u] = True
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
     def make(t: int) -> CommGraph:
-        rng = _round_rng(seed, t)
-        adj = np.eye(n, dtype=bool)
-        for i, (u, v) in enumerate(tree_edges):
-            if t % period == i % period:
-                adj[u, v] = True
-                adj[v, u] = True
-        extra = np.triu(rng.random((n, n)) < 0.15, 1)
-        adj |= extra | extra.T
+        extra = (_round_rng(seed, t).random((n, n)) < 0.15) & upper
+        adj = base[min(t % period, len(base) - 1)] | extra
+        adj |= extra.T
         return CommGraph(n, adj)
 
     return CommPattern(n, NetworkModelKind.BIDIRECTIONAL_INTERMITTENT, make, seed=seed,
@@ -259,29 +259,39 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
                        name=f"bidirectional-intermittent(n={n}, period={period}, seed={seed})")
 
 
-def infinitely_often_union(pattern: CommPattern, window: int,
-                           horizon: Optional[int] = None) -> CommGraph:
-    """Edges present at least once in every length-`window` block up to `horizon`.
-
-    Finite proxy for the set of edges that recur forever: the horizon is scanned
-    in non-overlapping blocks and the per-block edge unions are intersected.
-    """
+def union_rounds(window: int, horizon: Optional[int] = None) -> int:
+    """Rounds `infinitely_often_union` scans: the whole length-`window` blocks
+    within `horizon` rounds, which defaults to max(100, 10·window)."""
     if window < 1:
         raise ValueError(f"need window >= 1, got {window}")
     if horizon is None:
         horizon = max(100, 10 * window)
     if horizon < window:
         raise ValueError(f"horizon {horizon} shorter than window {window}")
-    keep = np.ones((pattern.n, pattern.n), dtype=bool)
-    t = 1
-    for _ in range(horizon // window):
-        block = np.zeros((pattern.n, pattern.n), dtype=bool)
-        for _ in range(window):
-            block |= pattern.graph(t).adj
-            t += 1
-        keep &= block
+    return horizon // window * window
+
+
+def infinitely_often_union(pattern: CommPattern, window: int,
+                           horizon: Optional[int] = None, *,
+                           graphs: Optional[np.ndarray] = None) -> CommGraph:
+    """Edges present at least once in every length-`window` block up to `horizon`.
+
+    Finite proxy for the set of edges that recur forever: the horizon is scanned
+    in non-overlapping blocks and the per-block edge unions are intersected.
+    `graphs` is an optional (R, n, n) adjacency stack of rounds 1..R of the
+    pattern, R at least `union_rounds(window, horizon)`; without it the rounds
+    are generated.
+    """
+    rounds = union_rounds(window, horizon)
+    n = pattern.n
+    if graphs is None:
+        graphs = np.stack([pattern.graph(t).adj for t in range(1, rounds + 1)])
+    elif graphs.shape[1:] != (n, n) or len(graphs) < rounds:
+        raise ValueError(f"graph stack of shape {graphs.shape} does not cover"
+                         f" {rounds} rounds on {n} nodes")
+    keep = graphs[:rounds].reshape(rounds // window, window, n, n).any(axis=1).all(axis=0)
     np.fill_diagonal(keep, True)
-    return CommGraph(pattern.n, keep)
+    return CommGraph(n, keep)
 
 
 def graph_to_json(g: CommGraph) -> dict:

@@ -17,11 +17,10 @@ from .algorithms import AlgorithmKind
 from .graphs import (
     CommGraph,
     CommPattern,
-    graph_product,
     in_neighbors,
     infinitely_often_union,
-    is_bidirectional,
     is_strongly_connected,
+    union_rounds,
 )
 from .simulator import RANGE_FLOOR, RunTrace
 
@@ -31,6 +30,9 @@ AUDIT_TOL = 1e-9
 # update itself: (lo + hi) / 2 alone can land half an ulp off the exact value,
 # which on a span of a few ulps reads as a large relative shortfall.
 ROUNDING_ULPS = 4
+# Elements of one (rounds or blocks, n, n, d) temporary: the audits walk the
+# run in chunks of this size, so their temporary memory does not grow with T.
+CHUNK_ELEMS = 1 << 17
 
 
 class SafenessViolationError(RuntimeError):
@@ -78,14 +80,20 @@ class StochasticMatrixSeq:
     """Row-stochastic matrices equivalent to a recorded run.
 
     ``matrices[t, k]`` maps component-k values of configuration t to
-    configuration t+1 (rounds t+1 = 1..T). ``graphs[t]`` is the round graph
-    the matrices were derived from; the nonzero pattern of ``matrices[t, k]``
-    is that graph's edge set reversed.
+    configuration t+1 (rounds t+1 = 1..T). ``graphs[t]`` is the adjacency of
+    the round graph the matrices were derived from, a (T, n, n) bool stack (a
+    sequence of CommGraph is converted); the nonzero pattern of
+    ``matrices[t, k]`` is that graph's edge set reversed.
     """
 
     matrices: np.ndarray
-    graphs: List[CommGraph]
+    graphs: np.ndarray
     alpha: float
+
+    def __post_init__(self):
+        if not isinstance(self.graphs, np.ndarray):
+            n = self.matrices.shape[-1]
+            self.graphs = np.array([g.adj for g in self.graphs], dtype=bool).reshape(-1, n, n)
 
 
 @dataclass
@@ -120,17 +128,50 @@ class MoreauReport:
         }
 
 
-def _block_graph(pattern: CommPattern, start: int, end: int) -> CommGraph:
-    """Composition of the round graphs start+1 .. end: who can hear whom
-    across the whole block."""
-    g = pattern.graph(start + 1)
-    for t in range(start + 2, end + 1):
-        g = graph_product(g, pattern.graph(t))
-    return g
+def moreau_window(pattern: CommPattern) -> int:
+    """Window of the recurring-edge graph in the Moreau check (A4): the
+    pattern's period when it has one, else n."""
+    return pattern.period if pattern.period else pattern.n
+
+
+def audit_rounds(pattern: CommPattern, rounds: int, moreau: bool = False) -> int:
+    """How many round graphs an audit pass reads: the trace's `rounds` and,
+    when the Moreau check runs, the rounds its recurring-edge graph scans."""
+    if moreau:
+        rounds = max(rounds, union_rounds(moreau_window(pattern)))
+    return rounds
+
+
+def round_graphs(pattern: CommPattern, rounds: int) -> np.ndarray:
+    """(rounds, n, n) adjacency stack of the pattern: entry t - 1 is round t's
+    graph. Built once per audit pass and handed to every audit; it costs
+    rounds·n² bytes."""
+    out = np.empty((rounds, pattern.n, pattern.n), dtype=bool)
+    for t in range(rounds):
+        out[t] = pattern.graph(t + 1).adj
+    return out
+
+
+def _graph_stack(pattern: CommPattern, graphs: Optional[np.ndarray], rounds: int) -> np.ndarray:
+    """The first `rounds` entries of a precomputed stack, or a new stack."""
+    if graphs is None:
+        return round_graphs(pattern, rounds)
+    if graphs.shape[1:] != (pattern.n, pattern.n) or len(graphs) < rounds:
+        raise ValueError(f"graph stack of shape {graphs.shape} does not cover"
+                         f" {rounds} rounds on {pattern.n} nodes")
+    return graphs[:rounds]
+
+
+def _chunks(total: int, per_item: int):
+    """Consecutive (start, stop) ranges over `total` items with at most
+    CHUNK_ELEMS // per_item items each."""
+    step = max(1, CHUNK_ELEMS // per_item)
+    for start in range(0, total, step):
+        yield start, min(total, start + step)
 
 
 def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
-                   period: int = 1) -> SafenessReport:
+                   period: int = 1, *, graphs: Optional[np.ndarray] = None) -> SafenessReport:
     """Recompute every agent's received extremes from the round graphs and
     measure how far inside them each recorded position lands.
 
@@ -138,7 +179,8 @@ def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
     the block's graph product, matching algorithms that gather for period
     rounds before moving. Only complete blocks are audited. A margin below
     the claim is a violation when it falls short by more than AUDIT_TOL of
-    the span and by more than ROUNDING_ULPS ulps of the endpoints.
+    the span and by more than ROUNDING_ULPS ulps of the endpoints. `graphs`
+    is an optional precomputed stack from `round_graphs`.
     """
     positions = np.asarray(trace.positions, dtype=float)
     total, n, d = positions.shape
@@ -152,33 +194,40 @@ def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
     blocks = total // period
     if blocks < 1:
         raise ValueError(f"trace has {total} rounds, shorter than one period-{period} block")
+    adj = _graph_stack(pattern, graphs, blocks * period)
 
     margins = np.full((blocks, n, d), np.nan)
     violations: List[Tuple[int, int, int, float]] = []
     worst = math.inf
-    for s in range(blocks):
-        start, end = s * period, (s + 1) * period
-        g = _block_graph(pattern, start, end)
-        for p in range(n):
-            pts = positions[start][sorted(in_neighbors(g, p))]
-            lo = pts.min(axis=0)
-            hi = pts.max(axis=0)
-            span = hi - lo
-            x = positions[end][p]
-            for k in range(d):
-                # A span within a few hundred ulps of the endpoint magnitude
-                # is a converged component kept alive by rounding noise; any
-                # average can land exactly on an endpoint there, so the
-                # constraint carries no information.
-                if span[k] <= max(RANGE_FLOOR, 1e-13 * max(abs(lo[k]), abs(hi[k]))):
-                    continue
-                m = float(min(x[k] - lo[k], hi[k] - x[k]) / span[k])
-                margins[s, p, k] = m
-                worst = min(worst, m)
-                if m < claimed_alpha - AUDIT_TOL:
-                    shortfall = (claimed_alpha - m) * span[k]
-                    if shortfall > ROUNDING_ULPS * np.spacing(max(abs(lo[k]), abs(hi[k]))):
-                        violations.append((end, p, k, m))
+    for b0, b1 in _chunks(blocks, n * n * d):
+        start, stop = b0 * period, b1 * period
+        # reach[s, q, p]: q's value at the block start can reach p by its end
+        reach = adj[start:stop:period]
+        for j in range(1, period):
+            reach = reach @ adj[start + j:stop:period]
+        heard = reach.transpose(0, 2, 1)[..., None]  # (block, p, q, 1)
+        sent = positions[start:stop:period][:, None]  # (block, 1, q, d)
+        lo = np.where(heard, sent, np.inf).min(axis=2)
+        hi = np.where(heard, sent, -np.inf).max(axis=2)
+        x = positions[start + period:stop + 1:period]
+        span = hi - lo
+        mag = np.maximum(np.abs(lo), np.abs(hi))
+        # A span within a few hundred ulps of the endpoint magnitude is a
+        # converged component kept alive by rounding noise; any average can
+        # land exactly on an endpoint there, so the constraint carries no
+        # information.
+        live = ~(span <= np.maximum(RANGE_FLOOR, 1e-13 * mag))
+        below, above = x - lo, hi - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = np.where(live, np.where(above < below, above, below) / span, np.nan)
+        margins[b0:b1] = m
+        worst = min(worst, float(np.where(np.isnan(m), np.inf, m).min()))
+        cand = np.nonzero(m < claimed_alpha - AUDIT_TOL)
+        if len(cand[0]):
+            shortfall = (claimed_alpha - m[cand]) * span[cand]
+            flagged = shortfall > ROUNDING_ULPS * np.spacing(mag[cand])
+            for s, p, k, v in zip(*(c[flagged].tolist() for c in cand), m[cand][flagged].tolist()):
+                violations.append(((b0 + s + 1) * period, p, k, v))
     return SafenessReport(claimed_alpha=claimed_alpha, period=period,
                           margins=margins, worst_alpha=worst, violations=violations)
 
@@ -219,14 +268,17 @@ def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> Lis
     return a
 
 
-def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float) -> StochasticMatrixSeq:
+def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float, *,
+                         graphs: Optional[np.ndarray] = None) -> StochasticMatrixSeq:
     """Express each recorded round as one row-stochastic matrix per component.
 
     Row p of matrices[t, k] spreads weight over p's in-neighbors in round
     t+1's graph so that the weighted values reproduce p's new position; every
     used entry is at least alpha/|in-neighbors| >= alpha/n. A position outside
     its safe interval by more than fp slack means the trace was not produced
-    by an alpha-safe update and is rejected.
+    by an alpha-safe update and is rejected. The weights are the closed form
+    of `decompose_safe_value`, taken for every (round, component, agent) at
+    once; `graphs` is an optional precomputed stack from `round_graphs`.
     """
     positions = np.asarray(trace.positions, dtype=float)
     total, n, d = positions.shape
@@ -237,67 +289,92 @@ def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float) ->
         raise ValueError(f"pattern is built for n={pattern.n}, trace has n={n}")
     scale = max(1.0, float(np.abs(positions).max()))
     tol = 1e-9 * scale
+    adj = _graph_stack(pattern, graphs, total)
     matrices = np.zeros((total, d, n, n))
-    graphs = []
-    for t in range(total):
-        g = pattern.graph(t + 1)
-        graphs.append(g)
-        for p in range(n):
-            nbrs = sorted(in_neighbors(g, p))
-            for k in range(d):
-                vals = [positions[t][q, k] for q in nbrs]
-                order = sorted(range(len(nbrs)), key=lambda i: vals[i])
-                svals = [vals[i] for i in order]
-                x = float(positions[t + 1][p, k])
-                lo = (1 - alpha) * svals[0] + alpha * svals[-1]
-                hi = alpha * svals[0] + (1 - alpha) * svals[-1]
-                if x < lo - tol or x > hi + tol:
-                    raise SafenessViolationError(
-                        f"round {t + 1}, agent {p}, component {k}: value {x} is outside"
-                        f" the {alpha}-safe interval [{lo}, {hi}]")
-                weights = decompose_safe_value(svals, min(hi, max(lo, x)), alpha)
-                for i, w in zip(order, weights):
-                    matrices[t, k, p, nbrs[i]] = w
-    return StochasticMatrixSeq(matrices=matrices, graphs=graphs, alpha=alpha)
+    for t0, t1 in _chunks(total, n * n * d):
+        heard = adj[t0:t1].transpose(0, 2, 1)[:, None]  # (round, 1, p, q)
+        sent = positions[t0:t1].transpose(0, 2, 1)[:, :, None]  # (round, k, 1, q)
+        # each row sorted ascending with its in-neighbours first; the stable
+        # sort keeps agent order on ties, as `sorted` did
+        filled = np.where(heard, sent, np.inf)
+        order = np.argsort(filled, axis=-1, kind="stable")
+        svals = np.take_along_axis(filled, order, axis=-1)
+        count = heard.sum(axis=-1)  # (round, 1, p)
+        last = np.broadcast_to(count - 1, svals.shape[:-1])[..., None]
+        v1, vn = svals[..., 0], np.take_along_axis(svals, last, axis=-1)[..., 0]
+        x = positions[t0 + 1:t1 + 1].transpose(0, 2, 1)  # (round, k, p)
+        lo = (1 - alpha) * v1 + alpha * vn
+        hi = alpha * v1 + (1 - alpha) * vn
+        bad = ((x < lo - tol) | (x > hi + tol)).transpose(0, 2, 1)  # (round, p, k)
+        if t0 == 0 and not 0.0 <= alpha <= 0.5 and not bad[0, 0, 0]:
+            raise ValueError(f"alpha must be in [0, 1/2], got {alpha}")
+        if bad.any():
+            t, p, k = np.argwhere(bad)[0]
+            raise SafenessViolationError(
+                f"round {t0 + t + 1}, agent {p}, component {k}: value {float(x[t, k, p])} is"
+                f" outside the {alpha}-safe interval [{lo[t, k, p]}, {hi[t, k, p]}]")
+        # decompose_safe_value on x clamped into [lo, hi], with Python's
+        # min/max tie rules and its left-to-right sum for the mean
+        clamped = np.where(x > lo, x, lo)
+        clamped = np.where(clamped < hi, clamped, hi)
+        acc = np.zeros_like(v1)
+        with np.errstate(invalid="ignore"):
+            for j in range(n):
+                acc = np.where(j < count, acc + svals[..., j], acc)
+        y = (clamped - alpha * (acc / count)) / (1 - alpha)
+        span = vn - v1
+        flat = span <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b1, bn = (vn - y) / span, (y - v1) / span
+        b1, bn = (np.where(b > 0.0, b, 0.0) for b in (b1, bn))
+        b1, bn = (np.where(b < 1.0, b, 1.0) for b in (b1, bn))
+        share = alpha / count
+        w_min = np.where(flat, 1.0 / count, share + (1 - alpha) * b1)
+        w_max = np.where(flat, 1.0 / count, share + (1 - alpha) * bn)
+        block = np.where(heard, np.where(flat, 1.0 / count, share)[..., None], 0.0)
+        np.put_along_axis(block, order[..., :1], w_min[..., None], axis=-1)
+        np.put_along_axis(block, np.take_along_axis(order, last, axis=-1), w_max[..., None],
+                          axis=-1)
+        matrices[t0:t1] = block
+    return StochasticMatrixSeq(matrices=matrices, graphs=adj, alpha=alpha)
 
 
 def check_moreau_assumptions(seq: StochasticMatrixSeq, pattern: CommPattern,
-                             window: Optional[int] = None) -> MoreauReport:
+                             window: Optional[int] = None, *,
+                             graphs: Optional[np.ndarray] = None) -> MoreauReport:
     """Check the four assumptions that guarantee consensus for products of
     stochastic matrices: positive diagonals (A1), positive entries bounded
     below by a (A2), bidirectional round graphs (A3), and strong connectivity
-    of the edges that recur in every window (A4)."""
+    of the edges that recur in every window (A4). Witnesses are the first in
+    (round, component, row, column) order. `graphs` is an optional
+    precomputed stack from `round_graphs` covering the A4 horizon."""
     T, d, n, _ = seq.matrices.shape
     a = seq.alpha / n
-    a1 = a2 = a3 = True
     a1_w = a2_w = a3_w = a4_w = None
-    for t in range(T):
-        for k in range(d):
-            A = seq.matrices[t, k]
-            if a1:
-                diag = np.diag(A)
-                if (diag <= 0).any():
-                    a1 = False
-                    a1_w = (t + 1, k, int(np.argmax(diag <= 0)))
-            if a2:
-                pos = A > 0
-                small = pos & (A < a - 1e-12)
-                if small.any():
-                    p, q = np.argwhere(small)[0]
-                    a2 = False
-                    a2_w = (t + 1, k, int(p), int(q), float(A[p, q]))
-    for t, g in enumerate(seq.graphs):
-        if not is_bidirectional(g):
-            a3 = False
-            a3_w = t + 1
-            break
+    for t0, t1 in _chunks(T, n * n * d):
+        A = seq.matrices[t0:t1]
+        if a1_w is None:
+            hit = np.argwhere(A.diagonal(axis1=2, axis2=3) <= 0)
+            if len(hit):
+                t, k, p = hit[0].tolist()
+                a1_w = (t0 + t + 1, k, p)
+        if a2_w is None:
+            hit = np.argwhere((A > 0) & (A < a - 1e-12))
+            if len(hit):
+                t, k, p, q = hit[0].tolist()
+                a2_w = (t0 + t + 1, k, p, q, float(A[t, k, p, q]))
+        if a3_w is None:
+            adj = seq.graphs[t0:t1]
+            hit = np.flatnonzero((adj != adj.transpose(0, 2, 1)).any(axis=(1, 2)))
+            if len(hit):
+                a3_w = t0 + int(hit[0]) + 1
     if window is None:
-        window = pattern.period if pattern.period else pattern.n
-    recurring = infinitely_often_union(pattern, window)
+        window = moreau_window(pattern)
+    recurring = infinitely_often_union(pattern, window, graphs=graphs)
     a4 = is_strongly_connected(recurring)
     if not a4:
         a4_w = f"recurring-edge graph over window {window} is not strongly connected"
-    return MoreauReport(a=a, a1=a1, a2=a2, a3=a3, a4=a4,
+    return MoreauReport(a=a, a1=a1_w is None, a2=a2_w is None, a3=a3_w is None, a4=a4,
                         a1_witness=a1_w, a2_witness=a2_w, a3_witness=a3_w, a4_witness=a4_w)
 
 

@@ -11,6 +11,10 @@ tie across senders, so only the grid inputs exercise the sender tie key.
 
 Each scenario goes through `consensus-dyn run`. The digests cover trace.csv
 and deltas.csv of every scenario, and margins.csv of the per-round ones.
+Audited scenarios (every per-round rule on bidirectional-intermittent graphs
+with all three audits, and an amortized rule with the safeness audit) are
+digested by the `audits` block of their summary.json alone, so that new
+top-level summary keys need no regeneration.
 
 Regenerate the digests from the commit an engine change starts from, then
 check the change against them with tests/test_engine_golden.py:
@@ -42,6 +46,7 @@ PER_ROUND = [("midpoint", 1), ("component-midpoint", 2), ("extreme-point", 1),
 AMORTIZED = [("midpoint+amortized", 1), ("component-midpoint+amortized", 2),
              ("extreme-point+amortized", 3), ("centroid+amortized", 2),
              ("extreme-point+amortized:2", 2)]
+ALL_AUDITS = {"safeness": True, "matrices": True, "moreau": True}
 # every agent hears itself and its 8 predecessors: in-degree 9
 DENSE = {"family": "fixed", "graph": {"n": 12, "edges": [
     [p, (p + k) % 12] for p in range(12) for k in range(9)]}}
@@ -93,6 +98,12 @@ def scenarios():
         out.append((f"dense/equal-neighbor/d{d}", _config("equal-neighbor", d, DENSE, n=12)))
         out.append((f"nonsplit-n14/equal-neighbor/d{d}",
                     _config("equal-neighbor", d, {"family": "random-nonsplit", "seed": 8}, n=14)))
+    for alg, d in PER_ROUND:
+        out.append((f"bidir/{alg}/d{d}/audits",
+                    _config(alg, d, PATTERNS["bidir"], audits=ALL_AUDITS)))
+    out.append(("bidir/component-midpoint+amortized/d2/audits",
+                _config("component-midpoint+amortized", 2, PATTERNS["bidir"],
+                        audits={"safeness": True})))
     return out
 
 
@@ -109,6 +120,11 @@ def digests(workdir: Path) -> dict:
             code = cli.main(["run", "--config", str(d / "config.json"), "--out", str(d)])
         if code != 0:
             raise RuntimeError(f"{name}: run exited {code}")
+        if "audits" in cfg:
+            audits = json.loads((d / "summary.json").read_text())["audits"]
+            blob = json.dumps(audits, indent=2, sort_keys=True).encode()
+            out[f"{name}/summary.json#audits"] = hashlib.sha256(blob).hexdigest()
+            continue
         files = ["trace.csv", "deltas.csv"]
         if "+amortized" not in cfg["algorithm"]:
             files.append("margins.csv")

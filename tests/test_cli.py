@@ -334,3 +334,54 @@ def test_verify_rejects_duplicate_trace_row(tmp_path):
     lines = trace_file.read_text().splitlines()
     trace_file.write_text("\n".join(lines + [lines[-1]]) + "\n")
     assert main(["verify", "--config", path, "--out", str(trace_file.parent)]) == 2
+
+
+def _edit_trace(trace_file, t, p, values):
+    lines = trace_file.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        fields = line.split(",")
+        if fields[:2] == [str(t), str(p)]:
+            lines[i] = ",".join(fields[:2] + [repr(float(v)) for v in values])
+    trace_file.write_text("\n".join(lines) + "\n")
+
+
+def test_verify_rejects_motion_inside_amortized_block(tmp_path, capsys):
+    # margins are audited at block ends only, so an agent that takes its
+    # block-end position one round early breaks no margin; only the rule that
+    # positions hold still inside a block tells the trace apart
+    cfg = {"n": 4, "d": 2, "algorithm": "extreme-point+amortized",
+           "pattern": {"family": "rotating-star"}, "epsilon": 1e-6, "seed": 3,
+           "audits": {"safeness": True}}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    rows = _read_rows(out / "trace.csv")
+    end = {int(r["agent"]): [float(r["comp_0"]), float(r["comp_1"])]
+           for r in rows if r["round"] == "3"}
+    start = {int(r["agent"]): [float(r["comp_0"]), float(r["comp_1"])]
+             for r in rows if r["round"] == "0"}
+    p = next(a for a in range(4) if end[a] != start[a])
+    _edit_trace(out / "trace.csv", 1, p, end[p])
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"agent {p} moves inside an amortized block" in err and "in round 1" in err
+
+
+def test_verify_rejects_motion_in_trailing_partial_block(tmp_path, capsys):
+    # 7 rounds at period 3: round 7 opens a block that never ends (with only
+    # self-loops nothing converges, so the run goes to max_rounds)
+    cfg = {"n": 4, "d": 1, "algorithm": "midpoint+amortized",
+           "pattern": {"family": "self-loops"}, "epsilon": 1e-6, "max_rounds": 7, "seed": 5}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    rows = _read_rows(out / "trace.csv")
+    assert max(int(r["round"]) for r in rows) == 7
+    x6 = float(next(r["comp_0"] for r in rows if r["round"] == "6" and r["agent"] == "2"))
+    _edit_trace(out / "trace.csv", 7, 2, [x6 + 1e-9])
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
+    assert "agent 2 moves inside an amortized block" in capsys.readouterr().err

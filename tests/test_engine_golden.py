@@ -2,8 +2,9 @@
 
 tests/golden/digests.json holds SHA-256 digests of trace.csv, deltas.csv and
 (per-round scenarios only) margins.csv over the scenario matrix in
-tests/golden/make_digests.py, generated from the engine before its last
-rewrite. Regenerate them only from the commit an engine change starts from.
+tests/golden/make_digests.py, plus the `audits` block of summary.json for the
+audited scenarios, generated from the code before its last rewrite.
+Regenerate them only from the commit an engine or audit change starts from.
 """
 
 import json

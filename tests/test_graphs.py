@@ -268,6 +268,39 @@ def test_bidirectional_intermittent_generator():
         assert is_strongly_connected(CommGraph(3, union))
 
 
+def _old_bidirectional_make(n, period, seed):
+    # the round-graph constructor before the per-residue tree masks, kept
+    # verbatim as the reference for the precomputed version
+    base_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    perm = base_rng.permutation(n)
+    tree_edges = []
+    for i in range(1, n):
+        j = int(base_rng.integers(0, i))
+        tree_edges.append((int(perm[i]), int(perm[j])))
+
+    def make(t):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        adj = np.eye(n, dtype=bool)
+        for i, (u, v) in enumerate(tree_edges):
+            if t % period == i % period:
+                adj[u, v] = True
+                adj[v, u] = True
+        extra = np.triu(rng.random((n, n)) < 0.15, 1)
+        adj |= extra | extra.T
+        return adj
+
+    return make
+
+
+@pytest.mark.parametrize("n, period, seed", [(6, 6, 5), (8, 11, 835194), (16, 20, 3),
+                                             (3, 1, 0), (1, 1, 0), (5, 2, 9)])
+def test_bidirectional_intermittent_matches_per_edge_constructor(n, period, seed):
+    pattern = bidirectional_intermittent(n, period=period, seed=seed)
+    make = _old_bidirectional_make(n, period, seed)
+    for t in range(1, 600):
+        assert np.array_equal(pattern.graph(t).adj, make(t)), t
+
+
 def test_generator_determinism():
     a = random_rooted(6, seed=11)
     b = random_rooted(6, seed=11)

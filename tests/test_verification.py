@@ -1,30 +1,44 @@
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from consensus_dyn.algorithms import AlgorithmKind
+from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, effective_period
 from consensus_dyn.graphs import (
     CommGraph,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
+    custom_pattern,
     fixed,
+    graph_product,
+    in_neighbors,
+    is_bidirectional,
+    is_strongly_connected,
     random_nonsplit,
+    random_rooted,
     self_loops_only,
 )
-from consensus_dyn.simulator import RunSpec, RunTrace, run
+from consensus_dyn import verification
+from consensus_dyn.simulator import RANGE_FLOOR, RunSpec, RunTrace, run
 from consensus_dyn.verification import (
+    AUDIT_TOL,
+    ROUNDING_ULPS,
     MoreauReport,
     SafenessReport,
     SafenessViolationError,
     StochasticMatrixSeq,
+    audit_rounds,
     audit_safeness,
     brute_force_consensus_1d,
     check_moreau_assumptions,
     decompose_safe_value,
     reconstruct_matrices,
+    round_graphs,
 )
 
 
@@ -336,3 +350,341 @@ def test_brute_force_limits():
     with pytest.raises(ValueError):
         brute_force_consensus_1d([0.0, 1.0], [g2],
                                  AlgorithmKind("midpoint", amortized=True))
+
+
+# ---------------------------------------------------------------------------
+# the array audits against the per-agent loops they replaced
+#
+# The functions below are the audits as they were written one agent, one
+# component and one `sorted` at a time. The array versions must agree with
+# them bit for bit: margins, worst margin, violations, matrices, exception
+# text and every Moreau field.
+
+
+def _ref_block_graph(pattern, start, end):
+    g = pattern.graph(start + 1)
+    for t in range(start + 2, end + 1):
+        g = graph_product(g, pattern.graph(t))
+    return g
+
+
+def _ref_audit_safeness(trace, pattern, claimed, period=1):
+    positions = np.asarray(trace.positions, dtype=float)
+    total, n, d = positions.shape
+    total -= 1
+    if total < 1:
+        raise ValueError("trace records no transitions; nothing to audit")
+    blocks = total // period
+    if blocks < 1:
+        raise ValueError(f"trace has {total} rounds, shorter than one period-{period} block")
+    margins = np.full((blocks, n, d), np.nan)
+    violations = []
+    worst = math.inf
+    for s in range(blocks):
+        start, end = s * period, (s + 1) * period
+        g = _ref_block_graph(pattern, start, end)
+        for p in range(n):
+            pts = positions[start][sorted(in_neighbors(g, p))]
+            lo = pts.min(axis=0)
+            hi = pts.max(axis=0)
+            span = hi - lo
+            x = positions[end][p]
+            for k in range(d):
+                if span[k] <= max(RANGE_FLOOR, 1e-13 * max(abs(lo[k]), abs(hi[k]))):
+                    continue
+                m = float(min(x[k] - lo[k], hi[k] - x[k]) / span[k])
+                margins[s, p, k] = m
+                worst = min(worst, m)
+                if m < claimed - AUDIT_TOL:
+                    shortfall = (claimed - m) * span[k]
+                    if shortfall > ROUNDING_ULPS * np.spacing(max(abs(lo[k]), abs(hi[k]))):
+                        violations.append((end, p, k, m))
+    return margins, worst, violations
+
+
+def _ref_decompose(values, x, alpha):
+    # decompose_safe_value with its sum spelled out left to right from 0.0:
+    # Python 3.11's sum(), which compensates rounding from 3.12 on
+    values = [float(v) for v in values]
+    n = len(values)
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError(f"alpha must be in [0, 1/2], got {alpha}")
+    v1, vn = values[0], values[-1]
+    if vn - v1 <= 0.0:
+        return [1.0 / n] * n
+    total = 0.0
+    for v in values:
+        total += v
+    y = (x - alpha * (total / n)) / (1 - alpha)
+    b1 = min(1.0, max(0.0, (vn - y) / (vn - v1)))
+    bn = min(1.0, max(0.0, (y - v1) / (vn - v1)))
+    a = [alpha / n] * n
+    a[0] += (1 - alpha) * b1
+    a[-1] += (1 - alpha) * bn
+    return a
+
+
+def _ref_reconstruct_matrices(trace, pattern, alpha):
+    positions = np.asarray(trace.positions, dtype=float)
+    total, n, d = positions.shape
+    total -= 1
+    if total < 1:
+        raise ValueError("trace records no transitions; nothing to reconstruct")
+    scale = max(1.0, float(np.abs(positions).max()))
+    tol = 1e-9 * scale
+    matrices = np.zeros((total, d, n, n))
+    graphs = []
+    for t in range(total):
+        g = pattern.graph(t + 1)
+        graphs.append(g)
+        for p in range(n):
+            nbrs = sorted(in_neighbors(g, p))
+            for k in range(d):
+                vals = [positions[t][q, k] for q in nbrs]
+                order = sorted(range(len(nbrs)), key=lambda i: vals[i])
+                svals = [vals[i] for i in order]
+                x = float(positions[t + 1][p, k])
+                lo = (1 - alpha) * svals[0] + alpha * svals[-1]
+                hi = alpha * svals[0] + (1 - alpha) * svals[-1]
+                if x < lo - tol or x > hi + tol:
+                    raise SafenessViolationError(
+                        f"round {t + 1}, agent {p}, component {k}: value {x} is outside"
+                        f" the {alpha}-safe interval [{lo}, {hi}]")
+                weights = _ref_decompose(svals, min(hi, max(lo, x)), alpha)
+                for i, w in zip(order, weights):
+                    matrices[t, k, p, nbrs[i]] = w
+    return matrices, graphs
+
+
+def _ref_union(pattern, window):
+    horizon = max(100, 10 * window)
+    keep = np.ones((pattern.n, pattern.n), dtype=bool)
+    t = 1
+    for _ in range(horizon // window):
+        block = np.zeros((pattern.n, pattern.n), dtype=bool)
+        for _ in range(window):
+            block |= pattern.graph(t).adj
+            t += 1
+        keep &= block
+    np.fill_diagonal(keep, True)
+    return CommGraph(pattern.n, keep)
+
+
+def _ref_moreau(matrices, graphs, pattern, alpha):
+    T, d, n, _ = matrices.shape
+    a = alpha / n
+    a1 = a2 = a3 = True
+    a1_w = a2_w = a3_w = a4_w = None
+    for t in range(T):
+        for k in range(d):
+            A = matrices[t, k]
+            if a1:
+                diag = np.diag(A)
+                if (diag <= 0).any():
+                    a1 = False
+                    a1_w = (t + 1, k, int(np.argmax(diag <= 0)))
+            if a2:
+                small = (A > 0) & (A < a - 1e-12)
+                if small.any():
+                    p, q = np.argwhere(small)[0]
+                    a2 = False
+                    a2_w = (t + 1, k, int(p), int(q), float(A[p, q]))
+    for t, g in enumerate(graphs):
+        if not is_bidirectional(g):
+            a3 = False
+            a3_w = t + 1
+            break
+    window = pattern.period if pattern.period else pattern.n
+    a4 = is_strongly_connected(_ref_union(pattern, window))
+    if not a4:
+        a4_w = f"recurring-edge graph over window {window} is not strongly connected"
+    return MoreauReport(a=a, a1=a1, a2=a2, a3=a3, a4=a4,
+                        a1_witness=a1_w, a2_witness=a2_w, a3_witness=a3_w, a4_witness=a4_w)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except (ValueError, SafenessViolationError) as e:
+        return "raised", (type(e), str(e))
+
+
+def _same_bits(a, b):
+    """Equal shapes and equal bits, where NaN matches NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return np.array_equal(np.where(np.isnan(a), 0.0, a).view(np.uint64),
+                          np.where(np.isnan(b), 0.0, b).view(np.uint64))
+
+
+_RULES = [("midpoint", 1), ("component-midpoint", 2), ("extreme-point", 2),
+          ("extreme-point", 3), ("equal-neighbor", 2), ("centroid", 2)]
+_PATTERNS = ("nonsplit", "rooted", "bidir", "star", "loops")
+
+
+@st.composite
+def _audit_cases(draw):
+    """An engine trace over a small scenario, per round or amortized, on
+    seeded, integer-grid (tied values), few-ulp (vacuous), few-thousand-ulp
+    (live, where rounding shortfalls matter) or partly constant (vacuous
+    component) inputs, optionally tampered afterwards by a share of the
+    previous round's range or by a few ulps."""
+    n = draw(st.integers(2, 6))
+    tag, d = draw(st.sampled_from(_RULES))
+    amortized = tag not in ("equal-neighbor", "centroid") and draw(st.booleans())
+    seed = draw(st.integers(0, 10_000))
+    family = draw(st.sampled_from(_PATTERNS))
+    pattern = {
+        "nonsplit": lambda: random_nonsplit(n, seed),
+        "rooted": lambda: random_rooted(n, seed),
+        "bidir": lambda: bidirectional_intermittent(n, period=1 + seed % 5, seed=seed),
+        "star": lambda: adversarial_rotating_star(n),
+        "loops": lambda: fixed(self_loops_only(n)),
+    }[family]()
+    rng = np.random.default_rng(seed)
+    inputs = draw(st.sampled_from(["seeded", "grid", "ulps", "thin", "vacuous"]))
+    initial = None
+    if inputs == "grid":
+        initial = rng.integers(0, 3, (n, d)).astype(float)
+    elif inputs in ("ulps", "thin"):
+        base = rng.uniform(-2.0, 2.0, d)
+        ulps = 1 if inputs == "ulps" else 1000
+        initial = base + rng.integers(0, 4, (n, d)) * ulps * np.spacing(base)
+    elif inputs == "vacuous":
+        initial = rng.uniform(0.0, 1.0, (n, d))
+        initial[:, 0] = initial[0, 0]
+    kind = AlgorithmKind(tag, amortized=amortized)
+    spec = RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-9, initial=initial,
+                   max_rounds=draw(st.integers(1, 24)), seed=seed)
+    trace = run(spec)
+    positions = trace.positions.copy()
+    total = len(positions) - 1
+    if total and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            t, p, k = draw(st.integers(1, total)), draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+            if draw(st.booleans()):
+                scale = float(np.ptp(positions[t - 1, :, k]))
+                shift = draw(st.sampled_from([-1.0, -1e-3, 1e-3, 1.0]))
+            else:
+                scale = float(np.spacing(positions[t, p, k]))
+                shift = draw(st.sampled_from([-8, -2, 2, 8]))
+            positions[t, p, k] += shift * scale
+    tampered = RunTrace(spec, positions, trace.deltas, trace.margins, trace.metrics)
+    return tampered, pattern, claimed_alpha(kind, n, d), effective_period(kind, n)
+
+
+# chunk sizes: one block or round per chunk, a few per chunk, and the default
+_CHUNKS = st.sampled_from([1, 200, verification.CHUNK_ELEMS])
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_audit_cases(), use_stack=st.booleans(), chunk=_CHUNKS)
+def test_array_audits_match_per_agent_loops_bit_for_bit(case, use_stack, chunk):
+    with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
+        _compare_audits(*case, use_stack)
+
+
+def _compare_audits(trace, pattern, alpha, period, use_stack):
+    total = len(trace.positions) - 1
+    stack = round_graphs(pattern, audit_rounds(pattern, total, moreau=True)) if use_stack else None
+
+    for p in sorted({1, period}):
+        kind, new = _outcome(audit_safeness, trace, pattern, alpha, p, graphs=stack)
+        ref_kind, ref = _outcome(_ref_audit_safeness, trace, pattern, alpha, p)
+        assert kind == ref_kind
+        if kind == "raised":
+            assert new == ref
+            continue
+        margins, worst, violations = ref
+        assert _same_bits(new.margins, margins)
+        assert _same_bits(new.worst_alpha, worst)
+        assert new.violations == violations
+        assert all(tuple(map(type, v)) == (int, int, int, float) for v in new.violations)
+
+    kind, seq = _outcome(reconstruct_matrices, trace, pattern, alpha, graphs=stack)
+    ref_kind, ref = _outcome(_ref_reconstruct_matrices, trace, pattern, alpha)
+    assert kind == ref_kind
+    if kind == "raised":
+        assert seq == ref
+        return
+    matrices, graphs = ref
+    assert _same_bits(seq.matrices, matrices)
+    assert np.array_equal(seq.graphs, np.array([g.adj for g in graphs]))
+    report = check_moreau_assumptions(seq, pattern, graphs=stack)
+    assert report == _ref_moreau(matrices, graphs, pattern, alpha)
+
+
+@pytest.mark.parametrize("chunk", [1, verification.CHUNK_ELEMS])
+def test_array_audits_match_per_agent_loops_on_rounding_shortfalls(chunk):
+    # honest runs whose spans shrink to ~1e-13 of the endpoints, where margins
+    # fall short of the claim by the update's own rounding and only the
+    # ROUNDING_ULPS allowance keeps them from being violations
+    for n, d, tag, period, pattern_seed, seed in [(6, 1, "midpoint", 6, 5, 1),
+                                                   (8, 2, "centroid", 11, 835194, 721306)]:
+        pattern = bidirectional_intermittent(n, period=period, seed=pattern_seed)
+        kind = AlgorithmKind(tag)
+        trace = run(RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-12,
+                            max_rounds=2000, seed=seed))
+        alpha = claimed_alpha(kind, n, d)
+        report = audit_safeness(trace, pattern, alpha)
+        assert not report.violations
+        assert (report.margins < alpha - AUDIT_TOL).any()  # forgiven shortfalls
+        with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
+            _compare_audits(trace, pattern, alpha, 1, use_stack=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), chunk=_CHUNKS)
+def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
+    # matrices with zero diagonals and entries below a, on graphs that are
+    # not always bidirectional, so every witness shows up somewhere
+    rng = np.random.default_rng(seed)
+    T, d, n = int(rng.integers(1, 12)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+    matrices = rng.choice([0.2, 0.5], size=(T, d, n, n))
+    for _ in range(int(rng.integers(0, 4))):
+        cell = tuple(int(rng.integers(0, m)) for m in (T, d, n, n))
+        matrices[cell] = rng.choice([0.0, 1e-3, 0.05])
+    adj = (rng.random((T, n, n)) < 0.4) | np.eye(n, dtype=bool)
+    adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
+    graphs = [CommGraph(n, a) for a in adj]
+    pattern = custom_pattern(n, lambda t: graphs[(t - 1) % T])
+    seq = StochasticMatrixSeq(matrices=matrices, graphs=graphs, alpha=0.5)
+    with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
+        report = check_moreau_assumptions(seq, pattern)
+    assert report == _ref_moreau(matrices, graphs, pattern, 0.5)
+
+
+def test_reconstruct_raises_for_first_bad_cell_in_round_agent_component_order():
+    # with only self-loops every agent must stay put, so each edit is a bad cell
+    pattern = fixed(self_loops_only(3))
+    bad = np.tile(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), (4, 1, 1))
+    bad[3, 0, 0] = 9.0  # a later round
+    bad[2, 2, 0] = 9.0  # a later agent in the first bad round
+    bad[2, 1, 1] = -9.0  # reported: first (round, agent, component)
+    trace = RunTrace(None, bad, np.empty((0, 2)), np.empty((0, 3)), None)
+    with pytest.raises(SafenessViolationError, match=r"^round 2, agent 1, component 1: value -9\.0"):
+        reconstruct_matrices(trace, pattern, 0.5)
+    assert _outcome(reconstruct_matrices, trace, pattern, 0.5) == \
+        _outcome(_ref_reconstruct_matrices, trace, pattern, 0.5)
+
+
+def test_audit_safeness_temporaries_stay_chunked():
+    # 20,000 rounds at n=16, d=4: margins alone take 10 MB, and one unchunked
+    # (rounds, n, n, d) masked temporary would take 16 times that
+    n, d, rounds = 16, 4, 20_000
+    rng = np.random.default_rng(3)
+    positions = rng.uniform(0.0, 1.0, (rounds + 1, n, d))
+    stack = (rng.random((rounds, n, n)) < 0.3) | np.eye(n, dtype=bool)
+    pattern = custom_pattern(n, lambda t: CommGraph(n, stack[t - 1]))
+    trace = RunTrace(None, positions, np.empty((0, d)), np.empty((0, n)), None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # a claim of -inf flags nothing, so no violation list grows with T
+        report = audit_safeness(trace, pattern, -math.inf, graphs=stack)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.margins.shape == (rounds, n, d) and not report.violations
+    assert peak <= 2 * report.margins.nbytes, (peak, report.margins.nbytes)
