@@ -2,11 +2,12 @@
 
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. The standalone `*_update`
-functions apply one rule to one received set. `advance` runs a round for all
-agents at once: agents accumulate gather memory each round and apply their
-base update whenever the 1-based round index hits a multiple of the period
-(period 1 is the plain per-round algorithm; the amortized variants default the
-period to n-1).
+functions apply one rule to one received set and serve as the reference.
+`apply_rule` applies a rule for all agents at once, each over the positions
+that reached it; `advance` holds positions still inside a block and applies
+the rule over the block's reach matrix whenever the 1-based round index hits
+a multiple of the period (period 1 is the plain per-round algorithm; the
+amortized variants default the period to n-1).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ TAGS = ("equal-neighbor", "midpoint", "component-midpoint", "extreme-point", "ce
 class AlgorithmKind:
     """Update-rule identity plus amortization and behavior flags.
 
-    tie_break applies to extreme-point only ("index": lowest sender then
-    lexicographic point; "random": seeded uniform choice among tied candidates).
-    frame_reduction applies to centroid gathering (drop non-extreme points).
+    tie_break applies to extreme-point only ("index": lowest agent id, the
+    agent whose position it is; "random": seeded uniform choice among the tied
+    agents).
     allow_unsafe_dim permits component-midpoint at d >= 3 for demonstrations
     only: there the output can leave the hull of the inputs.
     """
@@ -36,7 +37,6 @@ class AlgorithmKind:
     amortized: bool = False
     amortization_period: Optional[int] = None
     tie_break: str = "index"
-    frame_reduction: bool = True
     allow_unsafe_dim: bool = False
 
 
@@ -85,7 +85,7 @@ def validate_kind(kind: AlgorithmKind, n: int, d: int) -> None:
             " (the box center of a simplex in R^3 already escapes); set allow_unsafe_dim"
             " only to demonstrate that failure")
     if kind.tag == "equal-neighbor" and kind.amortized:
-        raise ValueError("equal-neighbor keeps no gather memory; amortization is unsupported")
+        raise ValueError("equal-neighbor is a per-round rule; amortization is unsupported")
     if kind.amortization_period is not None and kind.amortization_period < 1:
         raise ValueError(f"amortization period must be >= 1, got {kind.amortization_period}")
     if kind.tie_break not in ("index", "random"):
@@ -188,28 +188,11 @@ def centroid_update(received: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # whole-array round kernel
 #
-# Every agent keeps gather memory next to its position: the extremes of all it
-# has heard since it last moved. (n, 2, d) received lows and highs for the
-# midpoint rules, (n, 2d, d) per-component minimal and maximal candidate points
-# for extreme-point, one (m, d) point set per agent for centroid, and nothing
-# for equal-neighbor. A round merges the memories of each agent's in-neighbours
-# (a masked reduction over the round's adjacency) and, when the 1-based round
-# index is a multiple of the period, applies the base update and resets the
-# memory to the new position.
-
-
-def init_gather(kind: AlgorithmKind, x: np.ndarray):
-    """Gather memory of agents at positions x (n, d) that have just moved."""
-    n, d = x.shape
-    if kind.tag in ("midpoint", "component-midpoint"):
-        return np.stack([x, x], axis=1)
-    if kind.tag == "extreme-point":
-        return np.repeat(x[:, None, :], 2 * d, axis=1)
-    if kind.tag == "centroid":
-        return [x[p].reshape(1, d) for p in range(n)]
-    if kind.tag == "equal-neighbor":
-        return None
-    raise ValueError(f"unknown algorithm {kind.tag!r}")
+# What an agent has gathered by the end of a block is fixed by x at the block
+# start and by who reached it during the block: reach[q, p], the boolean
+# product of the block's round graphs (for the per-round rules, period 1, the
+# round's adjacency). Nobody moves inside a block; at its end every agent p
+# applies the base rule once to the positions x[q] with reach[q, p].
 
 
 def masked_min(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
@@ -222,67 +205,47 @@ def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.where(adj[:, :, None], values[:, None, :], -np.inf).max(axis=0)
 
 
-def _merge_extremes(kind: AlgorithmKind, gather: np.ndarray, adj: np.ndarray,
+def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
                     t: int, tie_seed: int) -> np.ndarray:
-    """Per agent and component, the minimal and maximal candidate point among
-    the gathered points of its in-neighbours."""
-    n, m, d = gather.shape
-    cand = gather.reshape(n * m, d)
-    sender = np.repeat(np.arange(n), m)
-    recv = adj[sender]  # recv[c, p]: agent p hears candidate c
-    merged = np.empty_like(gather)
+    """(n, 2d, d): per agent, the d componentwise minimal and then the d maximal
+    positions among the agents that reached it."""
+    n, d = x.shape
+    chosen = np.empty((n, 2 * d, d))
     if kind.tie_break == "random":
-        # tie indices are positions in p's candidate stack, ordered by sender
         for p in range(n):
             rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
-            pts, ids = cand[recv[:, p]], sender[recv[:, p]]
+            ids = np.flatnonzero(reach[:, p])
+            pts = x[ids]
             for i in range(d):
-                merged[p, i] = _select_extreme(pts, ids, i, False, rng)
-                merged[p, d + i] = _select_extreme(pts, ids, i, True, rng)
-        return merged
-    # Ties go to the lowest sender, then the lexicographically smallest point:
-    # sort all candidates once by (value, sender, point) and give each agent
-    # the first one it received.
-    rank = np.empty(n * m, dtype=np.intp)
-    rank[np.lexsort(cand.T[::-1])] = np.arange(n * m)
+                chosen[p, i] = _select_extreme(pts, ids, i, False, rng)
+                chosen[p, d + i] = _select_extreme(pts, ids, i, True, rng)
+        return chosen
+    # Ties go to the lowest agent id: a stable sort keeps tied agents in id
+    # order, and each agent takes the first one that reached it.
     for i in range(d):
-        for j, key in ((i, cand[:, i]), (d + i, -cand[:, i])):
-            order = np.lexsort((rank, sender, key))
-            merged[:, j] = cand[order[recv[order].argmax(axis=0)]]
-    return merged
+        for j, key in ((i, x[:, i]), (d + i, -x[:, i])):
+            order = np.argsort(key, kind="stable")
+            chosen[:, j] = x[order[reach[order].argmax(axis=0)]]
+    return chosen
 
 
-def _centroid_round(kind: AlgorithmKind, x: np.ndarray, gather: list, adj: np.ndarray,
-                    average: bool):
-    """Agent by agent: stack the in-neighbours' point sets, reduce them to their
-    frame (or only deduplicate them without frame reduction) and, on an
-    averaging round, move to the centroid of their hull.
+def _centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Agent by agent, the centroid of the hull of the positions that reached it.
 
-    Agents whose stacks are equal byte for byte share one reduction and one
-    centroid per round: the same bytes through the same calls give the same
-    bytes out."""
-    new_x, new_gather = x.copy(), []
+    Agents whose reached positions are equal byte for byte share one hull and
+    one centroid: the same bytes through the same calls give the same bytes."""
+    out = np.empty_like(x)
     done = {}
-    for p in range(len(gather)):
-        stack = np.vstack([gather[q] for q in np.flatnonzero(adj[:, p])])
+    for p in range(len(x)):
+        stack = x[reach[:, p]]
         key = (stack.shape, stack.tobytes())
         if key not in done:
-            if kind.frame_reduction:
-                merged = geometry.convex_hull(stack).vertices
-            else:
-                extent = float((stack.max(axis=0) - stack.min(axis=0)).max())
-                merged = geometry.dedup(stack, geometry.DUP_TOL * extent)
-            point = geometry.centroid(geometry.convex_hull(merged)).centroid if average else None
-            done[key] = merged, point
-        merged, point = done[key]
-        if average:
-            new_x[p] = point
-            merged = new_x[p:p + 1]
-        new_gather.append(merged)
-    return new_x, new_gather
+            done[key] = geometry.centroid(geometry.convex_hull(stack)).centroid
+        out[p] = done[key]
+    return out
 
 
-def _equal_neighbor_round(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
+def _neighbor_means(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
     # x[nb].mean over a compacted (agents, k, d) block adds the k received
     # positions exactly as a per-agent (k, d) mean does, including numpy's
     # pairwise summation at d = 1; a masked sum over all n rows would not.
@@ -295,37 +258,33 @@ def _equal_neighbor_round(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return out
 
 
-def advance(kind: AlgorithmKind, x: np.ndarray, gather, adj: np.ndarray, t: int,
-            period: int, tie_seed: int = 0):
-    """One round for all agents: returns the positions and gather memory after
-    round t (1-based) from those before it.
-
-    adj[q, p] is True when p hears q this round. Agents move only when t is a
-    multiple of `period`; otherwise they keep their position and only merge
-    what they hear into their gather memory.
-    Random tie-breaks draw from a per-(tie_seed, t, agent) stream.
-    """
-    if period < 1:
-        raise ValueError(f"need period >= 1, got {period}")
-    average = t % period == 0
+def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
+               tie_seed: int = 0) -> np.ndarray:
+    """Base rule for all agents at once: row p is the rule applied to the
+    positions x[q] (n, d) with reach[q, p]. Random tie-breaks draw from a
+    per-(tie_seed, t, agent) stream."""
     if kind.tag == "equal-neighbor":
-        if period != 1:
-            raise ValueError("equal-neighbor cannot gather across rounds")
-        return _equal_neighbor_round(x, adj), None
+        return _neighbor_means(x, reach)
     if kind.tag in ("midpoint", "component-midpoint"):
-        lo, hi = masked_min(gather[:, 0], adj), masked_max(gather[:, 1], adj)
-        if not average:
-            return x, np.stack([lo, hi], axis=1)
-        new = (lo + hi) / 2
-    elif kind.tag == "extreme-point":
-        merged = _merge_extremes(kind, gather, adj, t, tie_seed)
-        if not average:
-            return x, merged
+        return (masked_min(x, reach) + masked_max(x, reach)) / 2
+    if kind.tag == "extreme-point":
         # the d minima, then the d maxima: the order of the 2d additions is
         # part of the artifacts' bytes
-        new = merged.mean(axis=1)
-    elif kind.tag == "centroid":
-        return _centroid_round(kind, x, gather, adj, average)
-    else:
-        raise ValueError(f"unknown algorithm {kind.tag!r}")
-    return new, init_gather(kind, new)
+        return _extreme_points(kind, x, reach, t, tie_seed).mean(axis=1)
+    if kind.tag == "centroid":
+        return _centroids(x, reach)
+    raise ValueError(f"unknown algorithm {kind.tag!r}")
+
+
+def advance(kind: AlgorithmKind, start: np.ndarray, reach: np.ndarray, t: int,
+            period: int, tie_seed: int = 0) -> np.ndarray:
+    """Positions after round t (1-based) of a block that started at `start`:
+    `start` itself inside the block and, when t is a multiple of `period`,
+    the base rule over `reach`, who reached whom during the block."""
+    if period < 1:
+        raise ValueError(f"need period >= 1, got {period}")
+    if kind.tag == "equal-neighbor" and period != 1:
+        raise ValueError("equal-neighbor cannot gather across rounds")
+    if t % period:
+        return start
+    return apply_rule(kind, start, reach, t, tie_seed)

@@ -1,8 +1,9 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 2 validation or IO failure, 3 audit violation (for
-verify also a round 0 that is not the configured start, or motion inside an
-amortized block).
+verify also a round 0 that is not the configured start, motion inside an
+amortized block, or a summary.json whose rounds, t_eps, converged, delta0 or
+delta_final differ from the trace's).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
@@ -39,6 +40,7 @@ from .simulator import (
     initial_positions,
     read_trace_csv,
     run,
+    within_epsilon,
     write_deltas_csv,
     write_margins_csv,
     write_trace_csv,
@@ -113,10 +115,12 @@ def load_config(path) -> dict:
     tie = raw.get("tie_break", "index")
     _require(tie in ("index", "random"), f"tie_break must be 'index' or 'random', got {tie!r}")
     cfg["tie_break"] = tie
-    for key, default in (("frame_reduction", True), ("allow_unsafe_dim", False)):
-        val = raw.get(key, default)
+    # frame_reduction is a legacy key: still checked so that old configs load,
+    # then dropped, because no output depends on it
+    for key in ("frame_reduction", "allow_unsafe_dim"):
+        val = raw.get(key, False)
         _require(isinstance(val, bool), f"{key} must be a boolean, got {val!r}")
-        cfg[key] = val
+    cfg["allow_unsafe_dim"] = raw.get("allow_unsafe_dim", False)
     if "output" in raw:
         _require(isinstance(raw["output"], str), "output must be a directory path string")
         cfg["output"] = raw["output"]
@@ -225,8 +229,7 @@ def _build_pattern(pat: dict, n: int):
 
 def _build_spec(cfg: dict, seed_override=None) -> RunSpec:
     kind = parse_kind(cfg["algorithm"])
-    kind = replace(kind, tie_break=cfg["tie_break"], frame_reduction=cfg["frame_reduction"],
-                   allow_unsafe_dim=cfg["allow_unsafe_dim"])
+    kind = replace(kind, tie_break=cfg["tie_break"], allow_unsafe_dim=cfg["allow_unsafe_dim"])
     initial = None
     if cfg["initial"]["kind"] == "explicit":
         initial = np.asarray(cfg["initial"]["positions"], dtype=float)
@@ -449,6 +452,23 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
+def _check_summary(stored: dict, spec: RunSpec, deltas: np.ndarray) -> int:
+    """Exit code of comparing summary.json with what run derives from the
+    trace; names the first field that differs on stderr."""
+    _require(isinstance(stored, dict), "summary.json must be a JSON object")
+    hit = np.flatnonzero(within_epsilon(deltas[1:], deltas[0], spec.epsilon))
+    t_eps = (int(hit[0]) + 1 if len(hit) else None) if deltas[0].any() else 0
+    recomputed = {"rounds": len(deltas) - 1, "t_eps": t_eps, "converged": t_eps is not None,
+                  "delta0": deltas[0].tolist(), "delta_final": deltas[-1].tolist()}
+    for field, value in recomputed.items():
+        # compared as JSON text, so that 1 does not pass for true or 1.0
+        if field not in stored or json.dumps(stored[field]) != json.dumps(value):
+            print(f"verify: summary.json gives {field} = {json.dumps(stored.get(field))},"
+                  f" the trace gives {json.dumps(value)}", file=sys.stderr)
+            return 3
+    return 0
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     spec = _build_spec(cfg, seed_override=args.seed)
@@ -494,6 +514,9 @@ def cmd_verify(args) -> int:
                 print(f"{name}: ok")
             else:
                 print(f"{name}: FAILED {json.dumps(state)[:200]}")
+    summary = out / "summary.json"
+    if summary.exists():
+        code = max(code, _check_summary(json.loads(summary.read_text()), spec, deltas))
     return code
 
 

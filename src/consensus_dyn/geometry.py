@@ -91,7 +91,7 @@ def dedup(arr: np.ndarray, tol: float) -> np.ndarray:
     Later exact copies of a row go first: greedy always drops them, since the
     first copy is kept or lies within tol of a kept row. The u rows left share
     one (u, u, d) distance matrix, so memory is O(u^2 d); in the round engine
-    u <= n, because gathered points are copies of the n start positions.
+    u <= n, because a centroid stack holds at most the n block-start positions.
     """
     rows = np.ascontiguousarray(arr)
     as_void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()

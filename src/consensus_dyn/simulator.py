@@ -3,8 +3,9 @@ record the trajectory, and compare measured convergence against the worst-case
 round bounds.
 
 Rounds are 1-based: configuration t is the state after round t, configuration 0
-is the initial one. Every round is a full gather/update step for all agents,
-driven by snapshots (every agent reads the state after round t-1).
+is the initial one. Positions hold still inside a block of `period` rounds;
+at its end every agent applies the base rule to the block-start positions that
+reached it (period 1 is the per-round algorithm).
 """
 
 import csv
@@ -20,12 +21,11 @@ from .algorithms import (
     claimed_alpha,
     effective_period,
     format_kind,
-    init_gather,
     masked_max,
     masked_min,
     validate_kind,
 )
-from .graphs import CommGraph, CommPattern, NetworkModelKind, is_nonsplit, is_rooted
+from .graphs import CommPattern, NetworkModelKind, is_nonsplit, is_rooted
 
 # component ranges at or below this are treated as already collapsed
 RANGE_FLOOR = 1e-30
@@ -73,15 +73,23 @@ def delta_components(positions: np.ndarray) -> np.ndarray:
     return positions.max(axis=0) - positions.min(axis=0)
 
 
-def step(x: np.ndarray, gather, g: CommGraph, algorithm: AlgorithmKind, t: int,
-         tie_seed: int = 0):
-    """Advance every agent through round t from positions x (n, d) and gather
-    memory `gather` (see `algorithms.init_gather`). Every agent reads the
-    state before the round, so the result does not depend on agent order."""
-    n = len(x)
-    if g.n != n:
-        raise ValueError(f"size mismatch: {n} positions, graph on {g.n} nodes")
-    return advance(algorithm, x, gather, g.adj, t, effective_period(algorithm, n), tie_seed)
+def within_epsilon(delta: np.ndarray, delta0: np.ndarray, epsilon: float):
+    """run's stopping test, row-wise over a (T, d) range history: every
+    component with a range at round 0 is within epsilon times that range."""
+    active = delta0 > 0.0
+    return (delta[..., active] <= epsilon * delta0[active]).all(axis=-1)
+
+
+def step(start: np.ndarray, reach: np.ndarray, algorithm: AlgorithmKind, t: int,
+         tie_seed: int = 0) -> np.ndarray:
+    """Positions after round t of the block that started at positions `start`
+    (n, d), where reach[q, p] says q reached p during the block so far: `start`
+    inside the block, the base rule over reach at its end. Every agent reads
+    the block start, so the result does not depend on agent order."""
+    n = len(start)
+    if reach.shape != (n, n):
+        raise ValueError(f"size mismatch: {n} positions, reach matrix of shape {reach.shape}")
+    return advance(algorithm, start, reach, t, effective_period(algorithm, n), tie_seed)
 
 
 def initial_positions(spec: RunSpec) -> np.ndarray:
@@ -135,22 +143,22 @@ def run(spec: RunSpec) -> RunTrace:
         t_eps = 0
     else:
         x = initial
-        gather = init_gather(spec.algorithm, initial)
         period = effective_period(spec.algorithm, spec.n)
         inside_block = np.full(spec.n, np.nan)
         for t in range(1, spec.max_rounds + 1):
             g = spec.pattern.graph(t)
-            # reach[q, p]: q's value can reach p within the current block, so
-            # an update is safe against the range over reach, not over g alone
+            # reach[q, p]: q's value can reach p within the current block; the
+            # block-end update applies the rule over reach, and its margin is
+            # measured against reach, not against g alone
             reach = g.adj if (t - 1) % period == 0 else reach @ g.adj
-            x, gather = step(x, gather, g, spec.algorithm, t, tie_seed=spec.seed)
+            x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
             positions.append(x)
             deltas.append(delta_components(x))
             if t % period == 0:
                 margins.append(_margin_row(positions[t - period], reach, x))
             else:
                 margins.append(inside_block)
-            if (deltas[-1][active] <= spec.epsilon * delta0[active]).all():
+            if within_epsilon(deltas[-1], delta0, spec.epsilon):
                 t_eps = t
                 break
 

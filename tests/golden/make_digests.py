@@ -3,8 +3,9 @@
 The matrix covers every rule, per round and amortized where the rule allows
 it, on the random-nonsplit, random-rooted, rotating-star and
 bidirectional-intermittent patterns; both extreme-point tie-break modes;
-centroid per round at d = 2 to 4 and gathering with and without frame
-reduction, at n = 12 on the rotating star too; equal-neighbor at d = 1
+centroid per round at d = 2 to 4 and amortized with the legacy
+`frame_reduction` key set true and false (it changes no byte), at n = 12 on
+the rotating star too; equal-neighbor at d = 1
 with in-degrees of 8 and more (where numpy's mean switches to pairwise
 summation); and seeded draws next to integer-grid inputs. Seeded draws never
 tie across senders, so only the grid inputs exercise the sender tie key.
@@ -16,10 +17,21 @@ with all three audits, and an amortized rule with the safeness audit) are
 digested by the `audits` block of their summary.json alone, so that new
 top-level summary keys need no regeneration.
 
-Regenerate the digests from the commit an engine change starts from, then
-check the change against them with tests/test_engine_golden.py:
+A change that must keep every byte is checked against the committed digests
+by tests/test_engine_golden.py, which lists every key that differs. For a
+change that alters some artifacts on purpose:
 
-    python3 tests/golden/make_digests.py --src PARENT_CHECKOUT/src
+1. generate the digests from the change into a scratch file:
+
+       python3 tests/golden/make_digests.py --out NEW_DIGESTS.json
+
+2. compare it with the committed file, which holds the parent's digests: every
+   key that differs must be one that CHANGES.md lists, with its reason, and
+   every other key must match the parent;
+3. commit only the listed keys' new digests.
+
+`--src PARENT_CHECKOUT/src` regenerates the parent's digests from a checkout
+of the parent, to confirm that the committed file is still the parent's.
 """
 
 import argparse

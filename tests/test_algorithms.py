@@ -4,6 +4,7 @@ import pytest
 from consensus_dyn import geometry
 from consensus_dyn.algorithms import (
     AlgorithmKind,
+    _extreme_points,
     advance,
     centroid_update,
     claimed_alpha,
@@ -12,20 +13,25 @@ from consensus_dyn.algorithms import (
     equal_neighbor_update,
     extreme_point_update,
     format_kind,
-    init_gather,
+    masked_max,
+    masked_min,
     midpoint_update_1d,
     parse_kind,
     validate_kind,
 )
-from consensus_dyn.graphs import adversarial_rotating_star, in_neighbors, random_rooted
+from consensus_dyn.graphs import adversarial_rotating_star, random_nonsplit, random_rooted
+from consensus_dyn.simulator import RunSpec, run
 
 
 def _rounds(kind, x0, pattern, rounds, period):
-    # minimal local round loop over the kernel: (t, positions, gather) after each round
-    x, gather = x0, init_gather(kind, x0)
+    # minimal local round loop over the kernel: (t, block start, reach so far,
+    # positions after round t) for each round
+    x = x0
     for t in range(1, rounds + 1):
-        x, gather = advance(kind, x, gather, pattern.graph(t).adj, t, period)
-        yield t, x, gather
+        adj = pattern.graph(t).adj
+        reach = adj if (t - 1) % period == 0 else reach @ adj
+        start, x = x, advance(kind, x, reach, t, period)
+        yield t, start, reach, x
 
 
 def test_equal_neighbor_update():
@@ -224,55 +230,76 @@ def test_claimed_alpha():
     assert claimed_alpha(AlgorithmKind("equal-neighbor"), n=4, d=1) == 0.25
 
 
-def test_gather_memory_shapes():
-    d = 3
-    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    mid = init_gather(AlgorithmKind("midpoint", amortized=True), np.array([[4.0], [1.0]]))
-    assert mid.shape == (2, 2, 1)
-    assert init_gather(AlgorithmKind("component-midpoint"), x).shape == (2, 2, d)
-    ext = init_gather(AlgorithmKind("extreme-point"), x)
-    assert ext.shape == (2, 2 * d, d)
-    assert (ext == x[:, None, :]).all()
-    cen = init_gather(AlgorithmKind("centroid"), x)
-    assert [c.shape for c in cen] == [(1, d), (1, d)]
-    assert init_gather(AlgorithmKind("equal-neighbor"), x) is None
-
-
 def test_advance_rejects_bad_period():
     x = np.zeros((2, 1))
     adj = np.ones((2, 2), dtype=bool)
     kind = AlgorithmKind("midpoint", amortized=True)
     with pytest.raises(ValueError):
-        advance(kind, x, init_gather(kind, x), adj, 1, 0)
+        advance(kind, x, adj, 1, 0)
     kind = AlgorithmKind("equal-neighbor")
     with pytest.raises(ValueError):
-        advance(kind, x, None, adj, 1, 2)
+        advance(kind, x, adj, 1, 2)
 
 
-def test_amortize_period_one_matches_direct_updates():
-    rng = np.random.default_rng(43)
-    pattern = random_rooted(4, seed=2)
-    cases = [
-        (AlgorithmKind("midpoint"), 1, lambda r: np.array([midpoint_update_1d(r.min(), r.max())])),
-        (AlgorithmKind("component-midpoint"), 2, component_midpoint_update),
-        (AlgorithmKind("extreme-point"), 2, None),
-        (AlgorithmKind("centroid"), 2, centroid_update),
-        (AlgorithmKind("equal-neighbor"), 2, equal_neighbor_update),
-    ]
-    for kind, d, direct in cases:
-        x0 = rng.uniform(0, 1, (4, d))
-        x = x0
-        for t, new, _ in _rounds(kind, x0, pattern, 3, period=1):
-            g = pattern.graph(t)
-            for p in range(4):
-                nbrs = sorted(in_neighbors(g, p))
-                received = np.array([x[q] for q in nbrs])
-                if direct is not None:
-                    expected = np.atleast_1d(direct(received))
-                else:
-                    expected = extreme_point_update(received, d, senders=nbrs)
-                assert np.allclose(new[p], expected, atol=1e-12), kind.tag
-            x = new
+def _grid(n, d):
+    # integer-grid positions: exact ties across agents and components
+    return np.array([[float((3 * p + 2 * k + p * k) % 4) for k in range(d)] for p in range(n)])
+
+
+def _reference(kind, d, received, ids, p, t, tie_seed):
+    """The standalone update of `kind` for agent p in round t over the
+    positions it received from agents `ids`."""
+    if kind.tag == "midpoint":
+        return np.array([midpoint_update_1d(received.min(), received.max())])
+    if kind.tag == "component-midpoint":
+        return component_midpoint_update(received)
+    if kind.tag == "centroid":
+        return centroid_update(received)
+    if kind.tag == "equal-neighbor":
+        return equal_neighbor_update(received)
+    rng = None
+    if kind.tie_break == "random":
+        rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
+    return extreme_point_update(received, d, senders=ids.tolist(), rng=rng)
+
+
+def test_block_ends_match_reference_updates():
+    # Every block end of a run is the standalone update of each agent over the
+    # block-start positions that reached it during the block: bit for bit,
+    # except the 2d additions of extreme-point, which run in another order.
+    n, rounds = 5, 12
+    rules = [("midpoint", 1, "index"), ("component-midpoint", 2, "index"),
+             ("extreme-point", 2, "index"), ("extreme-point", 3, "random"),
+             ("centroid", 2, "index"), ("equal-neighbor", 2, "index")]
+    patterns = [random_rooted(n, seed=2), adversarial_rotating_star(n), random_nonsplit(n, seed=4)]
+    checked = 0
+    for pattern in patterns:
+        for tag, d, tie in rules:
+            for period in (1, 2, 3, n - 1):
+                if tag == "equal-neighbor" and period != 1:
+                    continue
+                kind = AlgorithmKind(tag, amortized=period > 1,
+                                     amortization_period=period if period > 1 else None,
+                                     tie_break=tie)
+                for initial in (None, _grid(n, d)):
+                    spec = RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-15,
+                                   initial=initial, max_rounds=rounds, seed=7)
+                    positions = run(spec).positions
+                    for t in range(period, len(positions), period):
+                        start = positions[t - period]
+                        reach = pattern.graph(t - period + 1).adj
+                        for s in range(t - period + 2, t + 1):
+                            reach = reach @ pattern.graph(s).adj
+                        for p in range(n):
+                            ids = np.flatnonzero(reach[:, p])
+                            want = _reference(kind, d, start[ids], ids, p, t, spec.seed)
+                            got = positions[t, p]
+                            if tag == "extreme-point":
+                                assert np.allclose(got, want, rtol=0, atol=1e-12), (tag, t, p)
+                            else:
+                                assert got.tobytes() == want.tobytes(), (tag, period, t, p)
+                            checked += 1
+    assert checked > 2000
 
 
 def test_amortized_midpoint_intervals_overlap_after_gathering():
@@ -281,12 +308,12 @@ def test_amortized_midpoint_intervals_overlap_after_gathering():
     x0 = np.array([[0.0], [1.0], [4.0]])
     pattern = adversarial_rotating_star(3)
     states = list(_rounds(kind, x0, pattern, 3, period=3))
-    _, _, gather = states[1]
-    ms, bigs = gather[:, 0, 0], gather[:, 1, 0]
+    _, start, reach, _ = states[1]
+    ms, bigs = masked_min(start, reach)[:, 0], masked_max(start, reach)[:, 0]
     assert ms.max() <= bigs.min()
-    # the averaging round resets memory to the new position
-    _, x, gather = states[2]
-    assert (gather[:, 0] == x).all() and (gather[:, 1] == x).all()
+    # the block end moves every agent to the midpoint of what it gathered
+    _, start, reach, x = states[2]
+    assert (x == (masked_min(start, reach) + masked_max(start, reach)) / 2).all()
 
 
 def test_amortized_midpoint_interval_brackets_position():
@@ -294,8 +321,8 @@ def test_amortized_midpoint_interval_brackets_position():
     pattern = random_rooted(5, seed=6)
     rng = np.random.default_rng(7)
     x0 = rng.uniform(0, 1, (5, 1))
-    for t, x, gather in _rounds(kind, x0, pattern, 12, period=4):
-        assert (gather[:, 0] <= x).all() and (x <= gather[:, 1]).all()
+    for t, start, reach, x in _rounds(kind, x0, pattern, 12, period=4):
+        assert (masked_min(start, reach) <= x).all() and (x <= masked_max(start, reach)).all()
         # positions hold still inside a block and move only at its end
         if t % 4:
             assert np.array_equal(x, x0)
@@ -307,23 +334,12 @@ def test_extreme_point_gather_tracks_componentwise_extremes():
     pattern = random_rooted(4, seed=9)
     rng = np.random.default_rng(11)
     x0 = rng.uniform(0, 1, (4, 2))
-    for _, _, gather in _rounds(kind, x0, pattern, 6, period=3):
-        for tracked in gather:
+    for t, start, reach, _ in _rounds(kind, x0, pattern, 6, period=3):
+        for p, tracked in enumerate(_extreme_points(kind, start, reach, t, 0)):
+            gathered = start[reach[:, p]]
             for i in range(2):
-                assert tracked[i, i] == tracked[:, i].min()
-                assert tracked[2 + i, i] == tracked[:, i].max()
-
-
-def test_centroid_frame_reduction_is_transparent():
-    pattern = random_rooted(4, seed=4)
-    rng = np.random.default_rng(5)
-    x0 = rng.uniform(0, 1, (4, 2))
-    results = []
-    for reduce_frames in (True, False):
-        kind = AlgorithmKind("centroid", amortized=True, frame_reduction=reduce_frames)
-        *_, (_, x, _) = _rounds(kind, x0, pattern, 6, period=3)
-        results.append(x)
-    assert np.allclose(results[0], results[1], atol=1e-12)
+                assert tracked[i, i] == gathered[:, i].min()
+                assert tracked[2 + i, i] == gathered[:, i].max()
 
 
 def test_centroid_position_stays_in_gathered_hull():
@@ -331,6 +347,6 @@ def test_centroid_position_stays_in_gathered_hull():
     pattern = random_rooted(4, seed=13)
     rng = np.random.default_rng(13)
     x0 = rng.uniform(0, 1, (4, 2))
-    for _, x, gather in _rounds(kind, x0, pattern, 6, period=3):
+    for _, start, reach, x in _rounds(kind, x0, pattern, 6, period=3):
         for p in range(4):
-            assert geometry.contains(geometry.convex_hull(gather[p]), x[p])
+            assert geometry.contains(geometry.convex_hull(start[reach[:, p]]), x[p])

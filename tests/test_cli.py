@@ -385,3 +385,64 @@ def test_verify_rejects_motion_in_trailing_partial_block(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--config", path, "--out", str(out)]) == 3
     assert "agent 2 moves inside an amortized block" in capsys.readouterr().err
+
+
+def test_run_ignores_legacy_frame_reduction_key(tmp_path, capsys):
+    # frame_reduction changes no output: it still loads, as long as it is a boolean
+    base = {"n": 5, "d": 2, "algorithm": "centroid+amortized",
+            "pattern": {"family": "random-rooted", "seed": 4}, "epsilon": 1e-6, "seed": 5}
+    outs = []
+    for i, extra in enumerate(({}, {"frame_reduction": False}, {"frame_reduction": True})):
+        path = _write(tmp_path, dict(base, **extra), f"c{i}.json")
+        assert "frame_reduction" not in load_config(path)
+        out = tmp_path / f"out{i}"
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        outs.append([(out / f).read_bytes()
+                     for f in ("trace.csv", "deltas.csv", "margins.csv", "summary.json")])
+    assert outs[0] == outs[1] == outs[2]
+    path = _write(tmp_path, dict(base, frame_reduction="no"), "bad.json")
+    capsys.readouterr()
+    assert main(["run", "--config", path, "--out", str(tmp_path / "bad")]) == 2
+    assert "frame_reduction must be a boolean" in capsys.readouterr().err
+
+
+def _rooted_run(tmp_path):
+    # per-round component-midpoint on random-rooted graphs: no round bound
+    # applies, and 15 rounds do not reach epsilon
+    cfg = {"n": 6, "d": 2, "algorithm": "component-midpoint",
+           "pattern": {"family": "random-rooted", "seed": 3}, "epsilon": 1e-12,
+           "max_rounds": 15, "seed": 2}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    return path, out
+
+
+def test_verify_rejects_forged_summary(tmp_path, capsys):
+    path, out = _rooted_run(tmp_path)
+    honest = json.loads((out / "summary.json").read_text())
+    assert honest["converged"] is False and honest["t_eps"] is None
+    forgeries = [{"t_eps": 1, "converged": True}, {"rounds": 14}, {"converged": 0},
+                 {"delta_final": [0.0, 0.0]}, {"delta0": honest["delta0"][::-1]}]
+    for forged in forgeries:
+        (out / "summary.json").write_text(json.dumps(dict(honest, **forged)))
+        capsys.readouterr()
+        assert main(["verify", "--config", path, "--out", str(out)]) == 3, forged
+        assert f"summary.json gives {next(iter(forged))} =" in capsys.readouterr().err
+    (out / "summary.json").write_text(json.dumps({k: v for k, v in honest.items() if k != "t_eps"}))
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
+    (out / "summary.json").write_text("[]")
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+
+
+def test_verify_accepts_honest_summaries(tmp_path):
+    # converged, not converged, and already collapsed at round 0
+    cases = [_minimal(),
+             _minimal(pattern={"family": "self-loops"}, max_rounds=3),
+             _minimal(initial={"kind": "explicit", "positions": [[0.5], [0.5], [0.5]]})]
+    for i, cfg in enumerate(cases):
+        path = _write(tmp_path, cfg, f"c{i}.json")
+        out = str(tmp_path / f"out{i}")
+        assert main(["run", "--config", path, "--out", out]) == 0
+        assert main(["verify", "--config", path, "--out", out]) == 0

@@ -3,8 +3,9 @@
 tests/golden/digests.json holds SHA-256 digests of trace.csv, deltas.csv and
 (per-round scenarios only) margins.csv over the scenario matrix in
 tests/golden/make_digests.py, plus the `audits` block of summary.json for the
-audited scenarios, generated from the code before its last rewrite.
-Regenerate them only from the commit an engine or audit change starts from.
+audited scenarios. A failure lists every differing key, so that a change
+that alters artifacts on purpose can be checked key by key against the list
+in CHANGES.md; make_digests.py states how to update the digests then.
 """
 
 import json
@@ -21,4 +22,4 @@ def test_engine_artifacts_match_golden_digests(tmp_path):
     actual = make_digests.digests(tmp_path)
     assert sorted(actual) == sorted(expected)
     differing = [k for k in expected if actual[k] != expected[k]]
-    assert not differing, f"{len(differing)} artifacts differ, first: {differing[:5]}"
+    assert not differing, f"{len(differing)} artifacts differ:\n" + "\n".join(differing)

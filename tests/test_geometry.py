@@ -423,8 +423,8 @@ def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
     adj[[0, 1, 2], 0] = adj[[0, 1, 2], 1] = True  # agents 0 and 1 both hear 0, 1, 2
     adj[3, 2] = adj[0, 3] = True
     kind = algorithms.parse_kind("centroid")
-    new_x, _ = algorithms.advance(kind, x, algorithms.init_gather(kind, x), adj, t=1, period=1)
-    # frame, then centroid hull, once per distinct stack: 3 stacks, not 4
-    assert len(calls) == 6
-    alone = centroid(real(real(x[:3]).vertices)).centroid
+    new_x = algorithms.advance(kind, x, adj, t=1, period=1)
+    # one hull per distinct stack: 3 stacks, not 4
+    assert len(calls) == 3
+    alone = centroid(real(x[:3])).centroid
     assert new_x[0].tobytes() == new_x[1].tobytes() == alone.tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from consensus_dyn import geometry
-from consensus_dyn.algorithms import AlgorithmKind, init_gather, parse_kind
+from consensus_dyn.algorithms import AlgorithmKind, parse_kind
 from consensus_dyn.graphs import (
     CommGraph,
     adversarial_rotating_star,
@@ -47,7 +47,7 @@ def test_step_self_loops_only_is_identity():
         kind = AlgorithmKind(tag)
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (3, d))
-        out, _ = step(x, init_gather(kind, x), self_loops_only(3), kind, 1)
+        out = step(x, self_loops_only(3).adj, kind, 1)
         assert out.shape == x.shape
         assert np.allclose(out, x, atol=1e-12)
 
@@ -55,14 +55,14 @@ def test_step_self_loops_only_is_identity():
 def test_step_complete_graph_midpoint():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("midpoint")
-    out, _ = step(x, init_gather(kind, x), complete_graph(3), kind, 1)
+    out = step(x, complete_graph(3).adj, kind, 1)
     assert np.array_equal(out, np.full((3, 1), 1.0))
 
 
 def test_step_complete_graph_equal_neighbor():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("equal-neighbor")
-    out, _ = step(x, init_gather(kind, x), complete_graph(3), kind, 1)
+    out = step(x, complete_graph(3).adj, kind, 1)
     assert np.allclose(out, 1.0)
 
 
@@ -70,7 +70,7 @@ def test_step_size_mismatch():
     x = np.zeros((3, 1))
     kind = AlgorithmKind("midpoint")
     with pytest.raises(ValueError):
-        step(x, init_gather(kind, x), self_loops_only(4), kind, 1)
+        step(x, self_loops_only(4).adj, kind, 1)
 
 
 def test_run_single_agent():
