@@ -1,15 +1,18 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 validation or IO failure, 3 audit violation (for
-verify also a round 0 that is not the configured start, motion inside an
-amortized block, or a summary.json whose rounds, t_eps, converged, delta0 or
-delta_final differ from the trace's).
+Exit codes: 0 success, 2 validation or IO failure (for verify and plotdata
+also a trace row that is repeated, has a negative index, or has another field
+count than the header), 3 audit violation (for verify also a round 0 that is
+not the configured start, motion inside an amortized block, a trace whose
+round count differs from what run's stopping rule gives, or a summary.json
+whose rounds, t_eps, converged, delta0 or delta_final differ from the trace's).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -36,7 +39,6 @@ from .simulator import (
     Metrics,
     RunSpec,
     RunTrace,
-    delta_components,
     initial_positions,
     read_trace_csv,
     run,
@@ -452,12 +454,21 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
-def _check_summary(stored: dict, spec: RunSpec, deltas: np.ndarray) -> int:
+def _stopping_round(deltas: np.ndarray, spec: RunSpec):
+    """(t_eps, rounds) that run's stopping rule gives for the range history
+    `deltas`: the first round within epsilon, else max_rounds; 0 for a
+    configuration already in exact consensus at round 0."""
+    if not deltas[0].any():
+        return 0, 0
+    hit = np.flatnonzero(within_epsilon(deltas[1:spec.max_rounds + 1], deltas[0], spec.epsilon))
+    t_eps = int(hit[0]) + 1 if len(hit) else None
+    return t_eps, spec.max_rounds if t_eps is None else t_eps
+
+
+def _check_summary(stored: dict, deltas: np.ndarray, t_eps) -> int:
     """Exit code of comparing summary.json with what run derives from the
     trace; names the first field that differs on stderr."""
     _require(isinstance(stored, dict), "summary.json must be a JSON object")
-    hit = np.flatnonzero(within_epsilon(deltas[1:], deltas[0], spec.epsilon))
-    t_eps = (int(hit[0]) + 1 if len(hit) else None) if deltas[0].any() else 0
     recomputed = {"rounds": len(deltas) - 1, "t_eps": t_eps, "converged": t_eps is not None,
                   "delta0": deltas[0].tolist(), "delta_final": deltas[-1].tolist()}
     for field, value in recomputed.items():
@@ -499,7 +510,17 @@ def cmd_verify(args) -> int:
                   f" in round {t - t % period}, where the period-{period} block starts",
                   file=sys.stderr)
             return 3
-    deltas = np.stack([delta_components(p) for p in positions])
+    deltas = positions.max(axis=1) - positions.min(axis=1)
+    # A trace cut short (or run on) passes every margin, so its length must
+    # be the one run's stopping rule gives.
+    t_eps, expected = _stopping_round(deltas, spec)
+    if len(deltas) - 1 != expected:
+        why = ("exact consensus at round 0" if t_eps == 0
+               else "the first round within epsilon" if t_eps is not None
+               else "max_rounds; no round of the trace is within epsilon")
+        print(f"verify: the trace has {len(deltas) - 1} rounds, run's stopping rule gives"
+              f" {expected} ({why})", file=sys.stderr)
+        return 3
     trace = RunTrace(spec, positions, deltas, np.empty((0, n)),
                      Metrics(t_eps=None, converged=False, empirical_rate=0.0, bound_t=None))
     audits = dict(cfg["audits"])
@@ -516,11 +537,14 @@ def cmd_verify(args) -> int:
                 print(f"{name}: FAILED {json.dumps(state)[:200]}")
     summary = out / "summary.json"
     if summary.exists():
-        code = max(code, _check_summary(json.loads(summary.read_text()), spec, deltas))
+        code = max(code, _check_summary(json.loads(summary.read_text()), deltas, t_eps))
     return code
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of main and then reused:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="consensus-dyn",
         description="simulate and verify averaging-based consensus over dynamic digraphs")
@@ -553,8 +577,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", default=None, help="directory holding trace.csv")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SafenessViolationError as e:

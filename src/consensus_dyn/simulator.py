@@ -9,6 +9,7 @@ reached it (period 1 is the per-round algorithm).
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -263,44 +264,89 @@ def theorem_bound(spec: RunSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trace serialization: repr() keeps float round-trips bit-exact
+# artifact CSVs: the bytes csv.writer's excel dialect gives for rows of ints
+# and repr() floats (`,` separators, `\r\n` line ends, nothing quoted), so
+# floats round-trip bit-exactly
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+# values formatted per chunk: bounds the memory of a write whatever T is
+_CHUNK_VALUES = 1 << 16
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """repr() of each float64 as an object array, computed once per distinct
+    bit pattern (so -0.0 and 0.0 stay apart and every NaN prints `nan`)."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
+
+
+def _write_table(path, header: List[str], table: np.ndarray, first: int) -> None:
+    """Write `table` (m, k, w) as m * k rows `i + first, j, table[i, j, 0], ...`."""
+    m, k, w = table.shape
+    values = np.ascontiguousarray(table, dtype=np.float64).reshape(m * k, w)
+    inner = np.array(list(map(str, range(k))), dtype=object)
+    rows_per_chunk = max(1, _CHUNK_VALUES // w)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, m * k, rows_per_chunk):
+            hi = min(lo + rows_per_chunk, m * k)
+            row = np.arange(lo, hi)
+            outer_lo = lo // k
+            outer = np.array(list(map(str, range(outer_lo + first, (hi - 1) // k + 1 + first))),
+                             dtype=object)
+            # tokens of each line: i "," j "," v_0 ... "," v_{w-1} "\r\n"
+            cells = np.empty((hi - lo, 2 * w + 4), dtype=object)
+            cells[:, 0] = outer[row // k - outer_lo]
+            cells[:, 1::2] = ","
+            cells[:, 2] = inner[row % k]
+            cells[:, 4::2] = _float_texts(values[lo:hi].ravel()).reshape(hi - lo, w)
+            cells[:, -1] = "\r\n"
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_trace_csv(trace: RunTrace, path) -> None:
     d = trace.positions.shape[2]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "agent"] + [f"comp_{k}" for k in range(d)])
-        for t in range(len(trace.positions)):
-            for p in range(trace.positions.shape[1]):
-                w.writerow([t, p] + [_fmt(v) for v in trace.positions[t, p]])
+    _write_table(path, ["round", "agent"] + [f"comp_{k}" for k in range(d)], trace.positions, 0)
 
 
 def read_trace_csv(path) -> Tuple[List[int], np.ndarray]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ValueError("trace file is empty")
     header = rows[0]
     if header[:2] != ["round", "agent"] or any(not c.startswith("comp_") for c in header[2:]):
         raise ValueError(f"not a trace file: header {header}")
     d = len(header) - 2
-    records = [(int(r[0]), int(r[1]), [float(v) for v in r[2:]]) for r in rows[1:]]
-    if not records:
+    body = rows[1:]
+    if not body:
         raise ValueError("trace file has no rows")
-    n = max(r[1] for r in records) + 1
-    t_max = max(r[0] for r in records)
+    width = len(header)
+    if set(map(len, body)) != {width}:
+        i, row = next((i, r) for i, r in enumerate(body) if len(r) != width)
+        raise ValueError(f"trace file line {i + 2} has {len(row)} fields, the header has {width}")
+    m = len(body)
+    flat = list(itertools.chain.from_iterable(body))
+    rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m)
+    agents = np.fromiter(map(int, flat[1::width]), dtype=np.intp, count=m)
+    # column by column, so the (d, m) result transposes into rows
+    values = np.fromiter(map(float, itertools.chain.from_iterable(
+        flat[k::width] for k in range(2, width))), dtype=np.float64, count=m * d)
+    values = values.reshape(d, m).T
+    if rounds.min() < 0 or agents.min() < 0:
+        # a negative index would land on a row counted from the end
+        i = int(np.argmax((rounds < 0) | (agents < 0)))
+        raise ValueError(f"trace file line {i + 2} has a negative round or agent")
+    n = int(agents.max()) + 1
+    t_max = int(rounds.max())
     positions = np.full((t_max + 1, n, d), np.nan)
-    for t, p, vals in records:
-        positions[t, p] = vals
+    positions[rounds, agents] = values
     if np.isnan(positions).any():
         raise ValueError("trace file is missing (round, agent) rows")
-    if len(records) > positions.shape[0] * n:
+    if m > positions.shape[0] * n:
         # every (round, agent) cell is filled, so some row comes more than once
         seen = set()
-        for t, p, _ in records:
+        for t, p in zip(rounds.tolist(), agents.tolist()):
             if (t, p) in seen:
                 raise ValueError(f"trace file repeats the row of round {t}, agent {p}")
             seen.add((t, p))
@@ -308,18 +354,8 @@ def read_trace_csv(path) -> Tuple[List[int], np.ndarray]:
 
 
 def write_deltas_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "k", "delta_k"])
-        for t in range(len(trace.deltas)):
-            for k in range(trace.deltas.shape[1]):
-                w.writerow([t, k, _fmt(trace.deltas[t, k])])
+    _write_table(path, ["round", "k", "delta_k"], trace.deltas[..., None], 0)
 
 
 def write_margins_csv(trace: RunTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "agent", "alpha_hat"])
-        for i in range(len(trace.margins)):
-            for p in range(trace.margins.shape[1]):
-                w.writerow([i + 1, p, _fmt(trace.margins[i, p])])
+    _write_table(path, ["round", "agent", "alpha_hat"], trace.margins[..., None], 1)

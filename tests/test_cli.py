@@ -2,7 +2,14 @@ import csv
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import consensus_dyn
 from consensus_dyn.cli import load_config, main, serialize_config
 
 
@@ -446,3 +453,90 @@ def test_verify_accepts_honest_summaries(tmp_path):
         out = str(tmp_path / f"out{i}")
         assert main(["run", "--config", path, "--out", out]) == 0
         assert main(["verify", "--config", path, "--out", out]) == 0
+
+
+def _cut_trace(trace_file, rounds):
+    lines = trace_file.read_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:] if int(line.split(",")[0]) <= rounds]
+    trace_file.write_text("\n".join(kept) + "\n")
+
+
+def test_verify_rejects_trace_cut_short(tmp_path, capsys):
+    # 15 rounds that do not reach epsilon, cut to 10 with summary.json edited
+    # to match: every margin and every summary field still agrees
+    path, out = _rooted_run(tmp_path)
+    _cut_trace(out / "trace.csv", 10)
+    summary = json.loads((out / "summary.json").read_text())
+    deltas = _read_rows(out / "deltas.csv")
+    summary.update(rounds=10, delta_final=[float(r["delta_k"]) for r in deltas if r["round"] == "10"])
+    (out / "summary.json").write_text(json.dumps(summary))
+    for with_summary in (True, False):
+        if not with_summary:
+            (out / "summary.json").unlink()
+        capsys.readouterr()
+        assert main(["verify", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "the trace has 10 rounds, run's stopping rule gives 15" in err
+
+
+def test_verify_rejects_trace_run_past_convergence(tmp_path, capsys):
+    # the midpoint run converges in round 1; a second round that repeats it
+    # breaks no margin, but run would have stopped
+    path = _write(tmp_path, _minimal())
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "summary.json").unlink()
+    lines = (out / "trace.csv").read_text().splitlines()
+    extra = [line.replace("1,", "2,", 1) for line in lines[1:] if line.startswith("1,")]
+    (out / "trace.csv").write_text("\n".join(lines + extra) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
+    assert "the trace has 2 rounds, run's stopping rule gives 1" in capsys.readouterr().err
+
+
+def test_verify_and_plotdata_reject_rows_of_the_wrong_width(tmp_path, capsys):
+    path, trace_file = _extreme_point_run(tmp_path)
+    honest = trace_file.read_text().splitlines()
+    blank = honest[:3] + [""] + honest[3:]
+    short = honest[:3] + [",".join(honest[3].split(",")[:3])] + honest[4:]
+    for lines, message in ((blank, "line 4 has 0 fields"), (short, "line 4 has 3 fields")):
+        trace_file.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--config", path, "--out", str(trace_file.parent)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["plotdata", str(trace_file), "--out", str(tmp_path / "plot")]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process: a --seed given to one call, or
+    # an argparse error, must not leak into the next call
+    cfg = {"n": 4, "d": 2, "algorithm": "extreme-point",
+           "pattern": {"family": "random-nonsplit", "seed": 2}, "epsilon": 1e-6, "seed": 3}
+    path = _write(tmp_path, cfg)
+    calls = [["run", "--config", path, "--out", "a", "--seed", "7"],
+             ["run", "--config", path],
+             ["run", "--config", path, "--out", "c"]]
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+
+    monkeypatch.chdir(inproc)
+    results = []
+    for i, argv in enumerate(calls):
+        if i == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--seed", "oops"])
+            assert exc.value.code == 2
+        results.append((main(argv), capsys.readouterr().out))
+    assert json.loads((inproc / "summary.json").read_text())["seed"] == 3
+    assert json.loads((inproc / "a" / "summary.json").read_text())["seed"] == 7
+
+    env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
+    for argv, (code, stdout) in zip(calls, results):
+        proc = subprocess.run([sys.executable, "-m", "consensus_dyn.cli", *argv], cwd=fresh,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, stdout)
+    for sub in (".", "a", "c"):
+        for name in ("trace.csv", "deltas.csv", "margins.csv", "summary.json"):
+            assert (inproc / sub / name).read_bytes() == (fresh / sub / name).read_bytes()
