@@ -4,10 +4,10 @@ Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. The standalone `*_update`
 functions apply one rule to one received set and serve as the reference.
 `apply_rule` applies a rule for all agents at once, each over the positions
-that reached it; `advance` holds positions still inside a block and applies
-the rule over the block's reach matrix whenever the 1-based round index hits
-a multiple of the period (period 1 is the plain per-round algorithm; the
-amortized variants default the period to n-1).
+that reached it; `simulator.step` holds positions still inside a block and
+applies the rule over the block's reach matrix whenever the 1-based round
+index hits a multiple of the period (period 1 is the plain per-round
+algorithm; the amortized variants default the period to n-1).
 """
 
 from __future__ import annotations
@@ -275,16 +275,3 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
         return _centroids(x, reach)
     raise ValueError(f"unknown algorithm {kind.tag!r}")
 
-
-def advance(kind: AlgorithmKind, start: np.ndarray, reach: np.ndarray, t: int,
-            period: int, tie_seed: int = 0) -> np.ndarray:
-    """Positions after round t (1-based) of a block that started at `start`:
-    `start` itself inside the block and, when t is a multiple of `period`,
-    the base rule over `reach`, who reached whom during the block."""
-    if period < 1:
-        raise ValueError(f"need period >= 1, got {period}")
-    if kind.tag == "equal-neighbor" and period != 1:
-        raise ValueError("equal-neighbor cannot gather across rounds")
-    if t % period:
-        return start
-    return apply_rule(kind, start, reach, t, tie_seed)

@@ -36,9 +36,7 @@ from .graphs import (
     self_loops_only,
 )
 from .simulator import (
-    Metrics,
     RunSpec,
-    RunTrace,
     initial_positions,
     read_trace_csv,
     run,
@@ -52,6 +50,7 @@ from .verification import (
     audit_rounds,
     audit_safeness,
     check_moreau_assumptions,
+    moreau_window,
     reconstruct_matrices,
     round_graphs,
 )
@@ -247,20 +246,14 @@ def _build_spec(cfg: dict, seed_override=None) -> RunSpec:
 # audits shared by run and verify
 
 
-def _trim_safeness(report) -> dict:
-    blob = report.to_json()
-    del blob["margins"]  # per-round detail lives in margins.csv, not the summary
-    blob["violations"] = blob["violations"][:20]
-    return blob
-
-
-def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
-    """Returns (summary fragment, exit code)."""
+def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, int):
+    """Audits of the (T+1, n, d) `positions` of `spec`'s run; returns
+    (summary fragment, exit code)."""
     out = {}
     code = 0
     period = effective_period(spec.algorithm, spec.n)
     alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
-    rounds = len(trace.positions) - 1
+    rounds = len(positions) - 1
     safeness = audits["safeness"] and rounds >= period
     matrices = (audits["matrices"] or audits["moreau"]) and period == 1
     graphs = None
@@ -272,8 +265,8 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
         if not safeness:
             out["safeness"] = {"skipped": f"trace has {rounds} rounds, shorter than one period-{period} block"}
         else:
-            report = audit_safeness(trace, spec.pattern, alpha, period=period, graphs=graphs)
-            out["safeness"] = _trim_safeness(report)
+            report = audit_safeness(positions, graphs, alpha, period=period)
+            out["safeness"] = report.to_json()
             if report.violations:
                 code = 3
     if audits["matrices"] or audits["moreau"]:
@@ -281,7 +274,7 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
             raise ValueError("matrix reconstruction audits apply to per-round runs only;"
                              " amortized rules hold positions still during gathering rounds")
         try:
-            seq = reconstruct_matrices(trace, spec.pattern, alpha, graphs=graphs)
+            seq = reconstruct_matrices(positions, graphs, alpha)
         except SafenessViolationError as e:
             if audits["matrices"]:
                 out["matrices"] = {"ok": False, "error": str(e)}
@@ -292,11 +285,12 @@ def _run_audits(trace: RunTrace, spec: RunSpec, audits: dict) -> (dict, int):
             out["matrices"] = {"ok": True, "rounds": int(seq.matrices.shape[0]),
                                "alpha": alpha}
         if audits["moreau"]:
-            out["moreau"] = check_moreau_assumptions(seq, spec.pattern, graphs=graphs).to_json()
+            out["moreau"] = check_moreau_assumptions(seq, graphs,
+                                                     moreau_window(spec.pattern)).to_json()
     return out, code
 
 
-def _summary(cfg: dict, spec: RunSpec, trace: RunTrace) -> dict:
+def _summary(cfg: dict, spec: RunSpec, trace) -> dict:
     m = trace.metrics
     return {
         "n": spec.n, "d": spec.d,
@@ -331,7 +325,7 @@ def cmd_run(args) -> int:
     write_deltas_csv(trace, out / "deltas.csv")
     write_margins_csv(trace, out / "margins.csv")
     summary = _summary(cfg, spec, trace)
-    audit_blob, code = _run_audits(trace, spec, cfg["audits"])
+    audit_blob, code = _run_audits(trace.positions, spec, cfg["audits"])
     if audit_blob:
         summary["audits"] = audit_blob
     (out / "summary.json").write_text(serialize_config(summary) + "\n")
@@ -360,12 +354,9 @@ def _sweep_row(idx, cfg, spec) -> dict:
     elif m.bound_t is not None:
         row["within_bound"] = "no"
     if cfg["audits"]["safeness"]:
-        period = effective_period(spec.algorithm, spec.n)
-        if len(trace.positions) - 1 >= period:
-            report = audit_safeness(trace, spec.pattern, claimed_alpha(spec.algorithm, spec.n, spec.d),
-                                    period=period)
-            worst = report.worst_alpha
-            row["worst_alpha"] = repr(float(worst)) if math.isfinite(worst) else ""
+        audits = {"safeness": True, "matrices": False, "moreau": False}
+        worst = _run_audits(trace.positions, spec, audits)[0]["safeness"].get("worst_alpha")
+        row["worst_alpha"] = "" if worst is None else repr(worst)
     return row
 
 
@@ -385,8 +376,6 @@ def cmd_sweep(args) -> int:
             _require(pos.shape == (n, d),
                      f"scenario {idx}: explicit initial is {pos.shape}, scenario needs {(n, d)}")
         scenarios.append((idx, sub, _build_spec(sub, seed_override=None)))
-    if args.seed is not None:
-        raise ValueError("--seed cannot override a sweep; put seeds on the sweep axis")
     out = _outdir(args, cfg)
     rows = [_sweep_row(*s) for s in scenarios]
     cols = ["scenario", "n", "d", "algorithm", "seed", "t_eps", "bound_t",
@@ -521,11 +510,9 @@ def cmd_verify(args) -> int:
         print(f"verify: the trace has {len(deltas) - 1} rounds, run's stopping rule gives"
               f" {expected} ({why})", file=sys.stderr)
         return 3
-    trace = RunTrace(spec, positions, deltas, np.empty((0, n)),
-                     Metrics(t_eps=None, converged=False, empirical_rate=0.0, bound_t=None))
     audits = dict(cfg["audits"])
     audits["safeness"] = True  # verify always re-checks safety
-    blob, code = _run_audits(trace, spec, audits)
+    blob, code = _run_audits(positions, spec, audits)
     for name in ("safeness", "matrices", "moreau"):
         if name in blob:
             state = blob[name]
@@ -559,7 +546,6 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the cartesian product of the sweep axes")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_ce = sub.add_parser("counterexample",

@@ -259,36 +259,28 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
                        name=f"bidirectional-intermittent(n={n}, period={period}, seed={seed})")
 
 
-def union_rounds(window: int, horizon: Optional[int] = None) -> int:
-    """Rounds `infinitely_often_union` scans: the whole length-`window` blocks
-    within `horizon` rounds, which defaults to max(100, 10·window)."""
+def union_rounds(window: int) -> int:
+    """Rounds the Moreau check's recurring-edge graph scans: the whole
+    length-`window` blocks within max(100, 10·window) rounds."""
     if window < 1:
         raise ValueError(f"need window >= 1, got {window}")
-    if horizon is None:
-        horizon = max(100, 10 * window)
-    if horizon < window:
-        raise ValueError(f"horizon {horizon} shorter than window {window}")
-    return horizon // window * window
+    return max(100, 10 * window) // window * window
 
 
-def infinitely_often_union(pattern: CommPattern, window: int,
-                           horizon: Optional[int] = None, *,
-                           graphs: Optional[np.ndarray] = None) -> CommGraph:
-    """Edges present at least once in every length-`window` block up to `horizon`.
+def infinitely_often_union(graphs: np.ndarray, window: int) -> CommGraph:
+    """Edges present at least once in every length-`window` block of the
+    (R, n, n) adjacency stack `graphs`, whose entry t - 1 is round t's graph.
 
-    Finite proxy for the set of edges that recur forever: the horizon is scanned
-    in non-overlapping blocks and the per-block edge unions are intersected.
-    `graphs` is an optional (R, n, n) adjacency stack of rounds 1..R of the
-    pattern, R at least `union_rounds(window, horizon)`; without it the rounds
-    are generated.
+    Finite proxy for the set of edges that recur forever: the stack is
+    scanned in non-overlapping blocks, a trailing partial block dropped, and
+    the per-block edge unions are intersected.
     """
-    rounds = union_rounds(window, horizon)
-    n = pattern.n
-    if graphs is None:
-        graphs = np.stack([pattern.graph(t).adj for t in range(1, rounds + 1)])
-    elif graphs.shape[1:] != (n, n) or len(graphs) < rounds:
-        raise ValueError(f"graph stack of shape {graphs.shape} does not cover"
-                         f" {rounds} rounds on {n} nodes")
+    if window < 1:
+        raise ValueError(f"need window >= 1, got {window}")
+    rounds = len(graphs) // window * window
+    if rounds < 1:
+        raise ValueError(f"graph stack of {len(graphs)} rounds is shorter than window {window}")
+    n = graphs.shape[1]
     keep = graphs[:rounds].reshape(rounds // window, window, n, n).any(axis=1).all(axis=0)
     np.fill_diagonal(keep, True)
     return CommGraph(n, keep)

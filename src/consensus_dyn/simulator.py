@@ -18,7 +18,7 @@ import numpy as np
 
 from .algorithms import (
     AlgorithmKind,
-    advance,
+    apply_rule,
     claimed_alpha,
     effective_period,
     format_kind,
@@ -90,7 +90,9 @@ def step(start: np.ndarray, reach: np.ndarray, algorithm: AlgorithmKind, t: int,
     n = len(start)
     if reach.shape != (n, n):
         raise ValueError(f"size mismatch: {n} positions, reach matrix of shape {reach.shape}")
-    return advance(algorithm, start, reach, t, effective_period(algorithm, n), tie_seed)
+    if t % effective_period(algorithm, n):
+        return start
+    return apply_rule(algorithm, start, reach, t, tie_seed)
 
 
 def initial_positions(spec: RunSpec) -> np.ndarray:

@@ -22,7 +22,7 @@ from .graphs import (
     is_strongly_connected,
     union_rounds,
 )
-from .simulator import RANGE_FLOOR, RunTrace
+from .simulator import RANGE_FLOOR
 
 # slack applied when comparing realized margins against a claimed constant
 AUDIT_TOL = 1e-9
@@ -61,17 +61,14 @@ class SafenessReport:
         return not self.violations
 
     def to_json(self) -> dict:
-        def clean(v):
-            return None if not math.isfinite(v) else v
-
+        """Summary fragment: the first 20 violations and no margins, whose
+        per-round detail lives in margins.csv."""
         return {
             "claimed_alpha": self.claimed_alpha,
             "period": self.period,
-            "worst_alpha": clean(self.worst_alpha),
+            "worst_alpha": self.worst_alpha if math.isfinite(self.worst_alpha) else None,
             "passed": self.passed,
-            "violations": [[t, p, k, m] for t, p, k, m in self.violations],
-            "margins": [[[clean(v) for v in agent] for agent in block]
-                        for block in self.margins.tolist()],
+            "violations": [[t, p, k, m] for t, p, k, m in self.violations[:20]],
         }
 
 
@@ -80,20 +77,12 @@ class StochasticMatrixSeq:
     """Row-stochastic matrices equivalent to a recorded run.
 
     ``matrices[t, k]`` maps component-k values of configuration t to
-    configuration t+1 (rounds t+1 = 1..T). ``graphs[t]`` is the adjacency of
-    the round graph the matrices were derived from, a (T, n, n) bool stack (a
-    sequence of CommGraph is converted); the nonzero pattern of
-    ``matrices[t, k]`` is that graph's edge set reversed.
+    configuration t+1 (rounds t+1 = 1..T); its nonzero pattern is round t+1's
+    graph with the edges reversed.
     """
 
     matrices: np.ndarray
-    graphs: np.ndarray
     alpha: float
-
-    def __post_init__(self):
-        if not isinstance(self.graphs, np.ndarray):
-            n = self.matrices.shape[-1]
-            self.graphs = np.array([g.adj for g in self.graphs], dtype=bool).reshape(-1, n, n)
 
 
 @dataclass
@@ -152,13 +141,11 @@ def round_graphs(pattern: CommPattern, rounds: int) -> np.ndarray:
     return out
 
 
-def _graph_stack(pattern: CommPattern, graphs: Optional[np.ndarray], rounds: int) -> np.ndarray:
-    """The first `rounds` entries of a precomputed stack, or a new stack."""
-    if graphs is None:
-        return round_graphs(pattern, rounds)
-    if graphs.shape[1:] != (pattern.n, pattern.n) or len(graphs) < rounds:
+def _graph_stack(graphs: np.ndarray, n: int, rounds: int) -> np.ndarray:
+    """The first `rounds` entries of a round-graph stack on n nodes."""
+    if graphs.shape[1:] != (n, n) or len(graphs) < rounds:
         raise ValueError(f"graph stack of shape {graphs.shape} does not cover"
-                         f" {rounds} rounds on {pattern.n} nodes")
+                         f" {rounds} rounds on {n} nodes")
     return graphs[:rounds]
 
 
@@ -170,31 +157,31 @@ def _chunks(total: int, per_item: int):
         yield start, min(total, start + step)
 
 
-def audit_safeness(trace: RunTrace, pattern: CommPattern, claimed_alpha: float,
-                   period: int = 1, *, graphs: Optional[np.ndarray] = None) -> SafenessReport:
+def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: float,
+                   period: int = 1) -> SafenessReport:
     """Recompute every agent's received extremes from the round graphs and
     measure how far inside them each recorded position lands.
+
+    `positions` is the (T+1, n, d) recorded run and `graphs` a stack from
+    `round_graphs` covering its audited rounds.
 
     With period > 1 the audit works on macro-rounds: extremes are taken over
     the block's graph product, matching algorithms that gather for period
     rounds before moving. Only complete blocks are audited. A margin below
     the claim is a violation when it falls short by more than AUDIT_TOL of
-    the span and by more than ROUNDING_ULPS ulps of the endpoints. `graphs`
-    is an optional precomputed stack from `round_graphs`.
+    the span and by more than ROUNDING_ULPS ulps of the endpoints.
     """
-    positions = np.asarray(trace.positions, dtype=float)
+    positions = np.asarray(positions, dtype=float)
     total, n, d = positions.shape
     total -= 1
     if total < 1:
         raise ValueError("trace records no transitions; nothing to audit")
-    if pattern.n != n:
-        raise ValueError(f"pattern is built for n={pattern.n}, trace has n={n}")
     if period < 1:
         raise ValueError(f"need period >= 1, got {period}")
     blocks = total // period
     if blocks < 1:
         raise ValueError(f"trace has {total} rounds, shorter than one period-{period} block")
-    adj = _graph_stack(pattern, graphs, blocks * period)
+    adj = _graph_stack(graphs, n, blocks * period)
 
     margins = np.full((blocks, n, d), np.nan)
     violations: List[Tuple[int, int, int, float]] = []
@@ -268,9 +255,11 @@ def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> Lis
     return a
 
 
-def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float, *,
-                         graphs: Optional[np.ndarray] = None) -> StochasticMatrixSeq:
-    """Express each recorded round as one row-stochastic matrix per component.
+def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
+                         alpha: float) -> StochasticMatrixSeq:
+    """Express each recorded round of the (T+1, n, d) `positions` as one
+    row-stochastic matrix per component, over the first T entries of the
+    round-graph stack `graphs`.
 
     Row p of matrices[t, k] spreads weight over p's in-neighbors in round
     t+1's graph so that the weighted values reproduce p's new position; every
@@ -278,18 +267,16 @@ def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float, *,
     its safe interval by more than fp slack means the trace was not produced
     by an alpha-safe update and is rejected. The weights are the closed form
     of `decompose_safe_value`, taken for every (round, component, agent) at
-    once; `graphs` is an optional precomputed stack from `round_graphs`.
+    once.
     """
-    positions = np.asarray(trace.positions, dtype=float)
+    positions = np.asarray(positions, dtype=float)
     total, n, d = positions.shape
     total -= 1
     if total < 1:
         raise ValueError("trace records no transitions; nothing to reconstruct")
-    if pattern.n != n:
-        raise ValueError(f"pattern is built for n={pattern.n}, trace has n={n}")
     scale = max(1.0, float(np.abs(positions).max()))
     tol = 1e-9 * scale
-    adj = _graph_stack(pattern, graphs, total)
+    adj = _graph_stack(graphs, n, total)
     matrices = np.zeros((total, d, n, n))
     for t0, t1 in _chunks(total, n * n * d):
         heard = adj[t0:t1].transpose(0, 2, 1)[:, None]  # (round, 1, p, q)
@@ -336,19 +323,21 @@ def reconstruct_matrices(trace: RunTrace, pattern: CommPattern, alpha: float, *,
         np.put_along_axis(block, np.take_along_axis(order, last, axis=-1), w_max[..., None],
                           axis=-1)
         matrices[t0:t1] = block
-    return StochasticMatrixSeq(matrices=matrices, graphs=adj, alpha=alpha)
+    return StochasticMatrixSeq(matrices=matrices, alpha=alpha)
 
 
-def check_moreau_assumptions(seq: StochasticMatrixSeq, pattern: CommPattern,
-                             window: Optional[int] = None, *,
-                             graphs: Optional[np.ndarray] = None) -> MoreauReport:
+def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
+                             window: int) -> MoreauReport:
     """Check the four assumptions that guarantee consensus for products of
     stochastic matrices: positive diagonals (A1), positive entries bounded
     below by a (A2), bidirectional round graphs (A3), and strong connectivity
-    of the edges that recur in every window (A4). Witnesses are the first in
-    (round, component, row, column) order. `graphs` is an optional
-    precomputed stack from `round_graphs` covering the A4 horizon."""
+    of the edges that recur in every `window` rounds (A4). Witnesses are the
+    first in (round, component, row, column) order. `graphs` is the stack of
+    round graphs from `round_graphs`: A3 reads its first T entries, A4 its
+    first `union_rounds(window)`."""
     T, d, n, _ = seq.matrices.shape
+    horizon = union_rounds(window)
+    graphs = _graph_stack(graphs, n, max(T, horizon))
     a = seq.alpha / n
     a1_w = a2_w = a3_w = a4_w = None
     for t0, t1 in _chunks(T, n * n * d):
@@ -364,13 +353,11 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, pattern: CommPattern,
                 t, k, p, q = hit[0].tolist()
                 a2_w = (t0 + t + 1, k, p, q, float(A[t, k, p, q]))
         if a3_w is None:
-            adj = seq.graphs[t0:t1]
+            adj = graphs[t0:t1]
             hit = np.flatnonzero((adj != adj.transpose(0, 2, 1)).any(axis=(1, 2)))
             if len(hit):
                 a3_w = t0 + int(hit[0]) + 1
-    if window is None:
-        window = moreau_window(pattern)
-    recurring = infinitely_often_union(pattern, window, graphs=graphs)
+    recurring = infinitely_often_union(graphs[:horizon], window)
     a4 = is_strongly_connected(recurring)
     if not a4:
         a4_w = f"recurring-edge graph over window {window} is not strongly connected"

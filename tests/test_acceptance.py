@@ -30,11 +30,14 @@ from consensus_dyn.simulator import (
     theorem_bound,
 )
 from consensus_dyn.verification import (
+    audit_rounds,
     audit_safeness,
     brute_force_consensus_1d,
     check_moreau_assumptions,
     decompose_safe_value,
+    moreau_window,
     reconstruct_matrices,
+    round_graphs,
 )
 
 
@@ -81,7 +84,8 @@ def test_02_extreme_point_safeness():
         spec = RunSpec(n=n, d=d, algorithm=AlgorithmKind("extreme-point"),
                        pattern=pattern, epsilon=1e-3, max_rounds=500, seed=seed)
         trace = run(spec)
-        report = audit_safeness(trace, pattern, 1.0 / (2 * d))
+        graphs = round_graphs(pattern, len(trace.positions) - 1)
+        report = audit_safeness(trace.positions, graphs, 1.0 / (2 * d))
         violations += len(report.violations)
         if math.isfinite(report.worst_alpha):
             worst_gap = min(worst_gap, report.worst_alpha - 1.0 / (2 * d))
@@ -350,8 +354,9 @@ def test_10_decomposition_and_matrix_assumptions():
                    max_rounds=5000, seed=3)
     trace = run(spec)
     alpha = claimed_alpha(kind, n, d)
-    seq = reconstruct_matrices(trace, pattern, alpha)
-    report = check_moreau_assumptions(seq, pattern)
+    graphs = round_graphs(pattern, audit_rounds(pattern, len(trace.positions) - 1, moreau=True))
+    seq = reconstruct_matrices(trace.positions, graphs, alpha)
+    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assumptions_ok = report.holds and abs(report.a - alpha / n) < 1e-15
     elapsed = time.monotonic() - t0
     passed = bad == 0 and worst_sum <= 1e-12 and assumptions_ok and elapsed < 60

@@ -5,7 +5,7 @@ from consensus_dyn import geometry
 from consensus_dyn.algorithms import (
     AlgorithmKind,
     _extreme_points,
-    advance,
+    apply_rule,
     centroid_update,
     claimed_alpha,
     component_midpoint_update,
@@ -30,7 +30,7 @@ def _rounds(kind, x0, pattern, rounds, period):
     for t in range(1, rounds + 1):
         adj = pattern.graph(t).adj
         reach = adj if (t - 1) % period == 0 else reach @ adj
-        start, x = x, advance(kind, x, reach, t, period)
+        start, x = x, x if t % period else apply_rule(kind, x, reach, t)
         yield t, start, reach, x
 
 
@@ -228,17 +228,6 @@ def test_claimed_alpha():
     assert claimed_alpha(AlgorithmKind("extreme-point"), n=4, d=3) == 1 / 6
     assert claimed_alpha(AlgorithmKind("centroid"), n=4, d=3) == 0.25
     assert claimed_alpha(AlgorithmKind("equal-neighbor"), n=4, d=1) == 0.25
-
-
-def test_advance_rejects_bad_period():
-    x = np.zeros((2, 1))
-    adj = np.ones((2, 2), dtype=bool)
-    kind = AlgorithmKind("midpoint", amortized=True)
-    with pytest.raises(ValueError):
-        advance(kind, x, adj, 1, 0)
-    kind = AlgorithmKind("equal-neighbor")
-    with pytest.raises(ValueError):
-        advance(kind, x, adj, 1, 2)
 
 
 def _grid(n, d):

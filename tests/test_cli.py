@@ -212,6 +212,44 @@ def test_sweep_bound_column_tracks_dimension(tmp_path):
     ]
 
 
+
+@pytest.mark.parametrize("pattern, algorithms", [
+    # live margins per round; the amortized period-4 block outlasts max_rounds
+    ({"family": "random-rooted", "seed": 3}, ["midpoint", "midpoint+amortized"]),
+    # every agent hears only itself: every constraint is vacuous
+    ({"family": "self-loops"}, ["midpoint"]),
+])
+def test_sweep_worst_alpha_matches_run_summary(tmp_path, pattern, algorithms):
+    cfg = {"n": 5, "d": 1, "algorithm": "midpoint", "pattern": pattern,
+           "epsilon": 1e-9, "max_rounds": 3, "audits": {"safeness": True},
+           "sweep": {"algorithm": algorithms, "seed": [0, 1]}}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rows = _read_rows(out / "sweep.csv")
+    assert len(rows) == 2 * len(algorithms)
+    for row in rows:
+        scenario = {k: v for k, v in cfg.items() if k != "sweep"}
+        scenario.update(algorithm=row["algorithm"], seed=int(row["seed"]))
+        run_out = tmp_path / f"run{row['scenario']}"
+        path = _write(tmp_path, scenario, f"scenario{row['scenario']}.json")
+        assert main(["run", "--config", path, "--out", str(run_out)]) == 0
+        safeness = json.loads((run_out / "summary.json").read_text())["audits"]["safeness"]
+        worst = safeness.get("worst_alpha")
+        assert row["worst_alpha"] == ("" if worst is None else repr(worst))
+        live = pattern["family"] != "self-loops" and row["algorithm"] == "midpoint"
+        assert (row["worst_alpha"] != "") == live
+        assert ("skipped" in safeness) == row["algorithm"].endswith("amortized")
+
+
+def test_sweep_rejects_seed_option(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", _write(tmp_path, _minimal(sweep={"seed": [0, 1]})),
+              "--out", str(out), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
 def test_sweep_requires_axes(tmp_path):
     cfg = _minimal()
     assert main(["sweep", "--config", _write(tmp_path, cfg),

@@ -423,7 +423,7 @@ def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
     adj[[0, 1, 2], 0] = adj[[0, 1, 2], 1] = True  # agents 0 and 1 both hear 0, 1, 2
     adj[3, 2] = adj[0, 3] = True
     kind = algorithms.parse_kind("centroid")
-    new_x = algorithms.advance(kind, x, adj, t=1, period=1)
+    new_x = algorithms.apply_rule(kind, x, adj, t=1)
     # one hull per distinct stack: 3 stacks, not 4
     assert len(calls) == 3
     alone = centroid(real(x[:3])).centroid

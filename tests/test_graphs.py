@@ -9,8 +9,6 @@ from consensus_dyn.graphs import (
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
-    custom_pattern,
-    fixed,
     graph_from_json,
     graph_product,
     graph_to_json,
@@ -199,31 +197,31 @@ def test_is_strongly_connected():
 
 def test_infinitely_often_union_fixed():
     g = CommGraph.from_edges(4, [(0, 1), (2, 3)])
-    pattern = fixed(g)
-    assert infinitely_often_union(pattern, 1) == g
-    assert infinitely_often_union(pattern, 7) == g
+    stack = np.stack([g.adj] * 100)
+    assert infinitely_often_union(stack, 1) == g
+    assert infinitely_often_union(stack, 7) == g
 
 
 def test_infinitely_often_union_alternating():
     a = CommGraph.from_edges(3, [(0, 1), (1, 0)])
     b = CommGraph.from_edges(3, [(1, 2), (2, 1)])
-    pattern = custom_pattern(3, lambda t: a if t % 2 == 1 else b)
+    stack = np.stack([a.adj, b.adj] * 50)
     expected = CommGraph.from_edges(3, [(0, 1), (1, 0), (1, 2), (2, 1)])
-    assert infinitely_often_union(pattern, 2) == expected
+    assert infinitely_often_union(stack, 2) == expected
 
 
 def test_infinitely_often_union_drops_transient_edge():
     base = self_loops_only(2)
     once = CommGraph.from_edges(2, [(0, 1)])
-    pattern = custom_pattern(2, lambda t: once if t == 1 else base)
-    assert infinitely_often_union(pattern, 2, horizon=4) == base
+    stack = np.stack([once.adj, base.adj, base.adj, base.adj])
+    assert infinitely_often_union(stack, 2) == base
 
 
 def test_infinitely_often_union_validates_window():
     with pytest.raises(ValueError):
-        infinitely_often_union(fixed(self_loops_only(2)), 0)
+        infinitely_often_union(np.stack([np.eye(2, dtype=bool)] * 100), 0)
     with pytest.raises(ValueError):
-        infinitely_often_union(fixed(self_loops_only(2)), 4, horizon=3)
+        infinitely_often_union(np.stack([np.eye(2, dtype=bool)] * 3), 4)
 
 
 def test_random_rooted_generator():

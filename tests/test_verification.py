@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,7 @@ from consensus_dyn.verification import (
     brute_force_consensus_1d,
     check_moreau_assumptions,
     decompose_safe_value,
+    moreau_window,
     reconstruct_matrices,
     round_graphs,
 )
@@ -49,6 +52,16 @@ def _run(n, d, tag, pattern, *, initial=None, epsilon=1e-4, seed=0, amortized=Fa
     return run(spec)
 
 
+def _stack(pattern, rounds):
+    # the round graphs one audit pass over `rounds` rounds reads, the Moreau
+    # check's horizon included
+    return round_graphs(pattern, audit_rounds(pattern, rounds, moreau=True))
+
+
+def _graphs_of(trace, pattern):
+    return _stack(pattern, len(trace.positions) - 1)
+
+
 # ---------------------------------------------------------------------------
 # audit_safeness
 
@@ -56,7 +69,7 @@ def _run(n, d, tag, pattern, *, initial=None, epsilon=1e-4, seed=0, amortized=Fa
 def test_audit_midpoint_complete_graph_is_exactly_half():
     trace = _run(3, 1, "midpoint", fixed(complete_graph(3)),
                  initial=np.array([[0.0], [1.0], [2.0]]))
-    report = audit_safeness(trace, fixed(complete_graph(3)), 0.5)
+    report = audit_safeness(trace.positions, _graphs_of(trace, fixed(complete_graph(3))), 0.5)
     assert report.worst_alpha == 0.5
     assert report.violations == []
 
@@ -64,7 +77,7 @@ def test_audit_midpoint_complete_graph_is_exactly_half():
 def test_audit_centroid_d3():
     pattern = random_nonsplit(5, seed=11)
     trace = _run(5, 3, "centroid", pattern, epsilon=1e-3, seed=4)
-    report = audit_safeness(trace, pattern, 0.25)
+    report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.25)
     assert report.worst_alpha >= 0.25 - 1e-9
     assert report.violations == []
 
@@ -72,7 +85,7 @@ def test_audit_centroid_d3():
 def test_audit_extreme_point_d2():
     pattern = random_nonsplit(6, seed=12)
     trace = _run(6, 2, "extreme-point", pattern, epsilon=1e-3, seed=5)
-    report = audit_safeness(trace, pattern, 0.25)
+    report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.25)
     assert report.worst_alpha >= 0.25 - 1e-9
     assert report.violations == []
 
@@ -81,7 +94,7 @@ def test_audit_vacuous_when_nothing_moves():
     pattern = fixed(self_loops_only(3))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
-    report = audit_safeness(trace, pattern, 0.5)
+    report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.5)
     assert math.isinf(report.worst_alpha)
     assert report.violations == []
     assert np.isnan(report.margins).all()
@@ -90,11 +103,12 @@ def test_audit_vacuous_when_nothing_moves():
 def test_audit_amortized_macro_blocks():
     pattern = adversarial_rotating_star(4)
     trace = _run(4, 1, "midpoint", pattern, amortized=True, epsilon=1e-6, seed=2)
-    report = audit_safeness(trace, pattern, 0.5, period=3)
+    graphs = _graphs_of(trace, pattern)
+    report = audit_safeness(trace.positions, graphs, 0.5, period=3)
     assert report.worst_alpha >= 0.5 - 1e-9
     assert report.violations == []
     # per-round auditing of the same trace sees the frozen gathering rounds
-    per_round = audit_safeness(trace, pattern, 0.5)
+    per_round = audit_safeness(trace.positions, graphs, 0.5)
     assert per_round.worst_alpha < 0.5 - 1e-9
     assert per_round.violations
     t, p, k, margin = per_round.violations[0]
@@ -105,24 +119,42 @@ def test_audit_amortized_macro_blocks():
 def test_audit_validation():
     pattern = fixed(complete_graph(3))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
+    graphs = _graphs_of(trace, pattern)
     with pytest.raises(ValueError):
-        audit_safeness(trace, fixed(complete_graph(4)), 0.5)
+        audit_safeness(trace.positions, _graphs_of(trace, fixed(complete_graph(4))), 0.5)
     with pytest.raises(ValueError):
-        audit_safeness(trace, pattern, 0.5, period=0)
+        audit_safeness(trace.positions, graphs, 0.5, period=0)
     flat = _run(3, 1, "midpoint", pattern, initial=np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        audit_safeness(flat, pattern, 0.5)  # no transitions recorded
+        audit_safeness(flat.positions, graphs, 0.5)  # no transitions recorded
 
 
 def test_safeness_report_json():
     pattern = fixed(complete_graph(3))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
-    report = audit_safeness(trace, pattern, 0.5)
+    report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.5)
     blob = json.dumps(report.to_json())
     parsed = json.loads(blob)
     assert parsed["worst_alpha"] == 0.5
     assert parsed["claimed_alpha"] == 0.5
     assert parsed["violations"] == []
+
+
+def test_safeness_report_json_is_the_summary_fragment():
+    # every agent holds its value on the complete graph: agents 0 and 2 sit on
+    # the ends of the received range, two violations a round for 15 rounds
+    graphs = _stack(fixed(complete_graph(3)), 15)
+    forged = np.tile(np.array([[0.0], [1.0], [2.0]]), (16, 1, 1))
+    report = audit_safeness(forged, graphs, 0.5)
+    assert len(report.violations) == 30
+    blob = report.to_json()
+    assert list(blob) == ["claimed_alpha", "period", "worst_alpha", "passed", "violations"]
+    assert blob["violations"] == [list(v) for v in report.violations[:20]]
+    assert blob["worst_alpha"] == 0.0 and blob["passed"] is False
+    # nobody hears anybody else: every constraint is vacuous
+    vacuous = audit_safeness(forged, _stack(fixed(self_loops_only(3)), 15), 0.5)
+    assert math.isinf(vacuous.worst_alpha)
+    assert json.loads(json.dumps(vacuous.to_json()))["worst_alpha"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +217,7 @@ def test_reconstruct_self_loops_identity():
     pattern = fixed(self_loops_only(3))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
-    seq = reconstruct_matrices(trace, pattern, 0.5)
+    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
     assert seq.matrices.shape[2:] == (3, 3)
     for t in range(seq.matrices.shape[0]):
         assert np.array_equal(seq.matrices[t, 0], np.eye(3))
@@ -194,7 +226,7 @@ def test_reconstruct_self_loops_identity():
 def test_reconstruct_midpoint_complete_graph_row():
     pattern = fixed(complete_graph(3))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
-    seq = reconstruct_matrices(trace, pattern, 0.5)
+    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
     # x_p = 1 decomposes over (0,1,2) as alpha/3 plus the two-point split
     row = seq.matrices[0, 0, 0]
     assert np.allclose(row, [5 / 12, 1 / 6, 5 / 12], atol=1e-12)
@@ -204,7 +236,7 @@ def test_reconstruct_midpoint_complete_graph_row():
 def test_reconstruct_invariants():
     pattern = random_nonsplit(5, seed=3)
     trace = _run(5, 2, "centroid", pattern, epsilon=1e-3, seed=9)
-    seq = reconstruct_matrices(trace, pattern, 1 / 3)
+    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
     T = seq.matrices.shape[0]
     assert T == len(trace.positions) - 1
     scale = float(np.abs(trace.positions).max())
@@ -225,7 +257,7 @@ def test_reconstruct_invariants():
 def test_reconstruct_component_matrices_differ_for_centroid():
     pattern = random_nonsplit(5, seed=3)
     trace = _run(5, 2, "centroid", pattern, epsilon=1e-3, seed=9)
-    seq = reconstruct_matrices(trace, pattern, 1 / 3)
+    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
     diffs = [not np.allclose(seq.matrices[t, 0], seq.matrices[t, 1], atol=1e-12)
              for t in range(seq.matrices.shape[0])]
     assert any(diffs)
@@ -236,9 +268,8 @@ def test_reconstruct_rejects_unsafe_trace():
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
     bad = trace.positions.copy()
     bad[1, 0, 0] = 2.5  # outside the received interval [0, 2]
-    tampered = RunTrace(trace.spec, bad, trace.deltas, trace.margins, trace.metrics)
     with pytest.raises(SafenessViolationError):
-        reconstruct_matrices(tampered, pattern, 0.5)
+        reconstruct_matrices(bad, _graphs_of(trace, pattern), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +280,9 @@ def test_moreau_identity_matrices():
     pattern = fixed(self_loops_only(3))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
-    seq = reconstruct_matrices(trace, pattern, 0.5)
-    report = check_moreau_assumptions(seq, pattern)
+    graphs = _graphs_of(trace, pattern)
+    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
+    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assert report.a1 and report.a2 and report.a3
     assert not report.a4
     assert not report.holds
@@ -261,8 +293,9 @@ def test_moreau_midpoint_bidirectional_intermittent():
     n = 4
     pattern = bidirectional_intermittent(n, period=3, seed=7)
     trace = _run(n, 1, "midpoint", pattern, epsilon=1e-6, seed=1)
-    seq = reconstruct_matrices(trace, pattern, 0.5)
-    report = check_moreau_assumptions(seq, pattern)
+    graphs = _graphs_of(trace, pattern)
+    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
+    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assert report.a == pytest.approx(1 / (2 * n))
     assert report.a1 and report.a2 and report.a3 and report.a4
     assert report.holds
@@ -274,8 +307,8 @@ def test_moreau_midpoint_bidirectional_intermittent():
 def test_moreau_zero_diagonal_witness():
     g = complete_graph(2)
     A = np.array([[[0.0, 1.0], [0.5, 0.5]]])  # agent 0 ignores itself
-    seq = StochasticMatrixSeq(matrices=A[np.newaxis], graphs=[g], alpha=0.5)
-    report = check_moreau_assumptions(seq, fixed(g))
+    seq = StochasticMatrixSeq(matrices=A[np.newaxis], alpha=0.5)
+    report = check_moreau_assumptions(seq, _stack(fixed(g), 1), moreau_window(fixed(g)))
     assert not report.a1
     assert report.a1_witness == (1, 0, 0)
 
@@ -285,8 +318,9 @@ def test_moreau_non_bidirectional_witness():
     pattern = fixed(g)
     trace = _run(2, 1, "equal-neighbor", pattern,
                  initial=np.array([[0.0], [1.0]]), epsilon=1e-3)
-    seq = reconstruct_matrices(trace, pattern, 0.5)
-    report = check_moreau_assumptions(seq, pattern)
+    graphs = _graphs_of(trace, pattern)
+    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
+    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assert not report.a3
     assert report.a3_witness == 1
 
@@ -579,18 +613,17 @@ _CHUNKS = st.sampled_from([1, 200, verification.CHUNK_ELEMS])
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(case=_audit_cases(), use_stack=st.booleans(), chunk=_CHUNKS)
-def test_array_audits_match_per_agent_loops_bit_for_bit(case, use_stack, chunk):
+@given(case=_audit_cases(), chunk=_CHUNKS)
+def test_array_audits_match_per_agent_loops_bit_for_bit(case, chunk):
     with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
-        _compare_audits(*case, use_stack)
+        _compare_audits(*case)
 
 
-def _compare_audits(trace, pattern, alpha, period, use_stack):
-    total = len(trace.positions) - 1
-    stack = round_graphs(pattern, audit_rounds(pattern, total, moreau=True)) if use_stack else None
+def _compare_audits(trace, pattern, alpha, period):
+    stack = _graphs_of(trace, pattern)
 
     for p in sorted({1, period}):
-        kind, new = _outcome(audit_safeness, trace, pattern, alpha, p, graphs=stack)
+        kind, new = _outcome(audit_safeness, trace.positions, stack, alpha, p)
         ref_kind, ref = _outcome(_ref_audit_safeness, trace, pattern, alpha, p)
         assert kind == ref_kind
         if kind == "raised":
@@ -602,7 +635,7 @@ def _compare_audits(trace, pattern, alpha, period, use_stack):
         assert new.violations == violations
         assert all(tuple(map(type, v)) == (int, int, int, float) for v in new.violations)
 
-    kind, seq = _outcome(reconstruct_matrices, trace, pattern, alpha, graphs=stack)
+    kind, seq = _outcome(reconstruct_matrices, trace.positions, stack, alpha)
     ref_kind, ref = _outcome(_ref_reconstruct_matrices, trace, pattern, alpha)
     assert kind == ref_kind
     if kind == "raised":
@@ -610,8 +643,7 @@ def _compare_audits(trace, pattern, alpha, period, use_stack):
         return
     matrices, graphs = ref
     assert _same_bits(seq.matrices, matrices)
-    assert np.array_equal(seq.graphs, np.array([g.adj for g in graphs]))
-    report = check_moreau_assumptions(seq, pattern, graphs=stack)
+    report = check_moreau_assumptions(seq, stack, moreau_window(pattern))
     assert report == _ref_moreau(matrices, graphs, pattern, alpha)
 
 
@@ -627,11 +659,11 @@ def test_array_audits_match_per_agent_loops_on_rounding_shortfalls(chunk):
         trace = run(RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-12,
                             max_rounds=2000, seed=seed))
         alpha = claimed_alpha(kind, n, d)
-        report = audit_safeness(trace, pattern, alpha)
+        report = audit_safeness(trace.positions, _graphs_of(trace, pattern), alpha)
         assert not report.violations
         assert (report.margins < alpha - AUDIT_TOL).any()  # forgiven shortfalls
         with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
-            _compare_audits(trace, pattern, alpha, 1, use_stack=True)
+            _compare_audits(trace, pattern, alpha, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -649,9 +681,10 @@ def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
     adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
     graphs = [CommGraph(n, a) for a in adj]
     pattern = custom_pattern(n, lambda t: graphs[(t - 1) % T])
-    seq = StochasticMatrixSeq(matrices=matrices, graphs=graphs, alpha=0.5)
+    seq = StochasticMatrixSeq(matrices=matrices, alpha=0.5)
+    stack = _stack(pattern, T)
     with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
-        report = check_moreau_assumptions(seq, pattern)
+        report = check_moreau_assumptions(seq, stack, moreau_window(pattern))
     assert report == _ref_moreau(matrices, graphs, pattern, 0.5)
 
 
@@ -663,9 +696,10 @@ def test_reconstruct_raises_for_first_bad_cell_in_round_agent_component_order():
     bad[2, 2, 0] = 9.0  # a later agent in the first bad round
     bad[2, 1, 1] = -9.0  # reported: first (round, agent, component)
     trace = RunTrace(None, bad, np.empty((0, 2)), np.empty((0, 3)), None)
+    stack = _graphs_of(trace, pattern)
     with pytest.raises(SafenessViolationError, match=r"^round 2, agent 1, component 1: value -9\.0"):
-        reconstruct_matrices(trace, pattern, 0.5)
-    assert _outcome(reconstruct_matrices, trace, pattern, 0.5) == \
+        reconstruct_matrices(bad, stack, 0.5)
+    assert _outcome(reconstruct_matrices, bad, stack, 0.5) == \
         _outcome(_ref_reconstruct_matrices, trace, pattern, 0.5)
 
 
@@ -676,15 +710,30 @@ def test_audit_safeness_temporaries_stay_chunked():
     rng = np.random.default_rng(3)
     positions = rng.uniform(0.0, 1.0, (rounds + 1, n, d))
     stack = (rng.random((rounds, n, n)) < 0.3) | np.eye(n, dtype=bool)
-    pattern = custom_pattern(n, lambda t: CommGraph(n, stack[t - 1]))
-    trace = RunTrace(None, positions, np.empty((0, d)), np.empty((0, n)), None)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         # a claim of -inf flags nothing, so no violation list grows with T
-        report = audit_safeness(trace, pattern, -math.inf, graphs=stack)
+        report = audit_safeness(positions, stack, -math.inf)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert report.margins.shape == (rounds, n, d) and not report.violations
     assert peak <= 2 * report.margins.nbytes, (peak, report.margins.nbytes)
+
+
+def test_verification_imports_nothing_of_the_engine_but_constants():
+    # the audits re-derive everything from positions and round graphs; from
+    # the engine they may take the collapse floor and the rule's name only
+    allowed = {"simulator": {"RANGE_FLOOR"}, "algorithms": {"AlgorithmKind"}}
+    tree = ast.parse(Path(verification.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            names = {a.name for a in node.names}
+            if module in allowed:
+                assert names <= allowed[module], (module, names - allowed[module])
+            else:  # no `from . import simulator`
+                assert not names & set(allowed), names
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.rsplit(".", 1)[-1] in allowed for a in node.names)
