@@ -5,7 +5,8 @@ also a trace row that is repeated, has a negative index, or has another field
 count than the header), 3 audit violation (for verify also a round 0 that is
 not the configured start, motion inside an amortized block, a trace whose
 round count differs from what run's stopping rule gives, or a summary.json
-whose rounds, t_eps, converged, delta0 or delta_final differ from the trace's).
+with a field other than audits that differs from what run derives from the
+config and the trace).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
@@ -37,17 +38,17 @@ from .graphs import (
 )
 from .simulator import (
     RunSpec,
+    delta_components,
     initial_positions,
+    measure_run,
     read_trace_csv,
     run,
-    within_epsilon,
     write_deltas_csv,
     write_margins_csv,
     write_trace_csv,
 )
 from .verification import (
     SafenessViolationError,
-    audit_rounds,
     audit_safeness,
     check_moreau_assumptions,
     moreau_window,
@@ -246,21 +247,30 @@ def _build_spec(cfg: dict, seed_override=None) -> RunSpec:
 # audits shared by run and verify
 
 
+def _check_audits_apply(spec: RunSpec, audits: dict) -> None:
+    """Reject, before any work, matrix audits of a rule that holds positions
+    still inside its blocks."""
+    _require(not (audits["matrices"] or audits["moreau"])
+             or effective_period(spec.algorithm, spec.n) == 1,
+             "matrix reconstruction audits apply to per-round runs only;"
+             " amortized rules hold positions still during gathering rounds")
+
+
 def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, int):
-    """Audits of the (T+1, n, d) `positions` of `spec`'s run; returns
-    (summary fragment, exit code)."""
+    """Audits of the (T+1, n, d) `positions` of `spec`'s run over its T round
+    graphs; returns (summary fragment, exit code). Matrix audits need a
+    per-round rule (`_check_audits_apply`)."""
     out = {}
     code = 0
     period = effective_period(spec.algorithm, spec.n)
     alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
     rounds = len(positions) - 1
     safeness = audits["safeness"] and rounds >= period
-    matrices = (audits["matrices"] or audits["moreau"]) and period == 1
+    matrices = audits["matrices"] or audits["moreau"]
     graphs = None
     if safeness or matrices:
-        # one adjacency stack of the round graphs serves every audit below
-        graphs = round_graphs(spec.pattern, audit_rounds(spec.pattern, rounds,
-                                                         moreau=matrices and audits["moreau"]))
+        # one adjacency stack of the run's round graphs serves every audit below
+        graphs = round_graphs(spec.pattern, rounds)
     if audits["safeness"]:
         if not safeness:
             out["safeness"] = {"skipped": f"trace has {rounds} rounds, shorter than one period-{period} block"}
@@ -269,10 +279,7 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, in
             out["safeness"] = report.to_json()
             if report.violations:
                 code = 3
-    if audits["matrices"] or audits["moreau"]:
-        if period != 1:
-            raise ValueError("matrix reconstruction audits apply to per-round runs only;"
-                             " amortized rules hold positions still during gathering rounds")
+    if matrices:
         try:
             seq = reconstruct_matrices(positions, graphs, alpha)
         except SafenessViolationError as e:
@@ -290,8 +297,9 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, in
     return out, code
 
 
-def _summary(cfg: dict, spec: RunSpec, trace) -> dict:
-    m = trace.metrics
+def _summary(spec: RunSpec, deltas: np.ndarray, metrics) -> dict:
+    """The summary.json fields other than audits, from the spec, the run's
+    (T+1, d) range history and its metrics."""
     return {
         "n": spec.n, "d": spec.d,
         "algorithm": format_kind(spec.algorithm),
@@ -299,13 +307,13 @@ def _summary(cfg: dict, spec: RunSpec, trace) -> dict:
         "epsilon": spec.epsilon,
         "seed": spec.seed,
         "max_rounds": spec.max_rounds,
-        "rounds": len(trace.positions) - 1,
-        "t_eps": m.t_eps,
-        "converged": m.converged,
-        "empirical_rate": m.empirical_rate,
-        "bound_t": m.bound_t,
-        "delta0": [float(v) for v in trace.deltas[0]],
-        "delta_final": [float(v) for v in trace.deltas[-1]],
+        "rounds": len(deltas) - 1,
+        "t_eps": metrics.t_eps,
+        "converged": metrics.converged,
+        "empirical_rate": metrics.empirical_rate,
+        "bound_t": metrics.bound_t,
+        "delta0": [float(v) for v in deltas[0]],
+        "delta_final": [float(v) for v in deltas[-1]],
     }
 
 
@@ -319,12 +327,13 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     _require("sweep" not in cfg, "config defines sweep axes; use the sweep subcommand")
     spec = _build_spec(cfg, seed_override=args.seed)
+    _check_audits_apply(spec, cfg["audits"])
     out = _outdir(args, cfg)
     trace = run(spec)
     write_trace_csv(trace, out / "trace.csv")
     write_deltas_csv(trace, out / "deltas.csv")
     write_margins_csv(trace, out / "margins.csv")
-    summary = _summary(cfg, spec, trace)
+    summary = _summary(spec, trace.deltas, trace.metrics)
     audit_blob, code = _run_audits(trace.positions, spec, cfg["audits"])
     if audit_blob:
         summary["audits"] = audit_blob
@@ -412,8 +421,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    _, positions = read_trace_csv(args.trace)
-    deltas = positions.max(axis=1) - positions.min(axis=1)
+    deltas = delta_components(read_trace_csv(args.trace))
     rows = []
     for t in range(len(deltas)):
         for k in range(deltas.shape[1]):
@@ -443,24 +451,12 @@ def cmd_plotdata(args) -> int:
     return 0
 
 
-def _stopping_round(deltas: np.ndarray, spec: RunSpec):
-    """(t_eps, rounds) that run's stopping rule gives for the range history
-    `deltas`: the first round within epsilon, else max_rounds; 0 for a
-    configuration already in exact consensus at round 0."""
-    if not deltas[0].any():
-        return 0, 0
-    hit = np.flatnonzero(within_epsilon(deltas[1:spec.max_rounds + 1], deltas[0], spec.epsilon))
-    t_eps = int(hit[0]) + 1 if len(hit) else None
-    return t_eps, spec.max_rounds if t_eps is None else t_eps
-
-
-def _check_summary(stored: dict, deltas: np.ndarray, t_eps) -> int:
-    """Exit code of comparing summary.json with what run derives from the
-    trace; names the first field that differs on stderr."""
+def _check_summary(stored, expected: dict) -> int:
+    """Exit code of comparing summary.json with the fields run derives from
+    the config and the trace, every one but audits; names the first that
+    differs on stderr."""
     _require(isinstance(stored, dict), "summary.json must be a JSON object")
-    recomputed = {"rounds": len(deltas) - 1, "t_eps": t_eps, "converged": t_eps is not None,
-                  "delta0": deltas[0].tolist(), "delta_final": deltas[-1].tolist()}
-    for field, value in recomputed.items():
+    for field, value in expected.items():
         # compared as JSON text, so that 1 does not pass for true or 1.0
         if field not in stored or json.dumps(stored[field]) != json.dumps(value):
             print(f"verify: summary.json gives {field} = {json.dumps(stored.get(field))},"
@@ -472,8 +468,9 @@ def _check_summary(stored: dict, deltas: np.ndarray, t_eps) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     spec = _build_spec(cfg, seed_override=args.seed)
+    _check_audits_apply(spec, cfg["audits"])
     out = Path(args.out or cfg.get("output") or ".")
-    _, positions = read_trace_csv(out / "trace.csv")
+    positions = read_trace_csv(out / "trace.csv")
     n, d = positions.shape[1], positions.shape[2]
     _require((n, d) == (spec.n, spec.d),
              f"stored trace is for n={n}, d={d}; config says n={spec.n}, d={spec.d}")
@@ -499,10 +496,12 @@ def cmd_verify(args) -> int:
                   f" in round {t - t % period}, where the period-{period} block starts",
                   file=sys.stderr)
             return 3
-    deltas = positions.max(axis=1) - positions.min(axis=1)
+    deltas = delta_components(positions)
     # A trace cut short (or run on) passes every margin, so its length must
     # be the one run's stopping rule gives.
-    t_eps, expected = _stopping_round(deltas, spec)
+    metrics = measure_run(spec, deltas)
+    t_eps = metrics.t_eps
+    expected = spec.max_rounds if t_eps is None else t_eps
     if len(deltas) - 1 != expected:
         why = ("exact consensus at round 0" if t_eps == 0
                else "the first round within epsilon" if t_eps is not None
@@ -524,7 +523,8 @@ def cmd_verify(args) -> int:
                 print(f"{name}: FAILED {json.dumps(state)[:200]}")
     summary = out / "summary.json"
     if summary.exists():
-        code = max(code, _check_summary(json.loads(summary.read_text()), deltas, t_eps))
+        code = max(code, _check_summary(json.loads(summary.read_text()),
+                                        _summary(spec, deltas, metrics)))
     return code
 
 

@@ -137,7 +137,6 @@ class CommPattern:
     n: int
     kind: NetworkModelKind
     graph_fn: Callable[[int], CommGraph]
-    seed: Optional[int] = None
     period: Optional[int] = None
     name: str = "pattern"
 
@@ -193,7 +192,7 @@ def random_rooted(n: int, seed: int) -> CommPattern:
         np.fill_diagonal(adj, True)
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.ROOTED, make, seed=seed,
+    return CommPattern(n, NetworkModelKind.ROOTED, make,
                        name=f"random-rooted(n={n}, seed={seed})")
 
 
@@ -211,7 +210,7 @@ def random_nonsplit(n: int, seed: int) -> CommPattern:
         np.fill_diagonal(adj, True)
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.NONSPLIT, make, seed=seed,
+    return CommPattern(n, NetworkModelKind.NONSPLIT, make,
                        name=f"random-nonsplit(n={n}, seed={seed})")
 
 
@@ -254,17 +253,9 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
         adj |= extra.T
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.BIDIRECTIONAL_INTERMITTENT, make, seed=seed,
+    return CommPattern(n, NetworkModelKind.BIDIRECTIONAL_INTERMITTENT, make,
                        period=period,
                        name=f"bidirectional-intermittent(n={n}, period={period}, seed={seed})")
-
-
-def union_rounds(window: int) -> int:
-    """Rounds the Moreau check's recurring-edge graph scans: the whole
-    length-`window` blocks within max(100, 10·window) rounds."""
-    if window < 1:
-        raise ValueError(f"need window >= 1, got {window}")
-    return max(100, 10 * window) // window * window
 
 
 def infinitely_often_union(graphs: np.ndarray, window: int) -> CommGraph:

@@ -11,7 +11,7 @@ reached it (period 1 is the per-round algorithm).
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -69,9 +69,10 @@ class RunTrace:
 
 
 def delta_components(positions: np.ndarray) -> np.ndarray:
-    """Per-component range max_p x_p^k - min_p x_p^k."""
+    """Per-component range max_p x_p^k - min_p x_p^k over the agent axis
+    (-2): (n, d) positions give (d,), a (T+1, n, d) history gives (T+1, d)."""
     positions = np.asarray(positions, dtype=float)
-    return positions.max(axis=0) - positions.min(axis=0)
+    return positions.max(axis=-2) - positions.min(axis=-2)
 
 
 def within_epsilon(delta: np.ndarray, delta0: np.ndarray, epsilon: float):
@@ -133,18 +134,38 @@ def _margin_row(prev: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarra
     return np.where(live.any(axis=1), ratio.min(axis=1), np.nan)
 
 
-def run(spec: RunSpec) -> RunTrace:
-    initial = initial_positions(spec)
-    delta0 = delta_components(initial)
+def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
+    """What a run reports of its (T+1, d) range history `deltas`: t_eps is the
+    first round within epsilon among the first max_rounds (0 for a start in
+    exact consensus), the empirical rate the worst per-round contraction of a
+    component with a range at round 0, and bound_t the theorem bound when one
+    applies. `run` stops at t_eps, else at max_rounds."""
+    delta0 = deltas[0]
     active = delta0 > 0.0
-    positions = [initial]
-    deltas = [delta0]
-    margins: List[np.ndarray] = []
-    t_eps: Optional[int] = None
-
     if not active.any():
         t_eps = 0
     else:
+        hit = np.flatnonzero(within_epsilon(deltas[1:spec.max_rounds + 1], delta0, spec.epsilon))
+        t_eps = int(hit[0]) + 1 if len(hit) else None
+    rounds = len(deltas) - 1
+    rate = 0.0
+    if rounds:
+        final = deltas[-1]
+        for k in np.flatnonzero(active & (final > 0.0)):
+            rate = max(rate, float((final[k] / delta0[k]) ** (1.0 / rounds)))
+    try:
+        bound = theorem_bound(spec)
+    except UnsupportedScenarioError:
+        bound = None
+    return Metrics(t_eps=t_eps, converged=t_eps is not None, empirical_rate=rate, bound_t=bound)
+
+
+def run(spec: RunSpec) -> RunTrace:
+    initial = initial_positions(spec)
+    delta0 = delta_components(initial)
+    positions = [initial]
+    margins: List[np.ndarray] = []
+    if (delta0 > 0.0).any():
         x = initial
         period = effective_period(spec.algorithm, spec.n)
         inside_block = np.full(spec.n, np.nan)
@@ -156,34 +177,16 @@ def run(spec: RunSpec) -> RunTrace:
             reach = g.adj if (t - 1) % period == 0 else reach @ g.adj
             x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
             positions.append(x)
-            deltas.append(delta_components(x))
             if t % period == 0:
                 margins.append(_margin_row(positions[t - period], reach, x))
             else:
                 margins.append(inside_block)
-            if within_epsilon(deltas[-1], delta0, spec.epsilon):
-                t_eps = t
+            if within_epsilon(delta_components(x), delta0, spec.epsilon):
                 break
-
     pos_arr = np.stack(positions)
-    delta_arr = np.stack(deltas)
+    deltas = delta_components(pos_arr)
     margin_arr = np.stack(margins) if margins else np.empty((0, spec.n))
-    rounds_run = len(positions) - 1
-    if rounds_run == 0:
-        rate = 0.0
-    else:
-        final = delta_arr[-1]
-        rate = 0.0
-        for k in np.flatnonzero(active):
-            if final[k] > 0.0:
-                rate = max(rate, float((final[k] / delta0[k]) ** (1.0 / rounds_run)))
-    try:
-        bound = theorem_bound(spec)
-    except UnsupportedScenarioError:
-        bound = None
-    metrics = Metrics(t_eps=t_eps, converged=t_eps is not None,
-                      empirical_rate=rate, bound_t=bound)
-    return RunTrace(spec, pos_arr, delta_arr, margin_arr, metrics)
+    return RunTrace(spec, pos_arr, deltas, margin_arr, measure_run(spec, deltas))
 
 
 def measure_contraction(trace: RunTrace, macro_period: int) -> np.ndarray:
@@ -311,7 +314,8 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     _write_table(path, ["round", "agent"] + [f"comp_{k}" for k in range(d)], trace.positions, 0)
 
 
-def read_trace_csv(path) -> Tuple[List[int], np.ndarray]:
+def read_trace_csv(path) -> np.ndarray:
+    """The (T+1, n, d) positions of a trace file."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -352,7 +356,7 @@ def read_trace_csv(path) -> Tuple[List[int], np.ndarray]:
             if (t, p) in seen:
                 raise ValueError(f"trace file repeats the row of round {t}, agent {p}")
             seen.add((t, p))
-    return list(range(t_max + 1)), positions
+    return positions
 
 
 def write_deltas_csv(trace: RunTrace, path) -> None:

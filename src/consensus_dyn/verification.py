@@ -20,7 +20,6 @@ from .graphs import (
     in_neighbors,
     infinitely_often_union,
     is_strongly_connected,
-    union_rounds,
 )
 from .simulator import RANGE_FLOOR
 
@@ -121,14 +120,6 @@ def moreau_window(pattern: CommPattern) -> int:
     """Window of the recurring-edge graph in the Moreau check (A4): the
     pattern's period when it has one, else n."""
     return pattern.period if pattern.period else pattern.n
-
-
-def audit_rounds(pattern: CommPattern, rounds: int, moreau: bool = False) -> int:
-    """How many round graphs an audit pass reads: the trace's `rounds` and,
-    when the Moreau check runs, the rounds its recurring-edge graph scans."""
-    if moreau:
-        rounds = max(rounds, union_rounds(moreau_window(pattern)))
-    return rounds
 
 
 def round_graphs(pattern: CommPattern, rounds: int) -> np.ndarray:
@@ -242,8 +233,6 @@ def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> Lis
         raise ValueError(f"x={x} outside the safe interval [{lo}, {hi}]")
     if vn - v1 <= 0.0:
         return [1.0 / n] * n
-    if alpha == 1.0:  # unreachable given the range check, kept for clarity
-        raise ValueError("alpha must be < 1")
     mean = sum(values) / n
     y = (x - alpha * mean) / (1 - alpha)
     # clamp fp residue so b stays a convex pair
@@ -329,15 +318,15 @@ def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
 def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
                              window: int) -> MoreauReport:
     """Check the four assumptions that guarantee consensus for products of
-    stochastic matrices: positive diagonals (A1), positive entries bounded
-    below by a (A2), bidirectional round graphs (A3), and strong connectivity
-    of the edges that recur in every `window` rounds (A4). Witnesses are the
-    first in (round, component, row, column) order. `graphs` is the stack of
-    round graphs from `round_graphs`: A3 reads its first T entries, A4 its
-    first `union_rounds(window)`."""
+    stochastic matrices on the run's own T rounds: positive diagonals (A1),
+    positive entries bounded below by a (A2), bidirectional round graphs (A3),
+    and strong connectivity of the edges that recur in every whole `window`
+    rounds of the run (A4). A run shorter than one window holds no evidence
+    of recurring edges, so A4 fails for it. Witnesses are the first in
+    (round, component, row, column) order. `graphs` is the stack of round
+    graphs from `round_graphs`; A3 and A4 read its first T entries."""
     T, d, n, _ = seq.matrices.shape
-    horizon = union_rounds(window)
-    graphs = _graph_stack(graphs, n, max(T, horizon))
+    graphs = _graph_stack(graphs, n, T)
     a = seq.alpha / n
     a1_w = a2_w = a3_w = a4_w = None
     for t0, t1 in _chunks(T, n * n * d):
@@ -357,10 +346,13 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
             hit = np.flatnonzero((adj != adj.transpose(0, 2, 1)).any(axis=(1, 2)))
             if len(hit):
                 a3_w = t0 + int(hit[0]) + 1
-    recurring = infinitely_often_union(graphs[:horizon], window)
-    a4 = is_strongly_connected(recurring)
-    if not a4:
-        a4_w = f"recurring-edge graph over window {window} is not strongly connected"
+    if T < window:
+        a4 = False
+        a4_w = f"the run's {T} rounds hold no whole window of {window} rounds"
+    else:
+        a4 = is_strongly_connected(infinitely_often_union(graphs, window))
+        if not a4:
+            a4_w = f"recurring-edge graph over window {window} is not strongly connected"
     return MoreauReport(a=a, a1=a1_w is None, a2=a2_w is None, a3=a3_w is None, a4=a4,
                         a1_witness=a1_w, a2_witness=a2_w, a3_witness=a3_w, a4_witness=a4_w)
 

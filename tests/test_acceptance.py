@@ -30,7 +30,6 @@ from consensus_dyn.simulator import (
     theorem_bound,
 )
 from consensus_dyn.verification import (
-    audit_rounds,
     audit_safeness,
     brute_force_consensus_1d,
     check_moreau_assumptions,
@@ -354,7 +353,7 @@ def test_10_decomposition_and_matrix_assumptions():
                    max_rounds=5000, seed=3)
     trace = run(spec)
     alpha = claimed_alpha(kind, n, d)
-    graphs = round_graphs(pattern, audit_rounds(pattern, len(trace.positions) - 1, moreau=True))
+    graphs = round_graphs(pattern, len(trace.positions) - 1)
     seq = reconstruct_matrices(trace.positions, graphs, alpha)
     report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assumptions_ok = report.holds and abs(report.a - alpha / n) < 1e-15

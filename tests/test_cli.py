@@ -11,6 +11,7 @@ import pytest
 
 import consensus_dyn
 from consensus_dyn.cli import load_config, main, serialize_config
+from consensus_dyn.graphs import CommPattern
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -335,6 +336,40 @@ def test_verify_accepts_rounding_on_tiny_spans(tmp_path):
         assert main(["verify", "--config", path, "--out", out]) == 0, case["algorithm"]
 
 
+def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
+    # a window of 5000 rounds on an 18-round run: every audit reads the run's
+    # own 18 round graphs, and A4, which has no whole window to read, fails
+    cfg = {"n": 6, "d": 2, "algorithm": "extreme-point", "epsilon": 1e-12, "max_rounds": 18,
+           "pattern": {"family": "bidirectional-intermittent", "period": 5000, "seed": 3},
+           "audits": ALL_AUDITS}
+    path, out = _write(tmp_path, cfg), str(tmp_path / "out")
+    calls = []
+    graph = CommPattern.graph
+    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
+    assert main(["run", "--config", path, "--out", out]) == 0
+    assert len(calls) == 2 * 18
+    summary = json.loads((Path(out) / "summary.json").read_text())
+    assert summary["rounds"] == 18
+    moreau = summary["audits"]["moreau"]
+    assert moreau["a4"] is False and moreau["holds"] is False
+    assert moreau["a4_witness"] == "the run's 18 rounds hold no whole window of 5000 rounds"
+    calls.clear()
+    assert main(["verify", "--config", path, "--out", out]) == 0
+    assert len(calls) == 18
+
+
+def test_matrix_audits_of_amortized_rules_fail_before_any_work(tmp_path, capsys):
+    cfg = {"n": 6, "d": 1, "algorithm": "midpoint+amortized", "epsilon": 1e-6,
+           "pattern": {"family": "rotating-star"}, "audits": {"moreau": True}}
+    path, out = _write(tmp_path, cfg), tmp_path / "out"
+    message = "matrix reconstruction audits apply to per-round runs only"
+    for command in ("run", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_flags_outward_move_on_tiny_span(tmp_path):
     # the rounding allowance is a few ulps: a move of 1e-3 of a 1e-8 span
     # (about 1e5 ulps) is still a violation
@@ -469,7 +504,9 @@ def test_verify_rejects_forged_summary(tmp_path, capsys):
     honest = json.loads((out / "summary.json").read_text())
     assert honest["converged"] is False and honest["t_eps"] is None
     forgeries = [{"t_eps": 1, "converged": True}, {"rounds": 14}, {"converged": 0},
-                 {"delta_final": [0.0, 0.0]}, {"delta0": honest["delta0"][::-1]}]
+                 {"delta_final": [0.0, 0.0]}, {"delta0": honest["delta0"][::-1]},
+                 {"bound_t": 15}, {"empirical_rate": honest["empirical_rate"] / 2},
+                 {"epsilon": 1e-6}, {"pattern": "complete"}]
     for forged in forgeries:
         (out / "summary.json").write_text(json.dumps(dict(honest, **forged)))
         capsys.readouterr()

@@ -34,7 +34,6 @@ from consensus_dyn.verification import (
     SafenessReport,
     SafenessViolationError,
     StochasticMatrixSeq,
-    audit_rounds,
     audit_safeness,
     brute_force_consensus_1d,
     check_moreau_assumptions,
@@ -53,9 +52,8 @@ def _run(n, d, tag, pattern, *, initial=None, epsilon=1e-4, seed=0, amortized=Fa
 
 
 def _stack(pattern, rounds):
-    # the round graphs one audit pass over `rounds` rounds reads, the Moreau
-    # check's horizon included
-    return round_graphs(pattern, audit_rounds(pattern, rounds, moreau=True))
+    # the round graphs one audit pass over `rounds` rounds reads
+    return round_graphs(pattern, rounds)
 
 
 def _graphs_of(trace, pattern):
@@ -490,11 +488,10 @@ def _ref_reconstruct_matrices(trace, pattern, alpha):
     return matrices, graphs
 
 
-def _ref_union(pattern, window):
-    horizon = max(100, 10 * window)
+def _ref_union(pattern, window, rounds):
     keep = np.ones((pattern.n, pattern.n), dtype=bool)
     t = 1
-    for _ in range(horizon // window):
+    for _ in range(rounds // window):
         block = np.zeros((pattern.n, pattern.n), dtype=bool)
         for _ in range(window):
             block |= pattern.graph(t).adj
@@ -529,9 +526,13 @@ def _ref_moreau(matrices, graphs, pattern, alpha):
             a3_w = t + 1
             break
     window = pattern.period if pattern.period else pattern.n
-    a4 = is_strongly_connected(_ref_union(pattern, window))
-    if not a4:
-        a4_w = f"recurring-edge graph over window {window} is not strongly connected"
+    if T < window:
+        a4 = False
+        a4_w = f"the run's {T} rounds hold no whole window of {window} rounds"
+    else:
+        a4 = is_strongly_connected(_ref_union(pattern, window, T))
+        if not a4:
+            a4_w = f"recurring-edge graph over window {window} is not strongly connected"
     return MoreauReport(a=a, a1=a1, a2=a2, a3=a3, a4=a4,
                         a1_witness=a1_w, a2_witness=a2_w, a3_witness=a3_w, a4_witness=a4_w)
 
