@@ -26,6 +26,7 @@ import numpy as np
 from . import geometry
 from .algorithms import claimed_alpha, effective_period, format_kind, parse_kind
 from .graphs import (
+    RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
@@ -53,7 +54,6 @@ from .verification import (
     check_moreau_assumptions,
     moreau_window,
     reconstruct_matrices,
-    round_graphs,
 )
 
 _TOP_KEYS = {"n", "d", "algorithm", "pattern", "initial", "epsilon", "max_rounds",
@@ -256,10 +256,11 @@ def _check_audits_apply(spec: RunSpec, audits: dict) -> None:
              " amortized rules hold positions still during gathering rounds")
 
 
-def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, int):
-    """Audits of the (T+1, n, d) `positions` of `spec`'s run over its T round
-    graphs; returns (summary fragment, exit code). Matrix audits need a
-    per-round rule (`_check_audits_apply`)."""
+def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict,
+                stack: RoundGraphs) -> (dict, int):
+    """Audits of the (T+1, n, d) `positions` of `spec`'s run over the first T
+    rounds of `stack`, its pattern's round graphs; returns (summary fragment,
+    exit code). Matrix audits need a per-round rule (`_check_audits_apply`)."""
     out = {}
     code = 0
     period = effective_period(spec.algorithm, spec.n)
@@ -267,10 +268,7 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, in
     rounds = len(positions) - 1
     safeness = audits["safeness"] and rounds >= period
     matrices = audits["matrices"] or audits["moreau"]
-    graphs = None
-    if safeness or matrices:
-        # one adjacency stack of the run's round graphs serves every audit below
-        graphs = round_graphs(spec.pattern, rounds)
+    graphs = stack.first(rounds)
     if audits["safeness"]:
         if not safeness:
             out["safeness"] = {"skipped": f"trace has {rounds} rounds, shorter than one period-{period} block"}
@@ -279,7 +277,12 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict) -> (dict, in
             out["safeness"] = report.to_json()
             if report.violations:
                 code = 3
-    if matrices:
+    if matrices and rounds == 0:
+        # a start in exact consensus has no transition to reconstruct
+        for name in ("matrices", "moreau"):
+            if audits[name]:
+                out[name] = {"skipped": "trace has 0 rounds, no transition to reconstruct"}
+    elif matrices:
         try:
             seq = reconstruct_matrices(positions, graphs, alpha)
         except SafenessViolationError as e:
@@ -329,12 +332,14 @@ def cmd_run(args) -> int:
     spec = _build_spec(cfg, seed_override=args.seed)
     _check_audits_apply(spec, cfg["audits"])
     out = _outdir(args, cfg)
-    trace = run(spec)
+    # the engine and the audits read the same round graphs
+    graphs = RoundGraphs(spec.pattern)
+    trace = run(spec, graphs)
     write_trace_csv(trace, out / "trace.csv")
     write_deltas_csv(trace, out / "deltas.csv")
     write_margins_csv(trace, out / "margins.csv")
     summary = _summary(spec, trace.deltas, trace.metrics)
-    audit_blob, code = _run_audits(trace.positions, spec, cfg["audits"])
+    audit_blob, code = _run_audits(trace.positions, spec, cfg["audits"], graphs)
     if audit_blob:
         summary["audits"] = audit_blob
     (out / "summary.json").write_text(serialize_config(summary) + "\n")
@@ -343,8 +348,8 @@ def cmd_run(args) -> int:
     return code
 
 
-def _sweep_row(idx, cfg, spec) -> dict:
-    trace = run(spec)
+def _sweep_row(idx, cfg, spec, graphs) -> dict:
+    trace = run(spec, graphs)
     m = trace.metrics
     row = {
         "scenario": idx,
@@ -364,7 +369,8 @@ def _sweep_row(idx, cfg, spec) -> dict:
         row["within_bound"] = "no"
     if cfg["audits"]["safeness"]:
         audits = {"safeness": True, "matrices": False, "moreau": False}
-        worst = _run_audits(trace.positions, spec, audits)[0]["safeness"].get("worst_alpha")
+        report = _run_audits(trace.positions, spec, audits, graphs)[0]["safeness"]
+        worst = report.get("worst_alpha")
         row["worst_alpha"] = "" if worst is None else repr(worst)
     return row
 
@@ -376,6 +382,9 @@ def cmd_sweep(args) -> int:
     axes = [sweep.get("n", [cfg["n"]]), sweep.get("d", [cfg["d"]]),
             sweep.get("algorithm", [cfg["algorithm"]]), sweep.get("seed", [cfg["seed"]])]
     scenarios = []
+    # scenarios of one pattern and n run on the same round graphs, so they
+    # share one stack (one per call: a later call generates its own)
+    stacks = {}
     for idx, (n, d, alg, seed) in enumerate(itertools.product(*axes)):
         sub = dict(cfg)
         sub.pop("sweep")
@@ -384,7 +393,9 @@ def cmd_sweep(args) -> int:
             pos = np.asarray(sub["initial"]["positions"], dtype=float)
             _require(pos.shape == (n, d),
                      f"scenario {idx}: explicit initial is {pos.shape}, scenario needs {(n, d)}")
-        scenarios.append((idx, sub, _build_spec(sub, seed_override=None)))
+        spec = _build_spec(sub, seed_override=None)
+        key = (json.dumps(sub["pattern"], sort_keys=True), n)
+        scenarios.append((idx, sub, spec, stacks.setdefault(key, RoundGraphs(spec.pattern))))
     out = _outdir(args, cfg)
     rows = [_sweep_row(*s) for s in scenarios]
     cols = ["scenario", "n", "d", "algorithm", "seed", "t_eps", "bound_t",
@@ -511,7 +522,7 @@ def cmd_verify(args) -> int:
         return 3
     audits = dict(cfg["audits"])
     audits["safeness"] = True  # verify always re-checks safety
-    blob, code = _run_audits(positions, spec, audits)
+    blob, code = _run_audits(positions, spec, audits, RoundGraphs(spec.pattern))
     for name in ("safeness", "matrices", "moreau"):
         if name in blob:
             state = blob[name]

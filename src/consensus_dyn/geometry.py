@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 logger = logging.getLogger(__name__)
 
@@ -118,6 +117,11 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
     coordinates, deduplicated within tau_dup); dim_affine is the rank of the
     centered point matrix at the tau_rank cutoff.
     """
+    # Qhull loads on the first hull, not with the package: only the centroid
+    # rule and `counterexample` build hulls, and scipy.spatial takes longer to
+    # import than a whole run of any other rule.
+    from scipy.spatial import ConvexHull, QhullError
+
     arr = _as_points(points, d)
     dim = arr.shape[1]
     extent = float((arr.max(axis=0) - arr.min(axis=0)).max()) if len(arr) > 1 else 0.0

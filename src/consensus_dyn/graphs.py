@@ -149,6 +149,51 @@ class CommPattern:
         return f"CommPattern({self.name})"
 
 
+class RoundGraphs:
+    """The round graphs of one pattern as an (R, n, n) adjacency stack whose
+    entry t - 1 is round t's graph.
+
+    Rounds are generated through `pattern.graph`, in order, the first time
+    they are asked for, and kept: whoever reads the same rounds again (the
+    audits after the engine, a sweep scenario after its sibling) reads the
+    stack. It holds R·n² bytes.
+    """
+
+    def __init__(self, pattern: CommPattern):
+        self.pattern = pattern
+        self.n = pattern.n
+        self._filled = 0
+        self._grow(0)
+
+    def _grow(self, capacity: int) -> None:
+        # written through _buf, read through its read-only alias _adj, so no
+        # reader can change a round that another reader will see
+        buf = np.empty((capacity, self.n, self.n), dtype=bool)
+        if self._filled:
+            buf[:self._filled] = self._buf[:self._filled]
+        self._buf, self._adj = buf, buf.view()
+        self._adj.flags.writeable = False
+
+    def _fill(self, rounds: int) -> None:
+        if rounds > len(self._buf):
+            self._grow(max(rounds, 2 * len(self._buf)))
+        for t in range(self._filled + 1, rounds + 1):
+            self._buf[t - 1] = self.pattern.graph(t).adj
+        self._filled = rounds
+
+    def first(self, rounds: int) -> np.ndarray:
+        """Read-only (rounds, n, n) view of rounds 1..rounds."""
+        if rounds > self._filled:
+            self._fill(rounds)
+        return self._adj[:rounds]
+
+    def adj(self, t: int) -> np.ndarray:
+        """Round t's (n, n) adjacency (t >= 1), read-only."""
+        if t > self._filled:
+            self._fill(t)
+        return self._adj[t - 1]
+
+
 def _round_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, t)))
 
@@ -184,9 +229,10 @@ def random_rooted(n: int, seed: int) -> CommPattern:
         rng = _round_rng(seed, t)
         order = rng.permutation(n)
         adj = np.eye(n, dtype=bool)
-        for i in range(1, n):
-            parent = order[int(rng.integers(0, i))]
-            adj[parent, order[i]] = True
+        # node order[i] hears from order[j], j drawn from [0, i): one vector
+        # draw takes the same numbers from the stream as n - 1 scalar draws
+        parents = rng.integers(0, np.arange(1, n))
+        adj[order[parents], order[1:]] = True
         extra = rng.random((n, n)) < rng.uniform(0.1, 0.5)
         adj |= extra
         np.fill_diagonal(adj, True)

@@ -26,7 +26,7 @@ from .algorithms import (
     masked_min,
     validate_kind,
 )
-from .graphs import CommPattern, NetworkModelKind, is_nonsplit, is_rooted
+from .graphs import CommPattern, NetworkModelKind, RoundGraphs, is_nonsplit, is_rooted
 
 # component ranges at or below this are treated as already collapsed
 RANGE_FLOOR = 1e-30
@@ -160,8 +160,13 @@ def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
     return Metrics(t_eps=t_eps, converged=t_eps is not None, empirical_rate=rate, bound_t=bound)
 
 
-def run(spec: RunSpec) -> RunTrace:
+def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
+    """Run `spec`, reading round t's graph from `graphs`, a stack of
+    spec.pattern's round graphs that callers pass to share it with the audits
+    or with other runs of the same pattern (a fresh one when None)."""
     initial = initial_positions(spec)
+    if graphs is None:
+        graphs = RoundGraphs(spec.pattern)
     delta0 = delta_components(initial)
     positions = [initial]
     margins: List[np.ndarray] = []
@@ -170,11 +175,11 @@ def run(spec: RunSpec) -> RunTrace:
         period = effective_period(spec.algorithm, spec.n)
         inside_block = np.full(spec.n, np.nan)
         for t in range(1, spec.max_rounds + 1):
-            g = spec.pattern.graph(t)
+            adj = graphs.adj(t)
             # reach[q, p]: q's value can reach p within the current block; the
             # block-end update applies the rule over reach, and its margin is
-            # measured against reach, not against g alone
-            reach = g.adj if (t - 1) % period == 0 else reach @ g.adj
+            # measured against reach, not against the round's graph alone
+            reach = adj if (t - 1) % period == 0 else reach @ adj
             x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
             positions.append(x)
             if t % period == 0:

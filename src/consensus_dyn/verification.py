@@ -122,16 +122,6 @@ def moreau_window(pattern: CommPattern) -> int:
     return pattern.period if pattern.period else pattern.n
 
 
-def round_graphs(pattern: CommPattern, rounds: int) -> np.ndarray:
-    """(rounds, n, n) adjacency stack of the pattern: entry t - 1 is round t's
-    graph. Built once per audit pass and handed to every audit; it costs
-    rounds·n² bytes."""
-    out = np.empty((rounds, pattern.n, pattern.n), dtype=bool)
-    for t in range(rounds):
-        out[t] = pattern.graph(t + 1).adj
-    return out
-
-
 def _graph_stack(graphs: np.ndarray, n: int, rounds: int) -> np.ndarray:
     """The first `rounds` entries of a round-graph stack on n nodes."""
     if graphs.shape[1:] != (n, n) or len(graphs) < rounds:
@@ -153,8 +143,8 @@ def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: flo
     """Recompute every agent's received extremes from the round graphs and
     measure how far inside them each recorded position lands.
 
-    `positions` is the (T+1, n, d) recorded run and `graphs` a stack from
-    `round_graphs` covering its audited rounds.
+    `positions` is the (T+1, n, d) recorded run and `graphs` an (R, n, n)
+    round-graph stack (`graphs.RoundGraphs`) covering its audited rounds.
 
     With period > 1 the audit works on macro-rounds: extremes are taken over
     the block's graph product, matching algorithms that gather for period
@@ -323,8 +313,8 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
     and strong connectivity of the edges that recur in every whole `window`
     rounds of the run (A4). A run shorter than one window holds no evidence
     of recurring edges, so A4 fails for it. Witnesses are the first in
-    (round, component, row, column) order. `graphs` is the stack of round
-    graphs from `round_graphs`; A3 and A4 read its first T entries."""
+    (round, component, row, column) order. `graphs` is the (R, n, n) stack
+    of the run's round graphs; A3 and A4 read its first T entries."""
     T, d, n, _ = seq.matrices.shape
     graphs = _graph_stack(graphs, n, T)
     a = seq.alpha / n

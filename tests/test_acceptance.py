@@ -15,6 +15,7 @@ from consensus_dyn import cli, geometry
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha
 from consensus_dyn.graphs import (
     CommGraph,
+    RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     graph_product,
@@ -36,7 +37,6 @@ from consensus_dyn.verification import (
     decompose_safe_value,
     moreau_window,
     reconstruct_matrices,
-    round_graphs,
 )
 
 
@@ -83,7 +83,7 @@ def test_02_extreme_point_safeness():
         spec = RunSpec(n=n, d=d, algorithm=AlgorithmKind("extreme-point"),
                        pattern=pattern, epsilon=1e-3, max_rounds=500, seed=seed)
         trace = run(spec)
-        graphs = round_graphs(pattern, len(trace.positions) - 1)
+        graphs = RoundGraphs(pattern).first(len(trace.positions) - 1)
         report = audit_safeness(trace.positions, graphs, 1.0 / (2 * d))
         violations += len(report.violations)
         if math.isfinite(report.worst_alpha):
@@ -353,7 +353,7 @@ def test_10_decomposition_and_matrix_assumptions():
                    max_rounds=5000, seed=3)
     trace = run(spec)
     alpha = claimed_alpha(kind, n, d)
-    graphs = round_graphs(pattern, len(trace.positions) - 1)
+    graphs = RoundGraphs(pattern).first(len(trace.positions) - 1)
     seq = reconstruct_matrices(trace.positions, graphs, alpha)
     report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
     assumptions_ok = report.holds and abs(report.a - alpha / n) < 1e-15

@@ -336,18 +336,24 @@ def test_verify_accepts_rounding_on_tiny_spans(tmp_path):
         assert main(["verify", "--config", path, "--out", out]) == 0, case["algorithm"]
 
 
+def _count_graphs(monkeypatch):
+    calls = []
+    graph = CommPattern.graph
+    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
+    return calls
+
+
 def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
     # a window of 5000 rounds on an 18-round run: every audit reads the run's
-    # own 18 round graphs, and A4, which has no whole window to read, fails
+    # own 18 round graphs, the ones the engine generated, and A4, which has no
+    # whole window to read, fails
     cfg = {"n": 6, "d": 2, "algorithm": "extreme-point", "epsilon": 1e-12, "max_rounds": 18,
            "pattern": {"family": "bidirectional-intermittent", "period": 5000, "seed": 3},
            "audits": ALL_AUDITS}
     path, out = _write(tmp_path, cfg), str(tmp_path / "out")
-    calls = []
-    graph = CommPattern.graph
-    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
+    calls = _count_graphs(monkeypatch)
     assert main(["run", "--config", path, "--out", out]) == 0
-    assert len(calls) == 2 * 18
+    assert calls == list(range(1, 19))
     summary = json.loads((Path(out) / "summary.json").read_text())
     assert summary["rounds"] == 18
     moreau = summary["audits"]["moreau"]
@@ -355,7 +361,7 @@ def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
     assert moreau["a4_witness"] == "the run's 18 rounds hold no whole window of 5000 rounds"
     calls.clear()
     assert main(["verify", "--config", path, "--out", out]) == 0
-    assert len(calls) == 18
+    assert calls == list(range(1, 19))
 
 
 def test_matrix_audits_of_amortized_rules_fail_before_any_work(tmp_path, capsys):
@@ -615,3 +621,71 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     for sub in (".", "a", "c"):
         for name in ("trace.csv", "deltas.csv", "margins.csv", "summary.json"):
             assert (inproc / sub / name).read_bytes() == (fresh / sub / name).read_bytes()
+
+
+def test_matrix_audits_of_a_start_in_exact_consensus_are_skipped(tmp_path, capsys):
+    # 0 rounds: no transition to reconstruct, so the matrix audits are
+    # skipped, as the safeness audit already was, and run writes its summary
+    cfg = _minimal(initial={"kind": "explicit", "positions": [[0.5], [0.5], [0.5]]},
+                   audits=ALL_AUDITS)
+    path, out = _write(tmp_path, cfg), tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rounds"] == 0
+    assert set(summary["audits"]) == {"safeness", "matrices", "moreau"}
+    assert all("skipped" in state for state in summary["audits"].values())
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count(": skipped (") == 3
+
+
+_IMPORT_CHECK = """
+import json, sys
+from consensus_dyn.cli import main
+code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([code, "scipy.spatial" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("algorithm, loaded", [("extreme-point", False), ("centroid", True)])
+def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
+    # only hulls need Qhull: a run of any other rule never imports scipy.spatial
+    cfg = {"n": 4, "d": 2, "algorithm": algorithm, "epsilon": 1e-6,
+           "pattern": {"family": "random-nonsplit", "seed": 2}, "audits": ALL_AUDITS}
+    path = _write(tmp_path, cfg)
+    env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, path, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
+
+
+def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):
+    cfg = {"n": 6, "d": 2, "algorithm": "extreme-point", "epsilon": 1e-9, "seed": 1,
+           "pattern": {"family": "random-rooted", "seed": 4}, "audits": ALL_AUDITS}
+    path = _write(tmp_path, cfg)
+    calls = _count_graphs(monkeypatch)
+    for out in ("a", "b"):
+        # an audited run: the engine generates T rounds, the audits read them;
+        # the second main() call generates its own
+        calls.clear()
+        assert main(["run", "--config", path, "--out", str(tmp_path / out)]) == 0
+        rounds = json.loads((tmp_path / out / "summary.json").read_text())["rounds"]
+        assert rounds > 1 and calls == list(range(1, rounds + 1))
+
+    # six scenarios on each n; those of one n share one stack, so a sweep
+    # generates max T_i rounds per n, not the sum, and a second sweep again
+    sweep = dict(cfg, audits={"safeness": True},
+                 sweep={"n": [6, 4], "algorithm": ["component-midpoint", "extreme-point",
+                                                    "centroid"], "seed": [1, 2]})
+    path = _write(tmp_path, sweep, "sweep.json")
+    for out in ("s1", "s2"):
+        calls.clear()
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / out)]) == 0
+        rows = _read_rows(tmp_path / out / "sweep.csv")
+        assert len(rows) == 12 and all(r["converged"] == "yes" for r in rows)
+        longest = {}
+        for r in rows:  # a converged run stops at t_eps
+            longest[r["n"]] = max(longest.get(r["n"], 0), int(r["t_eps"]))
+        assert len(calls) == sum(longest.values())
+        assert sorted(calls) == sorted(t for T in longest.values() for t in range(1, T + 1))

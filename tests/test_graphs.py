@@ -2,10 +2,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consensus_dyn.graphs import (
     CommGraph,
+    CommPattern,
     NetworkModelKind,
+    RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
@@ -21,6 +24,7 @@ from consensus_dyn.graphs import (
     random_nonsplit,
     random_rooted,
     self_loops_only,
+    _round_rng,
 )
 
 
@@ -297,6 +301,47 @@ def test_bidirectional_intermittent_matches_per_edge_constructor(n, period, seed
     make = _old_bidirectional_make(n, period, seed)
     for t in range(1, 600):
         assert np.array_equal(pattern.graph(t).adj, make(t)), t
+
+
+def _scalar_rooted_adj(n, seed, t):
+    # random_rooted's round graph with its spanning chain drawn one scalar
+    # rng.integers call per node, as it was first written
+    rng = _round_rng(seed, t)
+    order = rng.permutation(n)
+    adj = np.eye(n, dtype=bool)
+    for i in range(1, n):
+        parent = order[int(rng.integers(0, i))]
+        adj[parent, order[i]] = True
+    extra = rng.random((n, n)) < rng.uniform(0.1, 0.5)
+    adj |= extra
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 40), t=st.integers(1, 10**6))
+def test_random_rooted_matches_scalar_chain_draws(seed, n, t):
+    # the vector draw takes the same numbers from the stream, so the extras
+    # drawn after it, and the whole adjacency, are bit for bit the same
+    assert np.array_equal(random_rooted(n, seed).graph(t).adj, _scalar_rooted_adj(n, seed, t))
+
+
+def test_round_graphs_stack_generates_each_round_once(monkeypatch):
+    pattern = random_nonsplit(5, seed=4)
+    stack = RoundGraphs(pattern)
+    calls = []
+    graph = CommPattern.graph
+    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
+    assert stack.adj(3).shape == (5, 5)
+    first = stack.first(2)
+    assert stack.first(7).shape == (7, 5, 5)
+    assert stack.first(4).shape == (4, 5, 5)
+    assert calls == list(range(1, 8))
+    for t in range(1, 8):
+        assert np.array_equal(stack.adj(t), random_nonsplit(5, seed=4).graph(t).adj)
+    assert np.array_equal(first, stack.first(2))
+    with pytest.raises(ValueError):
+        first[0, 0, 1] = True
 
 
 def test_generator_determinism():

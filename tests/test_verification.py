@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, effective_period
 from consensus_dyn.graphs import (
     CommGraph,
+    RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
@@ -40,7 +41,6 @@ from consensus_dyn.verification import (
     decompose_safe_value,
     moreau_window,
     reconstruct_matrices,
-    round_graphs,
 )
 
 
@@ -53,7 +53,7 @@ def _run(n, d, tag, pattern, *, initial=None, epsilon=1e-4, seed=0, amortized=Fa
 
 def _stack(pattern, rounds):
     # the round graphs one audit pass over `rounds` rounds reads
-    return round_graphs(pattern, rounds)
+    return RoundGraphs(pattern).first(rounds)
 
 
 def _graphs_of(trace, pattern):
