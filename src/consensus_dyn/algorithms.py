@@ -1,13 +1,13 @@
 """Consensus update rules and the whole-array round kernel that runs them.
 
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
-midpoint, extreme-point averaging, hull centroid. The standalone `*_update`
-functions apply one rule to one received set and serve as the reference.
-`apply_rule` applies a rule for all agents at once, each over the positions
-that reached it; `simulator.step` holds positions still inside a block and
-applies the rule over the block's reach matrix whenever the 1-based round
-index hits a multiple of the period (period 1 is the plain per-round
-algorithm; the amortized variants default the period to n-1).
+midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
+for all agents at once, each over the positions that reached it; the tests
+hold it to one-set-at-a-time references in tests/oracles.py. `simulator.step`
+holds positions still inside a block and applies the rule over the block's
+reach matrix whenever the 1-based round index hits a multiple of the period
+(period 1 is the plain per-round algorithm; the amortized variants default
+the period to n-1).
 """
 
 from __future__ import annotations
@@ -115,77 +115,6 @@ def claimed_alpha(kind: AlgorithmKind, n: int, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# base update rules
-
-
-def equal_neighbor_update(received: np.ndarray) -> np.ndarray:
-    """Arithmetic mean with weight 1/k per received position (multiset: duplicates count)."""
-    arr = np.asarray(received, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one received position")
-    return arr.mean(axis=0)
-
-
-def midpoint_update_1d(m: float, M: float) -> float:
-    if m > M:
-        raise ValueError(f"need m <= M, got ({m}, {M})")
-    return (m + M) / 2
-
-
-def component_midpoint_update(received: np.ndarray) -> np.ndarray:
-    arr = np.asarray(received, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one received position")
-    return (arr.min(axis=0) + arr.max(axis=0)) / 2
-
-
-def _select_extreme(points: np.ndarray, senders: Sequence[int], comp: int,
-                    maximize: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
-    coords = points[:, comp]
-    target = coords.max() if maximize else coords.min()
-    ties = np.nonzero(coords == target)[0]
-    if len(ties) == 1:
-        return points[ties[0]]
-    if rng is not None:
-        return points[int(rng.choice(ties))]
-    best = None
-    for i in ties:
-        key = (senders[i], tuple(points[i]))
-        if best is None or key < best[0]:
-            best = (key, int(i))
-    return points[best[1]]
-
-
-def extreme_point_update(received: np.ndarray, d: int,
-                         senders: Optional[Sequence[int]] = None,
-                         rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Average of 2d selected positions: per component one minimal and one maximal.
-
-    Ties are broken by lowest sender id then lexicographic point order (sender
-    ids default to list positions), or uniformly at random when rng is given.
-    """
-    arr = np.asarray(received, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one received position")
-    arr = arr.reshape(len(arr), d)
-    if senders is None:
-        senders = list(range(len(arr)))
-    total = np.zeros(d)
-    for i in range(d):
-        total += _select_extreme(arr, senders, i, False, rng)
-        total += _select_extreme(arr, senders, i, True, rng)
-    return total / (2 * d)
-
-
-def centroid_update(received: np.ndarray) -> np.ndarray:
-    """Centroid of the hull of the received positions (multiplicities irrelevant)."""
-    arr = np.asarray(received, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one received position")
-    return geometry.centroid(geometry.convex_hull(arr)).centroid
-
-
-# ---------------------------------------------------------------------------
 # whole-array round kernel
 #
 # What an agent has gathered by the end of a block is fixed by x at the block
@@ -203,6 +132,23 @@ def masked_min(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
 def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Row p is the componentwise maximum of values[q] over q with adj[q, p]."""
     return np.where(adj[:, :, None], values[:, None, :], -np.inf).max(axis=0)
+
+
+def _select_extreme(points: np.ndarray, senders: Sequence[int], comp: int,
+                    maximize: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
+    coords = points[:, comp]
+    target = coords.max() if maximize else coords.min()
+    ties = np.nonzero(coords == target)[0]
+    if len(ties) == 1:
+        return points[ties[0]]
+    if rng is not None:
+        return points[int(rng.choice(ties))]
+    best = None
+    for i in ties:
+        key = (senders[i], tuple(points[i]))
+        if best is None or key < best[0]:
+            best = (key, int(i))
+    return points[best[1]]
 
 
 def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,

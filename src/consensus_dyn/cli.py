@@ -57,8 +57,7 @@ from .verification import (
 )
 
 _TOP_KEYS = {"n", "d", "algorithm", "pattern", "initial", "epsilon", "max_rounds",
-             "seed", "audits", "tie_break", "frame_reduction", "allow_unsafe_dim",
-             "sweep", "output"}
+             "seed", "audits", "tie_break", "allow_unsafe_dim", "sweep", "output"}
 _PATTERN_KEYS = {
     "fixed": {"graph"},
     "complete": set(),
@@ -117,12 +116,9 @@ def load_config(path) -> dict:
     tie = raw.get("tie_break", "index")
     _require(tie in ("index", "random"), f"tie_break must be 'index' or 'random', got {tie!r}")
     cfg["tie_break"] = tie
-    # frame_reduction is a legacy key: still checked so that old configs load,
-    # then dropped, because no output depends on it
-    for key in ("frame_reduction", "allow_unsafe_dim"):
-        val = raw.get(key, False)
-        _require(isinstance(val, bool), f"{key} must be a boolean, got {val!r}")
-    cfg["allow_unsafe_dim"] = raw.get("allow_unsafe_dim", False)
+    unsafe = raw.get("allow_unsafe_dim", False)
+    _require(isinstance(unsafe, bool), f"allow_unsafe_dim must be a boolean, got {unsafe!r}")
+    cfg["allow_unsafe_dim"] = unsafe
     if "output" in raw:
         _require(isinstance(raw["output"], str), "output must be a directory path string")
         cfg["output"] = raw["output"]

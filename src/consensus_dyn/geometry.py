@@ -1,4 +1,4 @@
-"""d-dimensional geometry kernel: hull frames, membership, exact and Monte Carlo centroids.
+"""d-dimensional geometry kernel: hull frames, membership and exact centroids.
 
 Degenerate (lower-dimensional) point sets are handled by projecting onto an
 orthonormal basis of their affine hull, computing there, and lifting back; the
@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -27,10 +27,6 @@ RANK_TOL = 1e-9
 
 class GeometryError(RuntimeError):
     """Internal geometric failure with diagnostic context."""
-
-
-class OracleUnreliableError(GeometryError):
-    """Monte Carlo acceptance rate too low for a trustworthy estimate."""
 
 
 @dataclass(frozen=True)
@@ -234,75 +230,3 @@ def centroid(poly: Polytope) -> CentroidResult:
     if total <= 0.0 or not np.isfinite(total):
         raise GeometryError(f"degenerate fan decomposition: volume={total!r} at rank {r}")
     return CentroidResult(poly.origin + (acc / total) @ poly.basis, total)
-
-
-def centroid_oracle_mc(points, samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Rejection-sampling centroid estimate over the bounding box.
-
-    Independent of the exact route: samples the box, keeps points passing the
-    membership test, returns (mean, per-component standard error). Requires a
-    full-dimensional hull and at least 10^4 samples; raises OracleUnreliableError
-    when the acceptance rate drops below 1e-3.
-    """
-    arr = _as_points(points)
-    if samples < 10_000:
-        raise ValueError(f"need at least 10^4 samples, got {samples}")
-    poly = convex_hull(arr)
-    if poly.dim_affine != poly.dim_ambient:
-        raise ValueError(
-            f"hull is {poly.dim_affine}-dimensional in R^{poly.dim_ambient}; oracle needs full dimension")
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
-    rng = np.random.default_rng(seed)
-    accepted = []
-    remaining = samples
-    while remaining > 0:
-        chunk = min(remaining, 20_000)
-        pts = rng.uniform(lo, hi, (chunk, arr.shape[1]))
-        pts = pts.reshape(chunk, arr.shape[1])
-        mask = _membership(poly, pts, 0.0)
-        if mask.any():
-            accepted.append(pts[mask])
-        remaining -= chunk
-    count = sum(len(a) for a in accepted)
-    if count < 1e-3 * samples or count < 2:
-        raise OracleUnreliableError(
-            f"acceptance rate {count / samples:.2e} below 1e-3; bounding box too loose")
-    hits = np.vstack(accepted)
-    return hits.mean(axis=0), hits.std(axis=0, ddof=1) / math.sqrt(count)
-
-
-def component_extrema(points) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-component minimum and maximum over the point set."""
-    arr = _as_points(points)
-    return arr.min(axis=0), arr.max(axis=0)
-
-
-def build_hyperpyramid(d: int, L: float, theta: float) -> Polytope:
-    """Pyramid with apex at the origin over a (d-1)-cube base at x_1 = L.
-
-    Base vertices have first coordinate L and remaining coordinates +-theta/2;
-    its first centroid component sits at L*d/(d+1), the extreme case for the
-    centroid's per-component safety margin.
-    """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if not (L > 0) or not (theta > 0):
-        raise ValueError(f"need L > 0 and theta > 0, got L={L}, theta={theta}")
-    verts = [np.zeros(d)]
-    for signs in np.ndindex(*(2,) * (d - 1)):
-        v = np.empty(d)
-        v[0] = L
-        for j, s in enumerate(signs):
-            v[j + 1] = (s - 0.5) * theta
-        verts.append(v)
-    return convex_hull(np.array(verts))
-
-
-def poly_to_json(poly: Polytope) -> dict:
-    return {"vertices": [list(map(float, v)) for v in poly.vertices]}
-
-
-def poly_from_json(obj: dict) -> Polytope:
-    if not isinstance(obj, dict) or set(obj) != {"vertices"}:
-        raise ValueError("polytope literal must be {'vertices': [[...], ...]}")
-    return convex_hull(obj["vertices"])

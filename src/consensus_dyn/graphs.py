@@ -10,20 +10,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Set, Tuple
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
-
-
-class NetworkModelKind(Enum):
-    NONSPLIT = "nonsplit"
-    ROOTED = "rooted"
-    BIDIRECTIONAL_INTERMITTENT = "bidirectional-intermittent"
-    FIXED_GRAPH = "fixed"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,21 +73,6 @@ def complete_graph(n: int) -> CommGraph:
     return CommGraph(n, np.ones((n, n), dtype=bool))
 
 
-def in_neighbors(g: CommGraph, p: int) -> Set[int]:
-    """Agents q with an edge q -> p (always includes p itself)."""
-    if not (0 <= p < g.n):
-        raise ValueError(f"agent {p} out of range for n={g.n}")
-    return {int(q) for q in np.nonzero(g.adj[:, p])[0]}
-
-
-def graph_product(g: CommGraph, h: CommGraph) -> CommGraph:
-    """Relational composition: edge p->q iff p->r in g and r->q in h for some r."""
-    if g.n != h.n:
-        raise ValueError(f"size mismatch: {g.n} != {h.n}")
-    prod = (g.adj.astype(np.uint8) @ h.adj.astype(np.uint8)) > 0
-    return CommGraph(g.n, prod)
-
-
 def _closure(adj: np.ndarray) -> np.ndarray:
     # transitive closure by repeated boolean squaring; adj includes the diagonal,
     # so k squarings cover all paths of length <= 2^k
@@ -122,23 +98,22 @@ def is_nonsplit(g: CommGraph) -> bool:
     return bool((common > 0).all())
 
 
-def is_bidirectional(g: CommGraph) -> bool:
-    return bool((g.adj == g.adj.T).all())
-
-
 @dataclass(frozen=True)
 class CommPattern:
     """A deterministic round-indexed sequence of CommGraphs.
 
     ``graph_fn`` must be a pure function of the (1-based) round index; equal
-    (family, n, seed) always replays the identical sequence.
+    (family, n, seed) always replays the identical sequence. ``nonsplit`` and
+    ``rooted`` say what the family guarantees of every round's graph: the
+    hypotheses under which the round bounds hold.
     """
 
     n: int
-    kind: NetworkModelKind
     graph_fn: Callable[[int], CommGraph]
     period: Optional[int] = None
     name: str = "pattern"
+    nonsplit: bool = False
+    rooted: bool = False
 
     def graph(self, t: int) -> CommGraph:
         if t < 1:
@@ -209,12 +184,9 @@ def _check_params(n: int, seed: Optional[int] = None, period: Optional[int] = No
 
 def fixed(g: CommGraph) -> CommPattern:
     """The constant pattern emitting g every round."""
-    return CommPattern(g.n, NetworkModelKind.FIXED_GRAPH, lambda t: g, name=f"fixed(n={g.n})")
-
-
-def custom_pattern(n: int, graph_fn: Callable[[int], CommGraph], name: str = "custom") -> CommPattern:
-    _check_params(n)
-    return CommPattern(n, NetworkModelKind.CUSTOM, graph_fn, name=name)
+    nonsplit = is_nonsplit(g)
+    return CommPattern(g.n, lambda t: g, name=f"fixed(n={g.n})",
+                       nonsplit=nonsplit, rooted=nonsplit or is_rooted(g))
 
 
 def random_rooted(n: int, seed: int) -> CommPattern:
@@ -238,8 +210,7 @@ def random_rooted(n: int, seed: int) -> CommPattern:
         np.fill_diagonal(adj, True)
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.ROOTED, make,
-                       name=f"random-rooted(n={n}, seed={seed})")
+    return CommPattern(n, make, name=f"random-rooted(n={n}, seed={seed})", rooted=True)
 
 
 def random_nonsplit(n: int, seed: int) -> CommPattern:
@@ -256,8 +227,8 @@ def random_nonsplit(n: int, seed: int) -> CommPattern:
         np.fill_diagonal(adj, True)
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.NONSPLIT, make,
-                       name=f"random-nonsplit(n={n}, seed={seed})")
+    return CommPattern(n, make, name=f"random-nonsplit(n={n}, seed={seed})",
+                       nonsplit=True, rooted=True)
 
 
 def adversarial_rotating_star(n: int) -> CommPattern:
@@ -269,8 +240,7 @@ def adversarial_rotating_star(n: int) -> CommPattern:
         adj[t % n, :] = True
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.ROOTED, make,
-                       name=f"adversarial-rotating-star(n={n})")
+    return CommPattern(n, make, name=f"adversarial-rotating-star(n={n})", rooted=True)
 
 
 def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
@@ -299,8 +269,7 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
         adj |= extra.T
         return CommGraph(n, adj)
 
-    return CommPattern(n, NetworkModelKind.BIDIRECTIONAL_INTERMITTENT, make,
-                       period=period,
+    return CommPattern(n, make, period=period,
                        name=f"bidirectional-intermittent(n={n}, period={period}, seed={seed})")
 
 

@@ -12,7 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .algorithms import (
     masked_min,
     validate_kind,
 )
-from .graphs import CommPattern, NetworkModelKind, RoundGraphs, is_nonsplit, is_rooted
+from .graphs import CommPattern, RoundGraphs
 
 # component ranges at or below this are treated as already collapsed
 RANGE_FLOOR = 1e-30
@@ -194,24 +194,6 @@ def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
     return RunTrace(spec, pos_arr, deltas, margin_arr, measure_run(spec, deltas))
 
 
-def measure_contraction(trace: RunTrace, macro_period: int) -> np.ndarray:
-    """Per-component contraction ratios delta(s*P) / delta((s-1)*P) across
-    consecutive macro-rounds of length P. Ratios with a denominator at or
-    below the collapse floor are reported as 0."""
-    if macro_period < 1:
-        raise ValueError(f"need macro_period >= 1, got {macro_period}")
-    deltas = trace.deltas
-    total = len(deltas) - 1
-    blocks = total // macro_period
-    out = np.zeros((blocks, deltas.shape[1]))
-    for s in range(1, blocks + 1):
-        prev = deltas[(s - 1) * macro_period]
-        cur = deltas[s * macro_period]
-        live = prev > RANGE_FLOOR
-        out[s - 1, live] = cur[live] / prev[live]
-    return out
-
-
 def _ceil_log(ratio: float, base: float) -> int:
     if ratio <= 1.0:
         return 0
@@ -223,51 +205,30 @@ def _ceil_log(ratio: float, base: float) -> int:
     return max(0, math.ceil(r - 1e-12))
 
 
-def _pattern_classes(pattern: CommPattern) -> Tuple[bool, bool]:
-    """(every round nonsplit, every round rooted) as far as the pattern family
-    guarantees it."""
-    kind = pattern.kind
-    if kind == NetworkModelKind.NONSPLIT:
-        return True, True
-    if kind == NetworkModelKind.ROOTED:
-        return False, True
-    if kind == NetworkModelKind.FIXED_GRAPH:
-        g = pattern.graph(1)
-        nonsplit = is_nonsplit(g)
-        return nonsplit, nonsplit or is_rooted(g)
-    return False, False
-
-
 def theorem_bound(spec: RunSpec) -> int:
     """Worst-case number of rounds until every component range has shrunk by
     the factor epsilon. The convergence criterion is relative, so the count
     does not depend on the initial ranges.
 
-    Covered pairings: any non-amortized rule on always-nonsplit patterns, and
-    the amortized rules at period n-1 on always-rooted patterns. Anything else
-    raises UnsupportedScenarioError.
+    Covered pairings: any non-amortized rule on always-nonsplit patterns
+    (`pattern.nonsplit`), and amortized midpoint, extreme-point and centroid
+    at period n-1 on always-rooted ones (`pattern.rooted`); both contract by
+    1 - claimed_alpha per round or block. Anything else raises
+    UnsupportedScenarioError.
     """
     validate_kind(spec.algorithm, spec.n, spec.d)
     if not (spec.epsilon > 0 and math.isfinite(spec.epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {spec.epsilon}")
     ratio = 1.0 / spec.epsilon
     period = effective_period(spec.algorithm, spec.n)
-    nonsplit, rooted = _pattern_classes(spec.pattern)
-    if period == 1 and nonsplit:
-        alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
+    alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
+    if period == 1 and spec.pattern.nonsplit:
         return _ceil_log(ratio, 1.0 / (1.0 - alpha))
-    if (spec.algorithm.amortized and period == max(1, spec.n - 1) and rooted):
-        tag = spec.algorithm.tag
-        if tag == "midpoint":
-            base = 2.0
-        elif tag == "extreme-point":
-            base = (2.0 * spec.d) / (2.0 * spec.d - 1.0)
-        elif tag == "centroid":
-            base = (spec.d + 1.0) / spec.d
-        else:
+    if spec.algorithm.amortized and period == max(1, spec.n - 1) and spec.pattern.rooted:
+        if spec.algorithm.tag not in ("midpoint", "extreme-point", "centroid"):
             raise UnsupportedScenarioError(
-                f"no amortized round bound on file for {tag!r}")
-        return period * _ceil_log(ratio, base)
+                f"no amortized round bound on file for {spec.algorithm.tag!r}")
+        return period * _ceil_log(ratio, 1.0 / (1.0 - alpha))
     raise UnsupportedScenarioError(
         f"no round bound on file for {format_kind(spec.algorithm)} at period {period}"
         f" over pattern {spec.pattern.name!r}")

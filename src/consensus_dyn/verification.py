@@ -1,26 +1,18 @@
 """Independent checkers for simulator output.
 
 Everything here re-derives its answers from recorded positions and the round
-graphs alone: safety margins are recomputed from scratch, update steps are
-re-expressed as row-stochastic matrices, and tiny instances get a separate
-naive reference implementation. None of it calls back into the engine's
-update path, so agreement is evidence rather than tautology.
+graphs alone: safety margins are recomputed from scratch and update steps
+are re-expressed as row-stochastic matrices. None of it calls back into the
+engine's update path, so agreement is evidence rather than tautology.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .algorithms import AlgorithmKind
-from .graphs import (
-    CommGraph,
-    CommPattern,
-    in_neighbors,
-    infinitely_often_union,
-    is_strongly_connected,
-)
+from .graphs import CommPattern, infinitely_often_union, is_strongly_connected
 from .simulator import RANGE_FLOOR
 
 # slack applied when comparing realized margins against a claimed constant
@@ -200,40 +192,6 @@ def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: flo
                           margins=margins, worst_alpha=worst, violations=violations)
 
 
-def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> List[float]:
-    """Write x as a convex combination of the sorted values with every weight
-    at least alpha/n.
-
-    Construction: a = (alpha/n) * ones + (1 - alpha) * b, where b places
-    (x - alpha*mean)/(1 - alpha) on the two endpoints alone. Feasible exactly
-    when x lies in [(1-a)v1 + a*vn, a*v1 + (1-a)*vn].
-    """
-    values = [float(v) for v in values]
-    n = len(values)
-    if n < 1:
-        raise ValueError("need at least one value")
-    if not 0.0 <= alpha <= 0.5:
-        raise ValueError(f"alpha must be in [0, 1/2], got {alpha}")
-    if any(values[i] > values[i + 1] for i in range(n - 1)):
-        raise ValueError("values must be sorted ascending")
-    v1, vn = values[0], values[-1]
-    lo = (1 - alpha) * v1 + alpha * vn
-    hi = alpha * v1 + (1 - alpha) * vn
-    if not lo - 1e-12 * max(vn - v1, 1.0) <= x <= hi + 1e-12 * max(vn - v1, 1.0):
-        raise ValueError(f"x={x} outside the safe interval [{lo}, {hi}]")
-    if vn - v1 <= 0.0:
-        return [1.0 / n] * n
-    mean = sum(values) / n
-    y = (x - alpha * mean) / (1 - alpha)
-    # clamp fp residue so b stays a convex pair
-    b1 = min(1.0, max(0.0, (vn - y) / (vn - v1)))
-    bn = min(1.0, max(0.0, (y - v1) / (vn - v1)))
-    a = [alpha / n] * n
-    a[0] += (1 - alpha) * b1
-    a[-1] += (1 - alpha) * bn
-    return a
-
-
 def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
                          alpha: float) -> StochasticMatrixSeq:
     """Express each recorded round of the (T+1, n, d) `positions` as one
@@ -245,8 +203,8 @@ def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
     used entry is at least alpha/|in-neighbors| >= alpha/n. A position outside
     its safe interval by more than fp slack means the trace was not produced
     by an alpha-safe update and is rejected. The weights are the closed form
-    of `decompose_safe_value`, taken for every (round, component, agent) at
-    once.
+    of the scalar construction `decompose_safe_value` in tests/oracles.py,
+    taken for every (round, component, agent) at once.
     """
     positions = np.asarray(positions, dtype=float)
     total, n, d = positions.shape
@@ -345,52 +303,3 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
             a4_w = f"recurring-edge graph over window {window} is not strongly connected"
     return MoreauReport(a=a, a1=a1_w is None, a2=a2_w is None, a3=a3_w is None, a4=a4,
                         a1_witness=a1_w, a2_witness=a2_w, a3_witness=a3_w, a4_witness=a4_w)
-
-
-# ---------------------------------------------------------------------------
-# tiny-instance reference implementation
-
-
-def brute_force_consensus_1d(values: Sequence[float], graphs: Sequence[CommGraph],
-                             algorithm: AlgorithmKind) -> List[List[float]]:
-    """Naive scalar reference: iterate explicit weight vectors over a fixed
-    list of round graphs, pure Python throughout. Supports the non-amortized
-    rules only, n <= 5 and horizon <= 20; meant for cross-validating the
-    engine on instances small enough to trust by inspection.
-    """
-    xs = [float(v) for v in values]
-    n = len(xs)
-    if n < 1 or n > 5:
-        raise ValueError(f"reference implementation handles 1 <= n <= 5, got {n}")
-    if len(graphs) > 20:
-        raise ValueError(f"reference implementation handles at most 20 rounds, got {len(graphs)}")
-    if algorithm.amortized:
-        raise ValueError("reference implementation covers the per-round rules only")
-    tag = algorithm.tag
-    if tag not in ("midpoint", "component-midpoint", "equal-neighbor", "extreme-point", "centroid"):
-        raise ValueError(f"unknown algorithm {tag!r}")
-    trace = [list(xs)]
-    for g in graphs:
-        if g.n != n:
-            raise ValueError(f"graph on {g.n} nodes, expected {n}")
-        new = []
-        for p in range(n):
-            nbrs = sorted(in_neighbors(g, p))
-            vals = [xs[q] for q in nbrs]
-            weights = [0.0] * len(nbrs)
-            if tag == "equal-neighbor":
-                weights = [1.0 / len(nbrs)] * len(nbrs)
-            else:
-                # every other scalar rule averages the two extreme holders;
-                # ties go to the lowest agent id
-                i_min = min(range(len(nbrs)), key=lambda i: (vals[i], nbrs[i]))
-                i_max = min(range(len(nbrs)), key=lambda i: (-vals[i], nbrs[i]))
-                if tag == "centroid" and vals[i_min] == vals[i_max]:
-                    weights[i_min] = 1.0
-                else:
-                    weights[i_min] += 0.5
-                    weights[i_max] += 0.5
-            new.append(sum(w * v for w, v in zip(weights, vals)))
-        xs = new
-        trace.append(list(xs))
-    return trace

@@ -3,12 +3,11 @@
 The matrix covers every rule, per round and amortized where the rule allows
 it, on the random-nonsplit, random-rooted, rotating-star and
 bidirectional-intermittent patterns; both extreme-point tie-break modes;
-centroid per round at d = 2 to 4 and amortized with the legacy
-`frame_reduction` key set true and false (it changes no byte), at n = 12 on
-the rotating star too; equal-neighbor at d = 1
-with in-degrees of 8 and more (where numpy's mean switches to pairwise
-summation); and seeded draws next to integer-grid inputs. Seeded draws never
-tie across senders, so only the grid inputs exercise the sender tie key.
+centroid per round at d = 2 to 4 and amortized at d = 2 and 3, at n = 12 on
+the rotating star too; equal-neighbor at d = 1 with in-degrees of 8 and more
+(where numpy's mean switches to pairwise summation); and seeded draws next
+to integer-grid inputs. Seeded draws never tie across senders, so only the
+grid inputs exercise the sender tie key.
 
 Each scenario goes through `consensus-dyn run`. The digests cover trace.csv
 and deltas.csv of every scenario, and margins.csv of the per-round ones.
@@ -95,17 +94,13 @@ def scenarios():
         for alg, d in (("midpoint", 1), ("component-midpoint+amortized", 2), ("centroid", 2)):
             grid = {"kind": "explicit", "positions": _grid(N, d)}
             out.append((f"{pname}/{alg}/d{d}/grid", _config(alg, d, pattern, initial=grid)))
-    for alg, d in (("centroid+amortized", 2), ("centroid+amortized", 3)):
-        for frames in (True, False):
-            out.append((f"rooted/{alg}/d{d}/frames-{frames}",
-                        _config(alg, d, PATTERNS["rooted"], frame_reduction=frames)))
+    out.append(("rooted/centroid+amortized/d3",
+                _config("centroid+amortized", 3, PATTERNS["rooted"])))
     for pname in ("nonsplit", "rooted"):
         for d in (3, 4):
             out.append((f"{pname}/centroid/d{d}", _config("centroid", d, PATTERNS[pname])))
-    for frames in (True, False):
-        out.append((f"star-n12/centroid+amortized/d3/frames-{frames}",
-                    _config("centroid+amortized", 3, PATTERNS["star"], n=12,
-                            frame_reduction=frames)))
+    out.append(("star-n12/centroid+amortized/d3",
+                _config("centroid+amortized", 3, PATTERNS["star"], n=12)))
     for d in (1, 2):
         out.append((f"dense/equal-neighbor/d{d}", _config("equal-neighbor", d, DENSE, n=12)))
         out.append((f"nonsplit-n14/equal-neighbor/d{d}",

@@ -1,0 +1,263 @@
+"""References and fixtures the tests compare the package against.
+
+Nothing here is on the command line's path: the per-set update rules that
+the whole-array kernel must agree with, a Monte Carlo centroid, the
+hyperpyramid that attains the centroid's safety constant, the scalar
+convex-combination construction that `reconstruct_matrices` vectorizes, a
+naive pure-Python scalar engine for tiny instances, per-macro-round
+contraction ratios, and the graph operations the tests build expectations
+from.
+"""
+
+import math
+from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
+
+from consensus_dyn import geometry
+from consensus_dyn.algorithms import AlgorithmKind, _select_extreme
+from consensus_dyn.geometry import GeometryError, Polytope, _as_points, _membership, convex_hull
+from consensus_dyn.graphs import CommGraph
+from consensus_dyn.simulator import RANGE_FLOOR, RunTrace
+
+
+# ---------------------------------------------------------------------------
+# base update rules, one received set at a time
+
+
+def equal_neighbor_update(received: np.ndarray) -> np.ndarray:
+    """Arithmetic mean with weight 1/k per received position (multiset: duplicates count)."""
+    arr = np.asarray(received, dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one received position")
+    return arr.mean(axis=0)
+
+
+def midpoint_update_1d(m: float, M: float) -> float:
+    if m > M:
+        raise ValueError(f"need m <= M, got ({m}, {M})")
+    return (m + M) / 2
+
+
+def component_midpoint_update(received: np.ndarray) -> np.ndarray:
+    arr = np.asarray(received, dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one received position")
+    return (arr.min(axis=0) + arr.max(axis=0)) / 2
+
+
+def extreme_point_update(received: np.ndarray, d: int,
+                         senders: Optional[Sequence[int]] = None,
+                         rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """Average of 2d selected positions: per component one minimal and one maximal.
+
+    Ties are broken by lowest sender id then lexicographic point order (sender
+    ids default to list positions), or uniformly at random when rng is given.
+    """
+    arr = np.asarray(received, dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one received position")
+    arr = arr.reshape(len(arr), d)
+    if senders is None:
+        senders = list(range(len(arr)))
+    total = np.zeros(d)
+    for i in range(d):
+        total += _select_extreme(arr, senders, i, False, rng)
+        total += _select_extreme(arr, senders, i, True, rng)
+    return total / (2 * d)
+
+
+def centroid_update(received: np.ndarray) -> np.ndarray:
+    """Centroid of the hull of the received positions (multiplicities irrelevant)."""
+    arr = np.asarray(received, dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one received position")
+    return geometry.centroid(geometry.convex_hull(arr)).centroid
+
+
+# ---------------------------------------------------------------------------
+# geometry
+
+
+class OracleUnreliableError(GeometryError):
+    """Monte Carlo acceptance rate too low for a trustworthy estimate."""
+
+
+def centroid_oracle_mc(points, samples: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Rejection-sampling centroid estimate over the bounding box.
+
+    Independent of the exact route: samples the box, keeps points passing the
+    membership test, returns (mean, per-component standard error). Requires a
+    full-dimensional hull and at least 10^4 samples; raises OracleUnreliableError
+    when the acceptance rate drops below 1e-3.
+    """
+    arr = _as_points(points)
+    if samples < 10_000:
+        raise ValueError(f"need at least 10^4 samples, got {samples}")
+    poly = convex_hull(arr)
+    if poly.dim_affine != poly.dim_ambient:
+        raise ValueError(
+            f"hull is {poly.dim_affine}-dimensional in R^{poly.dim_ambient}; oracle needs full dimension")
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    rng = np.random.default_rng(seed)
+    accepted = []
+    remaining = samples
+    while remaining > 0:
+        chunk = min(remaining, 20_000)
+        pts = rng.uniform(lo, hi, (chunk, arr.shape[1]))
+        pts = pts.reshape(chunk, arr.shape[1])
+        mask = _membership(poly, pts, 0.0)
+        if mask.any():
+            accepted.append(pts[mask])
+        remaining -= chunk
+    count = sum(len(a) for a in accepted)
+    if count < 1e-3 * samples or count < 2:
+        raise OracleUnreliableError(
+            f"acceptance rate {count / samples:.2e} below 1e-3; bounding box too loose")
+    hits = np.vstack(accepted)
+    return hits.mean(axis=0), hits.std(axis=0, ddof=1) / math.sqrt(count)
+
+
+def build_hyperpyramid(d: int, L: float, theta: float) -> Polytope:
+    """Pyramid with apex at the origin over a (d-1)-cube base at x_1 = L.
+
+    Base vertices have first coordinate L and remaining coordinates +-theta/2;
+    its first centroid component sits at L*d/(d+1), the extreme case for the
+    centroid's per-component safety margin.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if not (L > 0) or not (theta > 0):
+        raise ValueError(f"need L > 0 and theta > 0, got L={L}, theta={theta}")
+    verts = [np.zeros(d)]
+    for signs in np.ndindex(*(2,) * (d - 1)):
+        v = np.empty(d)
+        v[0] = L
+        for j, s in enumerate(signs):
+            v[j + 1] = (s - 0.5) * theta
+        verts.append(v)
+    return convex_hull(np.array(verts))
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def in_neighbors(g: CommGraph, p: int) -> Set[int]:
+    """Agents q with an edge q -> p (always includes p itself)."""
+    if not (0 <= p < g.n):
+        raise ValueError(f"agent {p} out of range for n={g.n}")
+    return {int(q) for q in np.nonzero(g.adj[:, p])[0]}
+
+
+def graph_product(g: CommGraph, h: CommGraph) -> CommGraph:
+    """Relational composition: edge p->q iff p->r in g and r->q in h for some r."""
+    if g.n != h.n:
+        raise ValueError(f"size mismatch: {g.n} != {h.n}")
+    prod = (g.adj.astype(np.uint8) @ h.adj.astype(np.uint8)) > 0
+    return CommGraph(g.n, prod)
+
+
+def is_bidirectional(g: CommGraph) -> bool:
+    return bool((g.adj == g.adj.T).all())
+
+
+# ---------------------------------------------------------------------------
+# runs
+
+
+def measure_contraction(trace: RunTrace, macro_period: int) -> np.ndarray:
+    """Per-component contraction ratios delta(s*P) / delta((s-1)*P) across
+    consecutive macro-rounds of length P. Ratios with a denominator at or
+    below the collapse floor are reported as 0."""
+    if macro_period < 1:
+        raise ValueError(f"need macro_period >= 1, got {macro_period}")
+    deltas = trace.deltas
+    total = len(deltas) - 1
+    blocks = total // macro_period
+    out = np.zeros((blocks, deltas.shape[1]))
+    for s in range(1, blocks + 1):
+        prev = deltas[(s - 1) * macro_period]
+        cur = deltas[s * macro_period]
+        live = prev > RANGE_FLOOR
+        out[s - 1, live] = cur[live] / prev[live]
+    return out
+
+
+def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> List[float]:
+    """Write x as a convex combination of the sorted values with every weight
+    at least alpha/n.
+
+    Construction: a = (alpha/n) * ones + (1 - alpha) * b, where b places
+    (x - alpha*mean)/(1 - alpha) on the two endpoints alone. Feasible exactly
+    when x lies in [(1-a)v1 + a*vn, a*v1 + (1-a)*vn].
+    """
+    values = [float(v) for v in values]
+    n = len(values)
+    if n < 1:
+        raise ValueError("need at least one value")
+    if not 0.0 <= alpha <= 0.5:
+        raise ValueError(f"alpha must be in [0, 1/2], got {alpha}")
+    if any(values[i] > values[i + 1] for i in range(n - 1)):
+        raise ValueError("values must be sorted ascending")
+    v1, vn = values[0], values[-1]
+    lo = (1 - alpha) * v1 + alpha * vn
+    hi = alpha * v1 + (1 - alpha) * vn
+    if not lo - 1e-12 * max(vn - v1, 1.0) <= x <= hi + 1e-12 * max(vn - v1, 1.0):
+        raise ValueError(f"x={x} outside the safe interval [{lo}, {hi}]")
+    if vn - v1 <= 0.0:
+        return [1.0 / n] * n
+    mean = sum(values) / n
+    y = (x - alpha * mean) / (1 - alpha)
+    # clamp fp residue so b stays a convex pair
+    b1 = min(1.0, max(0.0, (vn - y) / (vn - v1)))
+    bn = min(1.0, max(0.0, (y - v1) / (vn - v1)))
+    a = [alpha / n] * n
+    a[0] += (1 - alpha) * b1
+    a[-1] += (1 - alpha) * bn
+    return a
+
+
+def brute_force_consensus_1d(values: Sequence[float], graphs: Sequence[CommGraph],
+                             algorithm: AlgorithmKind) -> List[List[float]]:
+    """Naive scalar reference: iterate explicit weight vectors over a fixed
+    list of round graphs, pure Python throughout. Supports the non-amortized
+    rules only, n <= 5 and horizon <= 20; meant for cross-validating the
+    engine on instances small enough to trust by inspection.
+    """
+    xs = [float(v) for v in values]
+    n = len(xs)
+    if n < 1 or n > 5:
+        raise ValueError(f"reference implementation handles 1 <= n <= 5, got {n}")
+    if len(graphs) > 20:
+        raise ValueError(f"reference implementation handles at most 20 rounds, got {len(graphs)}")
+    if algorithm.amortized:
+        raise ValueError("reference implementation covers the per-round rules only")
+    tag = algorithm.tag
+    if tag not in ("midpoint", "component-midpoint", "equal-neighbor", "extreme-point", "centroid"):
+        raise ValueError(f"unknown algorithm {tag!r}")
+    trace = [list(xs)]
+    for g in graphs:
+        if g.n != n:
+            raise ValueError(f"graph on {g.n} nodes, expected {n}")
+        new = []
+        for p in range(n):
+            nbrs = sorted(in_neighbors(g, p))
+            vals = [xs[q] for q in nbrs]
+            weights = [0.0] * len(nbrs)
+            if tag == "equal-neighbor":
+                weights = [1.0 / len(nbrs)] * len(nbrs)
+            else:
+                # every other scalar rule averages the two extreme holders;
+                # ties go to the lowest agent id
+                i_min = min(range(len(nbrs)), key=lambda i: (vals[i], nbrs[i]))
+                i_max = min(range(len(nbrs)), key=lambda i: (-vals[i], nbrs[i]))
+                if tag == "centroid" and vals[i_min] == vals[i_max]:
+                    weights[i_min] = 1.0
+                else:
+                    weights[i_min] += 0.5
+                    weights[i_max] += 0.5
+            new.append(sum(w * v for w, v in zip(weights, vals)))
+        xs = new
+        trace.append(list(xs))
+    return trace

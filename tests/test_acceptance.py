@@ -18,7 +18,6 @@ from consensus_dyn.graphs import (
     RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
-    graph_product,
     is_nonsplit,
     is_rooted,
     random_nonsplit,
@@ -26,17 +25,22 @@ from consensus_dyn.graphs import (
 )
 from consensus_dyn.simulator import (
     RunSpec,
-    measure_contraction,
     run,
     theorem_bound,
 )
 from consensus_dyn.verification import (
     audit_safeness,
-    brute_force_consensus_1d,
     check_moreau_assumptions,
-    decompose_safe_value,
     moreau_window,
     reconstruct_matrices,
+)
+from oracles import (
+    brute_force_consensus_1d,
+    build_hyperpyramid,
+    centroid_oracle_mc,
+    decompose_safe_value,
+    graph_product,
+    measure_contraction,
 )
 
 
@@ -60,7 +64,7 @@ def test_01_centroid_safety_constant():
             count += 1
     pyramid_err = 0.0
     for d in range(1, 6):
-        poly = geometry.build_hyperpyramid(d, 1.0, 1.0)
+        poly = build_hyperpyramid(d, 1.0, 1.0)
         c1 = float(geometry.centroid(poly).centroid[0])
         pyramid_err = max(pyramid_err, abs(c1 - d / (d + 1)))
     elapsed = time.monotonic() - t0
@@ -309,7 +313,7 @@ def test_09_centroid_exact_vs_monte_carlo():
                     break
                 salt += 1
             exact = geometry.centroid(poly).centroid
-            mc, se = geometry.centroid_oracle_mc(pts, samples=100_000, seed=(9, 1000 * d + i))
+            mc, se = centroid_oracle_mc(pts, samples=100_000, seed=(9, 1000 * d + i))
             worst_sigma = max(worst_sigma, float((np.abs(exact - mc) / se).max()))
             count += 1
     elapsed = time.monotonic() - t0

@@ -6,21 +6,23 @@ from consensus_dyn.algorithms import (
     AlgorithmKind,
     _extreme_points,
     apply_rule,
-    centroid_update,
     claimed_alpha,
-    component_midpoint_update,
     effective_period,
-    equal_neighbor_update,
-    extreme_point_update,
     format_kind,
     masked_max,
     masked_min,
-    midpoint_update_1d,
     parse_kind,
     validate_kind,
 )
 from consensus_dyn.graphs import adversarial_rotating_star, random_nonsplit, random_rooted
 from consensus_dyn.simulator import RunSpec, run
+from oracles import (
+    centroid_update,
+    component_midpoint_update,
+    equal_neighbor_update,
+    extreme_point_update,
+    midpoint_update_1d,
+)
 
 
 def _rounds(kind, x0, pattern, rounds, period):

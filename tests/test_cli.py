@@ -473,23 +473,13 @@ def test_verify_rejects_motion_in_trailing_partial_block(tmp_path, capsys):
     assert "agent 2 moves inside an amortized block" in capsys.readouterr().err
 
 
-def test_run_ignores_legacy_frame_reduction_key(tmp_path, capsys):
-    # frame_reduction changes no output: it still loads, as long as it is a boolean
-    base = {"n": 5, "d": 2, "algorithm": "centroid+amortized",
-            "pattern": {"family": "random-rooted", "seed": 4}, "epsilon": 1e-6, "seed": 5}
-    outs = []
-    for i, extra in enumerate(({}, {"frame_reduction": False}, {"frame_reduction": True})):
-        path = _write(tmp_path, dict(base, **extra), f"c{i}.json")
-        assert "frame_reduction" not in load_config(path)
-        out = tmp_path / f"out{i}"
-        assert main(["run", "--config", path, "--out", str(out)]) == 0
-        outs.append([(out / f).read_bytes()
-                     for f in ("trace.csv", "deltas.csv", "margins.csv", "summary.json")])
-    assert outs[0] == outs[1] == outs[2]
-    path = _write(tmp_path, dict(base, frame_reduction="no"), "bad.json")
-    capsys.readouterr()
-    assert main(["run", "--config", path, "--out", str(tmp_path / "bad")]) == 2
-    assert "frame_reduction must be a boolean" in capsys.readouterr().err
+def test_run_rejects_legacy_frame_reduction_key(tmp_path, capsys):
+    # frame_reduction changed no output, so it is not a config key
+    for value in (False, True):
+        path = _write(tmp_path, _minimal(frame_reduction=value))
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config keys: ['frame_reduction']" in capsys.readouterr().err
 
 
 def _rooted_run(tmp_path):
@@ -689,3 +679,18 @@ def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):
             longest[r["n"]] = max(longest.get(r["n"], 0), int(r["t_eps"]))
         assert len(calls) == sum(longest.values())
         assert sorted(calls) == sorted(t for T in longest.values() for t in range(1, T + 1))
+
+
+def test_fixed_pattern_bound_generates_no_round(tmp_path, monkeypatch):
+    # what a fixed pattern guarantees is known when it is built: the round
+    # bound reads it, and only the stack generates round 1
+    cfg = {"n": 4, "d": 1, "algorithm": "midpoint", "pattern": {"family": "complete"},
+           "epsilon": 1e-6, "seed": 1, "audits": {"safeness": True}}
+    path = _write(tmp_path, cfg)
+    calls = _count_graphs(monkeypatch)
+    for command in ("run", "verify"):
+        calls.clear()
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [1], command
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert (summary["rounds"], summary["bound_t"]) == (1, 20)

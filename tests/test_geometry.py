@@ -6,19 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_dyn import algorithms, geometry
-from consensus_dyn.geometry import (
-    GeometryError,
-    OracleUnreliableError,
-    build_hyperpyramid,
-    centroid,
-    centroid_oracle_mc,
-    component_extrema,
-    contains,
-    convex_hull,
-    dedup,
-    poly_from_json,
-    poly_to_json,
-)
+from consensus_dyn.geometry import centroid, contains, convex_hull, dedup
+from oracles import OracleUnreliableError, build_hyperpyramid, centroid_oracle_mc
 
 
 def _vertex_set(poly):
@@ -247,7 +236,7 @@ def test_centroid_range_safety():
             k = int(rng.integers(3, 13))
             pts = rng.uniform(0, 1, (k, d))
             c = centroid(convex_hull(pts)).centroid
-            m, big = component_extrema(pts)
+            m, big = pts.min(axis=0), pts.max(axis=0)
             for j in range(d):
                 rng_j = big[j] - m[j]
                 if rng_j <= 1e-30:
@@ -306,24 +295,8 @@ def test_box_center_inside_hull_2d(seed, k):
     # the component-wise box center of any finite 2-D set lies in its hull
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-50, 50, (k, 2))
-    m, big = component_extrema(pts)
+    m, big = pts.min(axis=0), pts.max(axis=0)
     assert contains(convex_hull(pts), (m + big) / 2)
-
-
-def test_component_extrema():
-    m, big = component_extrema([(0.0, 1.0), (2.0, -1.0)])
-    assert np.array_equal(m, [0.0, -1.0])
-    assert np.array_equal(big, [2.0, 1.0])
-    m, big = component_extrema([(3.0, 4.0)])
-    assert np.array_equal(m, [3.0, 4.0])
-    assert np.array_equal(big, [3.0, 4.0])
-    rng = np.random.default_rng(47)
-    pts = rng.normal(size=(10, 3))
-    m, big = component_extrema(pts)
-    assert np.array_equal(m, pts.min(axis=0))
-    assert np.array_equal(big, pts.max(axis=0))
-    with pytest.raises(ValueError):
-        component_extrema([])
 
 
 def test_build_hyperpyramid_2d():
@@ -400,12 +373,6 @@ def test_centroid_oracle_mc_sliver_unreliable():
     pts = [(0.0, 0.0), (1.0, 1.0), (1.0 + 1e-4, 1.0)]
     with pytest.raises(OracleUnreliableError):
         centroid_oracle_mc(pts, samples=20_000, seed=2)
-
-
-def test_poly_json_round_trip():
-    poly = convex_hull([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.2, 0.2)])
-    again = poly_from_json(poly_to_json(poly))
-    assert _vertex_set(again) == _vertex_set(poly)
 
 
 def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):

@@ -7,17 +7,14 @@ from hypothesis import given, settings, strategies as st
 from consensus_dyn.graphs import (
     CommGraph,
     CommPattern,
-    NetworkModelKind,
     RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
+    fixed,
     graph_from_json,
-    graph_product,
     graph_to_json,
-    in_neighbors,
     infinitely_often_union,
-    is_bidirectional,
     is_nonsplit,
     is_rooted,
     is_strongly_connected,
@@ -26,6 +23,7 @@ from consensus_dyn.graphs import (
     self_loops_only,
     _round_rng,
 )
+from oracles import graph_product, in_neighbors, is_bidirectional
 
 
 def _bfs_reachable(g, start):
@@ -230,7 +228,7 @@ def test_infinitely_often_union_validates_window():
 
 def test_random_rooted_generator():
     pattern = random_rooted(4, seed=7)
-    assert pattern.kind is NetworkModelKind.ROOTED
+    assert pattern.rooted and not pattern.nonsplit
     for t in range(1, 1001):
         g = pattern.graph(t)
         assert g.n == 4
@@ -240,15 +238,30 @@ def test_random_rooted_generator():
 
 def test_random_nonsplit_generator():
     pattern = random_nonsplit(5, seed=1)
-    assert pattern.kind is NetworkModelKind.NONSPLIT
+    assert pattern.nonsplit and pattern.rooted
     for t in range(1, 501):
         g = pattern.graph(t)
         assert g.adj.diagonal().all()
         assert is_nonsplit(g)
 
 
+def test_fixed_pattern_classes_come_from_its_graph():
+    # a fixed pattern guarantees what its one graph is
+    for g, nonsplit, rooted in ((complete_graph(4), True, True),
+                                (star_graph(4, 0), True, True),
+                                (CommGraph.from_edges(3, [(0, 1), (1, 2)]), False, True),
+                                (CommGraph.from_edges(4, [(0, 1), (2, 3)]), False, False),
+                                (self_loops_only(1), True, True)):
+        pattern = fixed(g)
+        assert (pattern.nonsplit, pattern.rooted) == (nonsplit, rooted)
+    # a pattern built directly guarantees nothing unless told
+    plain = CommPattern(2, lambda t: complete_graph(2))
+    assert not (plain.nonsplit or plain.rooted)
+
+
 def test_adversarial_rotating_star():
     pattern = adversarial_rotating_star(4)
+    assert pattern.rooted and not pattern.nonsplit
     for t in range(1, 9):
         g = pattern.graph(t)
         assert g == star_graph(4, t % 4)
@@ -258,6 +271,7 @@ def test_adversarial_rotating_star():
 def test_bidirectional_intermittent_generator():
     pattern = bidirectional_intermittent(3, period=5, seed=2)
     assert pattern.period == 5
+    assert not (pattern.nonsplit or pattern.rooted)
     graphs = {t: pattern.graph(t) for t in range(1, 61)}
     for g in graphs.values():
         assert is_bidirectional(g)

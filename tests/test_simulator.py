@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from consensus_dyn import geometry
-from consensus_dyn.algorithms import AlgorithmKind, parse_kind
+from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, parse_kind
 from consensus_dyn.graphs import (
     CommGraph,
+    CommPattern,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
-    custom_pattern,
     fixed,
     random_nonsplit,
     random_rooted,
@@ -21,8 +21,8 @@ from consensus_dyn.simulator import (
     RunSpec,
     RunTrace,
     UnsupportedScenarioError,
+    _ceil_log,
     delta_components,
-    measure_contraction,
     read_trace_csv,
     run,
     step,
@@ -31,6 +31,7 @@ from consensus_dyn.simulator import (
     write_margins_csv,
     write_trace_csv,
 )
+from oracles import measure_contraction
 
 
 def _spec(**kw):
@@ -129,6 +130,36 @@ def test_theorem_bound_values():
     assert theorem_bound(spec) == 36
 
 
+# The amortized bounds' per-rule bases as the bound once listed them: the
+# bound now takes 1 / (1 - claimed_alpha) for every rule, and must agree.
+_AMORTIZED_BASES = {
+    "midpoint": lambda d: 2.0,
+    "extreme-point": lambda d: (2.0 * d) / (2.0 * d - 1.0),
+    "centroid": lambda d: (d + 1.0) / d,
+}
+
+
+def test_amortized_bound_matches_the_per_rule_base_table():
+    patterns = {n: random_rooted(n, seed=0) for n in range(2, 17)}
+    for tag, base_of in _AMORTIZED_BASES.items():
+        kind = AlgorithmKind(tag, amortized=True)
+        for d in (1,) if tag == "midpoint" else range(1, 11):
+            base = base_of(d)
+            # every decade, and exact powers of the listed base and of the
+            # base the bound computes, where a ceiling is closest to flipping
+            epsilons = {10.0 ** -k for k in range(1, 16)}
+            for b in (base, 1.0 / (1.0 - claimed_alpha(kind, 2, d))):
+                k = 1
+                while b ** k <= 1e15:
+                    epsilons.add(1.0 / b ** k)
+                    k += 1
+            for eps in sorted(epsilons):
+                want = _ceil_log(1.0 / eps, base)
+                for n, pattern in patterns.items():
+                    spec = _spec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=eps)
+                    assert theorem_bound(spec) == (n - 1) * want, (tag, d, eps, n)
+
+
 def test_theorem_bound_fixed_graph_classification():
     g = complete_graph(3)
     spec = _spec(n=3, pattern=fixed(g), epsilon=1e-3)
@@ -146,7 +177,12 @@ def test_theorem_bound_unsupported():
     spec = _spec(pattern=bidirectional_intermittent(4, period=3, seed=0))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
-    spec = _spec(pattern=custom_pattern(4, lambda t: complete_graph(4)))
+    spec = _spec(pattern=CommPattern(4, lambda t: complete_graph(4)))
+    with pytest.raises(UnsupportedScenarioError):
+        theorem_bound(spec)
+    # the amortized component-wise midpoint has no bound on file
+    spec = _spec(d=2, algorithm=AlgorithmKind("component-midpoint", amortized=True),
+                 pattern=random_rooted(4, seed=1))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
     # amortized with a period other than 1 or n-1 matches no bound
@@ -189,7 +225,7 @@ def test_run_permutation_equivariance():
         x0_perm[perm[p]] = x0[p]
     kind = AlgorithmKind("centroid")
     t_a = run(_spec(n=n, d=d, algorithm=kind, pattern=base, epsilon=1e-3, initial=x0))
-    t_b = run(_spec(n=n, d=d, algorithm=kind, pattern=custom_pattern(n, permuted_graph),
+    t_b = run(_spec(n=n, d=d, algorithm=kind, pattern=CommPattern(n, permuted_graph),
                     epsilon=1e-3, initial=x0_perm))
     assert len(t_a.positions) == len(t_b.positions)
     for t in range(len(t_a.positions)):

@@ -12,15 +12,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, effective_period
 from consensus_dyn.graphs import (
     CommGraph,
+    CommPattern,
     RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
-    custom_pattern,
     fixed,
-    graph_product,
-    in_neighbors,
-    is_bidirectional,
     is_strongly_connected,
     random_nonsplit,
     random_rooted,
@@ -36,11 +33,16 @@ from consensus_dyn.verification import (
     SafenessViolationError,
     StochasticMatrixSeq,
     audit_safeness,
-    brute_force_consensus_1d,
     check_moreau_assumptions,
-    decompose_safe_value,
     moreau_window,
     reconstruct_matrices,
+)
+from oracles import (
+    brute_force_consensus_1d,
+    decompose_safe_value,
+    graph_product,
+    in_neighbors,
+    is_bidirectional,
 )
 
 
@@ -681,7 +683,7 @@ def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
     adj = (rng.random((T, n, n)) < 0.4) | np.eye(n, dtype=bool)
     adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
     graphs = [CommGraph(n, a) for a in adj]
-    pattern = custom_pattern(n, lambda t: graphs[(t - 1) % T])
+    pattern = CommPattern(n, lambda t: graphs[(t - 1) % T])
     seq = StochasticMatrixSeq(matrices=matrices, alpha=0.5)
     stack = _stack(pattern, T)
     with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
@@ -725,16 +727,18 @@ def test_audit_safeness_temporaries_stay_chunked():
 
 def test_verification_imports_nothing_of_the_engine_but_constants():
     # the audits re-derive everything from positions and round graphs; from
-    # the engine they may take the collapse floor and the rule's name only
-    allowed = {"simulator": {"RANGE_FLOOR"}, "algorithms": {"AlgorithmKind"}}
+    # the engine they may take the collapse floor only
+    engine = {"simulator", "algorithms"}
+    allowed = {"simulator": {"RANGE_FLOOR"}}
     tree = ast.parse(Path(verification.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").rsplit(".", 1)[-1]
             names = {a.name for a in node.names}
-            if module in allowed:
-                assert names <= allowed[module], (module, names - allowed[module])
+            if module in engine:
+                extra = names - allowed.get(module, set())
+                assert not extra, (module, extra)
             else:  # no `from . import simulator`
-                assert not names & set(allowed), names
+                assert not names & engine, names
         elif isinstance(node, ast.Import):
-            assert not any(a.name.rsplit(".", 1)[-1] in allowed for a in node.names)
+            assert not any(a.name.rsplit(".", 1)[-1] in engine for a in node.names)
