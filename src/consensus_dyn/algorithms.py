@@ -175,22 +175,6 @@ def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
     return chosen
 
 
-def _centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Agent by agent, the centroid of the hull of the positions that reached it.
-
-    Agents whose reached positions are equal byte for byte share one hull and
-    one centroid: the same bytes through the same calls give the same bytes."""
-    out = np.empty_like(x)
-    done = {}
-    for p in range(len(x)):
-        stack = x[reach[:, p]]
-        key = (stack.shape, stack.tobytes())
-        if key not in done:
-            done[key] = geometry.centroid(geometry.convex_hull(stack)).centroid
-        out[p] = done[key]
-    return out
-
-
 def _neighbor_means(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
     # x[nb].mean over a compacted (agents, k, d) block adds the k received
     # positions exactly as a per-agent (k, d) mean does, including numpy's
@@ -218,6 +202,6 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
         # part of the artifacts' bytes
         return _extreme_points(kind, x, reach, t, tie_seed).mean(axis=1)
     if kind.tag == "centroid":
-        return _centroids(x, reach)
+        return geometry.hull_centroids(x, reach)
     raise ValueError(f"unknown algorithm {kind.tag!r}")
 

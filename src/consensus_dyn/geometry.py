@@ -1,12 +1,17 @@
 """d-dimensional geometry kernel: hull frames, membership and exact centroids.
 
 Degenerate (lower-dimensional) point sets are handled by projecting onto an
-orthonormal basis of their affine hull, computing there, and lifting back; the
-reported volume is measured in the affine dimension. Tolerances are relative
-to the point set's component extent: tau_dup (vertex dedup) and tau_mem
-(membership) default to 1e-9 of the extent, the affine-rank cutoff to 1e-9 of
-the largest singular value with an absolute floor at the rounding noise of the
-input coordinates.
+orthonormal basis of their affine hull, computing there, and lifting back.
+Tolerances are relative to the point set's component extent: tau_dup (vertex
+dedup) and tau_mem (membership) default to 1e-9 of the extent, the
+affine-rank cutoff to 1e-9 of the largest singular value with an absolute
+floor at the rounding noise of the input coordinates.
+
+`hull_centroids` is the centroid rule's round kernel. Per block end it
+computes one distance matrix of the positions for every stack's dedup, runs
+the rank cut and the simplex fan batched over the stacks, and calls Qhull
+once per distinct stack of rank 2 or more; no output byte differs from
+building each stack's hull with `convex_hull` and fanning it alone.
 """
 
 from __future__ import annotations
@@ -59,12 +64,6 @@ class Polytope:
                 arr.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class CentroidResult:
-    centroid: np.ndarray
-    volume: float
-
-
 def _as_points(points, d: Optional[int] = None) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.size == 0:
@@ -95,15 +94,66 @@ def dedup(arr: np.ndarray, tol: float) -> np.ndarray:
     # norm over the last axis adds the d squares as norm(a[keep] - a[i], axis=1) does
     close = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2) <= tol
     close &= np.tri(len(a), k=-1, dtype=bool)
+    return a[_greedy_keep(close)]
+
+
+def _greedy_keep(close: np.ndarray) -> np.ndarray:
+    """Rows greedy dedup keeps, given close[i, j]: row j < i lies within tol of row i."""
     isolated = ~close.any(axis=1)
     # When every row with a close earlier row has one among the isolated rows,
     # greedy keeps exactly the isolated rows (by induction over the rows).
     if (isolated | (close & isolated).any(axis=1)).all():
-        return a[isolated]
-    kept = np.zeros(len(a), dtype=bool)
-    for i in range(len(a)):
+        return isolated
+    kept = np.zeros(len(close), dtype=bool)
+    for i in range(len(close)):
         kept[i] = not (close[i] & kept).any()
-    return a[kept]
+    return kept
+
+
+def _rank_cut(svals: np.ndarray, scale) -> np.ndarray:
+    """Affine rank from the singular values (last axis) of centered rows whose
+    largest absolute input coordinate is `scale`."""
+    # Centering alone puts ~eps * |coordinate| of rounding noise into every
+    # entry, so singular values below that floor are arithmetic, not shape.
+    floor = np.maximum(RANK_TOL * svals[..., 0], 64 * np.finfo(float).eps * scale)
+    return (svals > floor[..., None]).sum(axis=-1)
+
+
+def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
+    """Hull of the centered rows in their first `rank` principal directions
+    (in the input coordinates when rank is the full dimension).
+
+    A set that Qhull finds flat even after joggling has a lower numerical
+    affine dimension than the SVD cut said, so the rank drops by one and the
+    projection is redone. Returns (rank, basis, proj, hull); hull is None
+    below rank 2 and proj is None at rank 0.
+    """
+    # Qhull loads on the first hull, not with the package: only the centroid
+    # rule and `counterexample` build hulls, and scipy.spatial takes longer to
+    # import than a whole run of any other rule.
+    from scipy.spatial import ConvexHull, QhullError
+
+    dim = centered.shape[1]
+    while True:
+        if rank == 0:
+            return 0, np.zeros((0, dim)), None, None
+        if rank == dim:
+            basis = np.eye(dim)
+            proj = centered
+        else:
+            basis = vt[:rank]
+            proj = centered @ basis.T
+        if rank == 1:
+            return 1, basis, proj, None
+        try:
+            return rank, basis, proj, ConvexHull(proj)
+        except QhullError:
+            logger.warning("hull construction failed at dim %d; retrying with joggle", rank)
+            try:
+                return rank, basis, proj, ConvexHull(proj, qhull_options="QJ")
+            except QhullError:
+                logger.warning("joggled hull still degenerate; reducing to dim %d", rank - 1)
+                rank -= 1
 
 
 def convex_hull(points, d: Optional[int] = None) -> Polytope:
@@ -113,11 +163,6 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
     coordinates, deduplicated within tau_dup); dim_affine is the rank of the
     centered point matrix at the tau_rank cutoff.
     """
-    # Qhull loads on the first hull, not with the package: only the centroid
-    # rule and `counterexample` build hulls, and scipy.spatial takes longer to
-    # import than a whole run of any other rule.
-    from scipy.spatial import ConvexHull, QhullError
-
     arr = _as_points(points, d)
     dim = arr.shape[1]
     extent = float((arr.max(axis=0) - arr.min(axis=0)).max()) if len(arr) > 1 else 0.0
@@ -126,52 +171,25 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
     origin = unique.mean(axis=0)
     centered = unique - origin
     if len(unique) == 1:
-        rank = 0
-        vt = np.zeros((0, dim))
+        rank, vt = 0, None
     else:
         _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        # Centering alone puts ~eps * |coordinate| of rounding noise into every
-        # entry, so singular values below that floor are arithmetic, not shape.
-        # m points can never span more than m - 1 affine dimensions.
-        floor = max(RANK_TOL * svals[0],
-                    64 * np.finfo(float).eps * float(np.abs(arr).max()))
-        rank = min(int((svals > floor).sum()), len(unique) - 1)
+        # m points can never span more than m - 1 affine dimensions
+        rank = min(int(_rank_cut(svals, float(np.abs(arr).max()))), len(unique) - 1)
 
-    while True:
-        if rank == 0:
-            basis = np.zeros((0, dim))
-            return Polytope(unique[:1].copy(), dim, 0, origin, basis,
-                            np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent)
-
-        if rank == dim:
-            basis = np.eye(dim)
-            proj = centered
-        else:
-            basis = vt[:rank]
-            proj = centered @ basis.T
-
-        if rank == 1:
-            line = proj[:, 0]
-            idx = [int(np.argmin(line)), int(np.argmax(line))]
-            return Polytope(unique[idx].copy(), dim, 1, origin, basis,
-                            proj, proj[idx].copy(), None, None, extent)
-
-        try:
-            hull = ConvexHull(proj)
-        except QhullError:
-            logger.warning("hull construction failed at dim %d; retrying with joggle", rank)
-            try:
-                hull = ConvexHull(proj, qhull_options="QJ")
-            except QhullError:
-                # Flat at Qhull's own precision even after joggling: the set's
-                # numerical affine dimension is lower than the SVD cut said.
-                logger.warning("joggled hull still degenerate; reducing to dim %d", rank - 1)
-                rank -= 1
-                continue
-        idx = hull.vertices
-        return Polytope(unique[idx].copy(), dim, rank, origin, basis,
-                        proj, proj[idx].copy(), hull.equations.copy(),
-                        hull.simplices.copy(), extent)
+    rank, basis, proj, hull = _reduced_hull(centered, vt, rank)
+    if rank == 0:
+        return Polytope(unique[:1].copy(), dim, 0, origin, basis,
+                        np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent)
+    if rank == 1:
+        line = proj[:, 0]
+        idx = [int(np.argmin(line)), int(np.argmax(line))]
+        return Polytope(unique[idx].copy(), dim, 1, origin, basis,
+                        proj, proj[idx].copy(), None, None, extent)
+    idx = hull.vertices
+    return Polytope(unique[idx].copy(), dim, rank, origin, basis,
+                    proj, proj[idx].copy(), hull.equations.copy(),
+                    hull.simplices.copy(), extent)
 
 
 def _default_tol(poly: Polytope, tol: Optional[float]) -> float:
@@ -203,30 +221,138 @@ def contains(poly: Polytope, x, tol: Optional[float] = None) -> bool:
     return bool(_membership(poly, pt, _default_tol(poly, tol))[0])
 
 
-def centroid(poly: Polytope) -> CentroidResult:
-    """Uniform-mass centroid of the hull, computed in its affine dimension.
+def _stacks(x: np.ndarray, reach: np.ndarray):
+    """The distinct stacks x[reach[:, p]] and the rows `convex_hull` keeps
+    from each: the dedup survivors, or the first row when the stack's extent
+    is 0.
 
-    Full-rank case: the hull is fanned into simplices from the vertex average;
-    the centroid is the volume-weighted mean of simplex centroids (each the
-    arithmetic mean of its vertices), simplex volume = |det| / r!.
+    Returns (owner, member, kept): owner[p] is agent p's stack, numbered in
+    order of first appearance; member[s] and kept[s] mark, over the n rows
+    of x, the rows that stack s holds and keeps. Stacks are the same when
+    their bytes are.
     """
-    r = poly.dim_affine
-    if r == 0:
-        return CentroidResult(poly.vertices[0].copy(), 0.0)
-    if r == 1:
-        line = poly.proj_vertices[:, 0]
-        mid = (line.min() + line.max()) / 2
-        length = float(line.max() - line.min())
-        return CentroidResult(poly.origin + mid * poly.basis[0], length)
+    n = len(x)
+    cols = np.ascontiguousarray(reach.T)
+    # dist[i, j] is the float norm(a[i] - a[j]) that dedup computes for any
+    # stack a holding rows i and j. No stack's extent exceeds that of x, so
+    # rows farther apart than 1e-9 of it are close in no stack.
+    dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
+    close = dist <= DUP_TOL * (x.max(axis=0) - x.min(axis=0)).max()
+    keys, same = cols, None
+    if close.sum() > n:
+        bits = x.view(np.int64)
+        same = (bits[:, None, :] == bits[None, :, :]).all(axis=2)
+        # a stack's bytes are those of the first copies of its rows, in order
+        first_copy = same.argmax(axis=1)
+        keys = [first_copy[c] for c in cols]
+    owner = np.empty(n, dtype=np.intp)
+    index, firsts = {}, []
+    for p in range(n):
+        owner[p] = index.setdefault(keys[p].tobytes(), len(firsts))
+        if owner[p] == len(firsts):
+            firsts.append(p)
+    member = cols[firsts]
+    if same is None:
+        # no two rows are close: every stack keeps all its rows
+        return owner, member, member
 
-    apex = poly.proj_vertices.mean(axis=0)
-    pts = poly.proj_points[poly.simplices]
-    vols = np.abs(np.linalg.det(pts - apex)) / math.factorial(r)
+    # dedup drops a row from every stack that holds an earlier row with its
+    # bytes, then greedily the rows close to a kept row
+    kept = member & ~np.matmul(member, (same & np.tri(n, k=-1, dtype=bool)).T)
+    if not (close & ~same).any():
+        # only rows with the same bytes are close: greedy keeps every row left
+        return owner, member, kept
+    m3 = member[:, :, None]
+    extent = (np.where(m3, x, -np.inf).max(axis=1) - np.where(m3, x, np.inf).min(axis=1)).max(axis=1)
+    for s in np.flatnonzero(extent > 0):
+        rows = np.flatnonzero(kept[s])
+        near = dist[np.ix_(rows, rows)] <= DUP_TOL * extent[s]
+        near &= np.tri(len(rows), k=-1, dtype=bool)
+        kept[s, rows] = _greedy_keep(near)
+    flat = np.flatnonzero(extent == 0)
+    kept[flat] = False
+    kept[flat, member[flat].argmax(axis=1)] = True
+    return owner, member, kept
+
+
+def _fan_centroids(r: int, stacks, cent: np.ndarray) -> None:
+    """Fan each rank-r hull of `stacks` from its vertex average and write its
+    centroid to cent[s], all hulls in one batch.
+
+    A hull with fewer facets than the longest is padded with facets at its
+    apex: a zero matrix after centering, so a zero volume and a zero term.
+    They come last, where adding a zero leaves the running sums as they are
+    (a sum that starts at +0.0 is never -0.0).
+    """
+    ids, origins, bases, projs, hulls = zip(*stacks)
+    # a (v, r) sum over its rows adds them left to right, as mean(axis=0) does
+    apex = np.array([p[h.vertices].sum(axis=0) / len(h.vertices) for p, h in zip(projs, hulls)])
+    pts = np.empty((len(ids), max(len(h.simplices) for h in hulls), r, r))
+    pts[...] = apex[:, None, None, :]
+    for i, (p, h) in enumerate(zip(projs, hulls)):
+        pts[i, :len(h.simplices)] = p[h.simplices]
+    vols = np.abs(np.linalg.det(pts - apex[:, None, None, :])) / math.factorial(r)
+    terms = vols[..., None] * (pts.sum(axis=2) + apex[:, None, :]) / (r + 1)
     # cumsum adds left to right, as a running sum from 0.0 over the simplices
     # does; the zero row keeps a -0.0 first term from surviving as -0.0
-    terms = vols[:, None] * (pts.sum(axis=1) + apex) / (r + 1)
-    total = np.cumsum(vols)[-1]
-    acc = np.cumsum(np.vstack([np.zeros(r), terms]), axis=0)[-1]
-    if total <= 0.0 or not np.isfinite(total):
-        raise GeometryError(f"degenerate fan decomposition: volume={total!r} at rank {r}")
-    return CentroidResult(poly.origin + (acc / total) @ poly.basis, total)
+    total = np.cumsum(vols, axis=1)[:, -1]
+    acc = np.cumsum(np.concatenate([np.zeros((len(ids), 1, r)), terms], axis=1), axis=1)[:, -1]
+    if not 0.0 < total.min() <= total.max() < np.inf:
+        bad = total[~((total > 0.0) & (total < np.inf))][0]
+        raise GeometryError(f"degenerate fan decomposition: volume={bad!r} at rank {r}")
+    mean = (acc / total[:, None])[:, None, :] @ np.array(bases)
+    cent[list(ids)] = np.array(origins) + mean[:, 0]
+
+
+def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Row p is the uniform-mass centroid of the convex hull of the positions
+    x[q] (n, d) with reach[q, p], for all agents at once.
+
+    The bytes are those of `convex_hull` over each agent's stack
+    x[reach[:, p]], fanned from its vertex average (the per-stack reference
+    in tests/oracles.py): the same dedup, rank cut, Qhull input and fan sums.
+    Agents whose stacks are equal byte for byte share one result. What the
+    stacks of a block end share is computed once: one distance matrix of x
+    for dedup, and centering, SVD and rank cut batched over the stacks that
+    keep the same number of rows. Qhull runs once per distinct stack of rank
+    >= 2, in order of the stacks' first agents, with its joggle and
+    rank-reduction fallbacks; the fan runs batched over every full-hull stack
+    of one rank.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    n, d = x.shape
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite")
+    owner, member, kept = _stacks(x, reach)
+    count = kept.sum(axis=1)
+
+    cent = np.empty((len(member), d))
+    # the largest absolute coordinate of each stack, dropped rows included
+    scale = np.where(member, np.abs(x).max(axis=1), 0.0).max(axis=1)
+    reduced = []
+    for u in sorted(set(count.tolist())):
+        group = np.flatnonzero(count == u)
+        pts = x[np.nonzero(kept[group])[1].reshape(len(group), u)]
+        if u == 1:
+            cent[group] = pts[:, 0]
+            continue
+        origin = pts.mean(axis=1)
+        centered = pts - origin[:, None, :]
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        rank = _rank_cut(svals, scale[group])
+        reduced += zip(group.tolist(), pts[:, 0], origin, centered, vt, rank.tolist())
+
+    fans = {}
+    for s, first, origin, centered, vt, rank in sorted(reduced, key=lambda h: h[0]):
+        # m points can never span more than m - 1 affine dimensions
+        rank, basis, proj, hull = _reduced_hull(centered, vt, min(rank, len(centered) - 1))
+        if rank == 0:
+            cent[s] = first
+        elif rank == 1:
+            line = proj[:, 0]
+            cent[s] = origin + (line.min() + line.max()) / 2 * basis[0]
+        else:
+            fans.setdefault(rank, []).append((s, origin, basis, proj, hull))
+    for rank, stacks in fans.items():
+        _fan_centroids(rank, stacks, cent)
+    return cent[owner]

@@ -222,13 +222,16 @@ def theorem_bound(spec: RunSpec) -> int:
     ratio = 1.0 / spec.epsilon
     period = effective_period(spec.algorithm, spec.n)
     alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
+    # alpha = 1 (equal-neighbor at n = 1) contracts by 0: one step collapses
+    # every range
+    steps = _ceil_log(ratio, 1.0 / (1.0 - alpha)) if alpha < 1 else int(ratio > 1.0)
     if period == 1 and spec.pattern.nonsplit:
-        return _ceil_log(ratio, 1.0 / (1.0 - alpha))
+        return steps
     if spec.algorithm.amortized and period == max(1, spec.n - 1) and spec.pattern.rooted:
         if spec.algorithm.tag not in ("midpoint", "extreme-point", "centroid"):
             raise UnsupportedScenarioError(
                 f"no amortized round bound on file for {spec.algorithm.tag!r}")
-        return period * _ceil_log(ratio, 1.0 / (1.0 - alpha))
+        return period * steps
     raise UnsupportedScenarioError(
         f"no round bound on file for {format_kind(spec.algorithm)} at period {period}"
         f" over pattern {spec.pattern.name!r}")

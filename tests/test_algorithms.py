@@ -17,6 +17,7 @@ from consensus_dyn.algorithms import (
 from consensus_dyn.graphs import adversarial_rotating_star, random_nonsplit, random_rooted
 from consensus_dyn.simulator import RunSpec, run
 from oracles import (
+    centroid,
     centroid_update,
     component_midpoint_update,
     equal_neighbor_update,
@@ -114,7 +115,7 @@ def test_centroid_update():
     hull_pts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]])
     inner = np.vstack([hull_pts, [[1.0, 1.0]]])
     assert np.allclose(centroid_update(inner),
-                       geometry.centroid(geometry.convex_hull(hull_pts)).centroid)
+                       centroid(geometry.convex_hull(hull_pts)).centroid)
 
 
 def test_update_outputs_stay_in_hull():

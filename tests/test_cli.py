@@ -694,3 +694,20 @@ def test_fixed_pattern_bound_generates_no_round(tmp_path, monkeypatch):
         assert calls == [1], command
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert (summary["rounds"], summary["bound_t"]) == (1, 20)
+
+
+def test_equal_neighbor_alone_has_a_one_round_bound(tmp_path):
+    # claimed_alpha is 1/n = 1 at n = 1: one nonsplit round contracts every
+    # range by 1 - alpha = 0, so the bound is 1 round, not a division by zero
+    cfg = {"n": 1, "d": 1, "algorithm": "equal-neighbor", "pattern": {"family": "complete"},
+           "epsilon": 1e-3}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["bound_t"] == 1
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    sweep = _write(tmp_path, dict(cfg, sweep={"n": [1], "d": [1], "algorithm": ["equal-neighbor"],
+                                              "seed": [1]}), "sweep.json")
+    assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    rows = _read_rows(tmp_path / "sweep" / "sweep.csv")
+    assert [(row["bound_t"], row["within_bound"]) for row in rows] == [("1", "yes")]

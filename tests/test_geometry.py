@@ -1,13 +1,14 @@
 import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from consensus_dyn import algorithms, geometry
-from consensus_dyn.geometry import centroid, contains, convex_hull, dedup
-from oracles import OracleUnreliableError, build_hyperpyramid, centroid_oracle_mc
+from consensus_dyn import algorithms
+from consensus_dyn.geometry import contains, convex_hull, dedup
+from oracles import OracleUnreliableError, build_hyperpyramid, centroid, centroid_oracle_mc
 
 
 def _vertex_set(poly):
@@ -375,23 +376,128 @@ def test_centroid_oracle_mc_sliver_unreliable():
         centroid_oracle_mc(pts, samples=20_000, seed=2)
 
 
+def _reference_round(x, reach):
+    """Agent by agent, the per-hull reference centroid of the positions that
+    reached it, computed once per stack of distinct bytes, in agent order."""
+    out = np.empty_like(x)
+    done = {}
+    for p in range(len(x)):
+        stack = x[reach[:, p]]
+        key = (stack.shape, stack.tobytes())
+        if key not in done:
+            done[key] = centroid(convex_hull(stack)).centroid
+        out[p] = done[key]
+    return out
+
+
+def _centroid_round(x, reach):
+    return algorithms.apply_rule(algorithms.parse_kind("centroid"), x, reach, t=1)
+
+
+@st.composite
+def _centroid_rounds(draw):
+    """(x, reach) of one centroid round: n 1-16, d 1-5, reach with self-loops."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "grid", "near", "flat", "tilted", "speck"]))
+    if shape == "uniform":
+        x = rng.uniform(-3, 3, (n, d))
+    elif shape == "grid":
+        # exact duplicates, collinear and coplanar stacks, and -0.0 next to 0.0
+        x = rng.integers(-1, 2, (n, d)) * rng.choice([1.0, -1.0], (n, d))
+    elif shape == "near":
+        # chains of steps of 0.5-1.05 times 1e-9 of the extent: rows close only
+        # to a dropped row, where greedy dedup needs its row loop
+        x = rng.uniform(-1, 1, (n, d))
+        for i in range(1, n):
+            if rng.random() < 0.7:
+                x[i] = x[i - 1] + rng.choice([-1.0, 1.0], d) * rng.uniform(0.5, 1.05) * 2e-9
+    elif shape == "flat":
+        # rank < d with exact zeros off the affine hull
+        x = np.zeros((n, d))
+        k = int(rng.integers(0, d))
+        x[:, rng.permutation(d)[:k]] = rng.uniform(-1, 1, (n, k))
+        x += rng.uniform(-5, 5, d)
+    elif shape == "tilted":
+        # rank < d along a random subspace: the rank cut decides
+        k = int(rng.integers(1, d + 1))
+        x = rng.uniform(-1, 1, (n, k)) @ rng.uniform(-1, 1, (k, d)) + rng.uniform(-5, 5, d)
+    else:
+        # rows apart by more than dedup's 1e-9 of their extent but within the
+        # rounding noise of their coordinates: the rank cut says 0
+        x = 1e3 + rng.uniform(-1e-13, 1e-13, (n, d))
+    reach = rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+    np.fill_diagonal(reach, True)
+    return x, reach
+
+
+@settings(max_examples=400, deadline=None)
+@given(_centroid_rounds())
+def test_centroid_round_matches_per_hull_reference_bit_for_bit(case):
+    x, reach = case
+    assert _centroid_round(x, reach).tobytes() == _reference_round(x, reach).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 5),
+       st.sampled_from(["plain", "joggled"]))
+def test_centroid_round_takes_qhull_fallbacks_as_the_reference(seed, n, d, fails):
+    # Qhull rejects every stack with an odd number of points, and with
+    # `fails == "joggled"` the joggled retry too, so the rank drops down to
+    # 1; the warnings name the dimensions, and must come in the reference's
+    # order
+    import scipy.spatial
+
+    real = scipy.spatial.ConvexHull
+
+    def flaky(points, qhull_options=None):
+        if len(points) % 2 and (qhull_options is None or fails == "joggled"):
+            raise scipy.spatial.QhullError("rejected by the test")
+        return real(points) if qhull_options is None else real(points, qhull_options=qhull_options)
+
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, d))
+    reach = rng.random((n, n)) < 0.6
+    np.fill_diagonal(reach, True)
+    logger = logging.getLogger("consensus_dyn.geometry")
+    records = []
+    handler = logging.Handler()
+    handler.emit = lambda record: records.append(record.getMessage())
+    logger.addHandler(handler)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.spatial, "ConvexHull", flaky)
+            got = _centroid_round(x, reach)
+            got_log, records[:] = list(records), []
+            want = _reference_round(x, reach)
+    finally:
+        logger.removeHandler(handler)
+    assert got.tobytes() == want.tobytes()
+    assert got_log == records
+
+
 def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
+    import scipy.spatial
+
     calls = []
-    real = geometry.convex_hull
+    real = scipy.spatial.ConvexHull
 
-    def counting(points, d=None):
-        calls.append(1)
-        return real(points, d)
+    def counting(points, *args, **kwargs):
+        calls.append(len(points))
+        return real(points, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "convex_hull", counting)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", counting)
     rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, (4, 2))
-    adj = np.eye(4, dtype=bool)
+    x = rng.uniform(0, 1, (5, 2))
+    x[4] = x[3]
+    adj = np.eye(5, dtype=bool)
     adj[[0, 1, 2], 0] = adj[[0, 1, 2], 1] = True  # agents 0 and 1 both hear 0, 1, 2
-    adj[3, 2] = adj[0, 3] = True
-    kind = algorithms.parse_kind("centroid")
-    new_x = algorithms.apply_rule(kind, x, adj, t=1)
-    # one hull per distinct stack: 3 stacks, not 4
-    assert len(calls) == 3
-    alone = centroid(real(x[:3])).centroid
+    adj[3, 2] = True  # agent 2 hears 2 and 3: a segment, no hull
+    adj[[0, 2], 3] = adj[[0, 2], 4] = True  # agents 3 and 4 hear 0, 2 and rows of equal bytes
+    new_x = _centroid_round(x, adj)
+    # one Qhull call per stack of distinct bytes and rank 2: 2 stacks, not 4
+    assert calls == [3, 3]
+    alone = centroid(convex_hull(x[:3])).centroid
     assert new_x[0].tobytes() == new_x[1].tobytes() == alone.tobytes()
+    assert new_x.tobytes() == _reference_round(x, adj).tobytes()
