@@ -13,7 +13,7 @@ the period to n-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -134,21 +134,14 @@ def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.where(adj[:, :, None], values[:, None, :], -np.inf).max(axis=0)
 
 
-def _select_extreme(points: np.ndarray, senders: Sequence[int], comp: int,
-                    maximize: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
+def _select_extreme(points: np.ndarray, comp: int, maximize: bool,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The point with the least (greatest) component comp; ties drawn from rng."""
     coords = points[:, comp]
-    target = coords.max() if maximize else coords.min()
-    ties = np.nonzero(coords == target)[0]
+    ties = np.nonzero(coords == (coords.max() if maximize else coords.min()))[0]
     if len(ties) == 1:
         return points[ties[0]]
-    if rng is not None:
-        return points[int(rng.choice(ties))]
-    best = None
-    for i in ties:
-        key = (senders[i], tuple(points[i]))
-        if best is None or key < best[0]:
-            best = (key, int(i))
-    return points[best[1]]
+    return points[int(rng.choice(ties))]
 
 
 def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
@@ -160,11 +153,10 @@ def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
     if kind.tie_break == "random":
         for p in range(n):
             rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
-            ids = np.flatnonzero(reach[:, p])
-            pts = x[ids]
+            pts = x[reach[:, p]]
             for i in range(d):
-                chosen[p, i] = _select_extreme(pts, ids, i, False, rng)
-                chosen[p, d + i] = _select_extreme(pts, ids, i, True, rng)
+                chosen[p, i] = _select_extreme(pts, i, False, rng)
+                chosen[p, d + i] = _select_extreme(pts, i, True, rng)
         return chosen
     # Ties go to the lowest agent id: a stable sort keeps tied agents in id
     # order, and each agent takes the first one that reached it.

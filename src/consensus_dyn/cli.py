@@ -27,6 +27,7 @@ from . import geometry
 from .algorithms import claimed_alpha, effective_period, format_kind, parse_kind
 from .graphs import (
     RoundGraphs,
+    _is_int,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
@@ -69,10 +70,6 @@ _PATTERN_KEYS = {
 }
 _AUDIT_KEYS = {"safeness", "matrices", "moreau"}
 _SWEEP_KEYS = ("n", "d", "algorithm", "seed")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _require(cond, msg):
@@ -164,7 +161,13 @@ def _check_initial(obj, n, d) -> dict:
         return {"kind": "random-unit-box"}
     if kind == "explicit":
         _require(set(obj) == {"kind", "positions"}, "explicit initial needs exactly 'positions'")
-        pos = np.asarray(obj["positions"], dtype=float)
+        rows = obj["positions"]
+        _require(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
+                 "initial positions must be a list of rows")
+        # numpy parses strings and booleans as numbers: "0.25" -> 0.25, true -> 1.0
+        for v in (v for row in rows for v in row):
+            _require(_is_int(v) or isinstance(v, float), f"initial position {v!r} is not a number")
+        pos = np.asarray(rows, dtype=float)
         _require(pos.shape == (n, d), f"initial positions must be {n}x{d}, got {pos.shape}")
         _require(bool(np.isfinite(pos).all()), "initial positions must be finite")
         return {"kind": "explicit", "positions": [[float(v) for v in row] for row in pos]}
@@ -405,9 +408,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    hull3 = geometry.convex_hull(np.eye(3))
     mid = np.full(3, 0.5)  # component-wise midpoint of the three unit vectors
-    inside = geometry.contains(hull3, mid)
+    inside = geometry.in_hull(np.eye(3), mid)
     print("R^3 component-wise midpoint of the unit simplex vertices: [0.5, 0.5, 0.5]")
     print(f"outside hull: {'true' if not inside else 'false'}")
 
@@ -420,7 +422,7 @@ def cmd_counterexample(args) -> int:
         rng = np.random.default_rng((args.seed or 0, s))
         pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 9)), 2))
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        if not geometry.contains(geometry.convex_hull(pts), center):
+        if not geometry.in_hull(pts, center):
             failures += 1
     print(f"all inside: {'true' if failures == 0 else 'false'}"
           f" ({seeds} random planar sets, box centers)")

@@ -1,25 +1,23 @@
-"""d-dimensional geometry kernel: hull frames, membership and exact centroids.
+"""d-dimensional hull kernel: exact centroids of hulls, and hull membership.
 
 Degenerate (lower-dimensional) point sets are handled by projecting onto an
 orthonormal basis of their affine hull, computing there, and lifting back.
-Tolerances are relative to the point set's component extent: tau_dup (vertex
-dedup) and tau_mem (membership) default to 1e-9 of the extent, the
-affine-rank cutoff to 1e-9 of the largest singular value with an absolute
-floor at the rounding noise of the input coordinates.
+Tolerances are relative to the point set's largest component extent: 1e-9 of
+it for greedy dedup and for membership (at least 1e-9), and 1e-9 of the
+largest singular value for the affine-rank cutoff, with an absolute floor at
+the rounding noise of the input coordinates.
 
-`hull_centroids` is the centroid rule's round kernel. Per block end it
-computes one distance matrix of the positions for every stack's dedup, runs
-the rank cut and the simplex fan batched over the stacks, and calls Qhull
-once per distinct stack of rank 2 or more; no output byte differs from
-building each stack's hull with `convex_hull` and fanning it alone.
+`hull_centroids` is the centroid rule's round kernel: one distance matrix of
+the positions for every stack's dedup, the rank cut and the simplex fan
+batched over the stacks, and one Qhull call per distinct stack of rank 2 or
+more. No output byte differs from the per-hull reference in tests/oracles.py.
+`in_hull` runs the same dedup, rank cut and Qhull stages on one point set.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,69 +30,6 @@ RANK_TOL = 1e-9
 
 class GeometryError(RuntimeError):
     """Internal geometric failure with diagnostic context."""
-
-
-@dataclass(frozen=True)
-class Polytope:
-    """Convex hull of a finite point set, reduced to its frame (extreme points).
-
-    ``origin``/``basis`` define the affine hull: basis rows are orthonormal and
-    ``proj_points`` are the deduplicated input points in those coordinates.
-    ``equations`` holds facet half-spaces [normal | offset] in projected
-    coordinates (unit normals, inside = normal @ y + offset <= 0); present only
-    when dim_affine >= 2.
-    """
-
-    vertices: np.ndarray
-    dim_ambient: int
-    dim_affine: int
-    origin: np.ndarray
-    basis: np.ndarray
-    proj_points: np.ndarray
-    proj_vertices: np.ndarray
-    equations: Optional[np.ndarray]
-    simplices: Optional[np.ndarray]
-    extent: float
-
-    def __post_init__(self):
-        for name in ("vertices", "origin", "basis", "proj_points", "proj_vertices",
-                     "equations", "simplices"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr.setflags(write=False)
-
-
-def _as_points(points, d: Optional[int] = None) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one point")
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2:
-        raise ValueError(f"points must be a 2-D array, got shape {arr.shape}")
-    if d is not None and arr.shape[1] != d:
-        raise ValueError(f"points have dimension {arr.shape[1]}, expected {d}")
-    if not np.isfinite(arr).all():
-        raise ValueError("points must be finite")
-    return arr
-
-
-def dedup(arr: np.ndarray, tol: float) -> np.ndarray:
-    """Rows of arr in order, without those within distance tol of a kept row.
-
-    Later exact copies of a row go first: greedy always drops them, since the
-    first copy is kept or lies within tol of a kept row. The u rows left share
-    one (u, u, d) distance matrix, so memory is O(u^2 d); in the round engine
-    u <= n, because a centroid stack holds at most the n block-start positions.
-    """
-    rows = np.ascontiguousarray(arr)
-    as_void = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    first = np.sort(np.unique(as_void, return_index=True)[1])
-    a = arr[first]
-    # norm over the last axis adds the d squares as norm(a[keep] - a[i], axis=1) does
-    close = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=2) <= tol
-    close &= np.tri(len(a), k=-1, dtype=bool)
-    return a[_greedy_keep(close)]
 
 
 def _greedy_keep(close: np.ndarray) -> np.ndarray:
@@ -156,75 +91,10 @@ def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
                 rank -= 1
 
 
-def convex_hull(points, d: Optional[int] = None) -> Polytope:
-    """Frame and facet structure of the convex hull of `points`.
-
-    The returned vertices are exactly the extreme points of the input (original
-    coordinates, deduplicated within tau_dup); dim_affine is the rank of the
-    centered point matrix at the tau_rank cutoff.
-    """
-    arr = _as_points(points, d)
-    dim = arr.shape[1]
-    extent = float((arr.max(axis=0) - arr.min(axis=0)).max()) if len(arr) > 1 else 0.0
-
-    unique = dedup(arr, DUP_TOL * extent) if extent > 0 else arr[:1].copy()
-    origin = unique.mean(axis=0)
-    centered = unique - origin
-    if len(unique) == 1:
-        rank, vt = 0, None
-    else:
-        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-        # m points can never span more than m - 1 affine dimensions
-        rank = min(int(_rank_cut(svals, float(np.abs(arr).max()))), len(unique) - 1)
-
-    rank, basis, proj, hull = _reduced_hull(centered, vt, rank)
-    if rank == 0:
-        return Polytope(unique[:1].copy(), dim, 0, origin, basis,
-                        np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent)
-    if rank == 1:
-        line = proj[:, 0]
-        idx = [int(np.argmin(line)), int(np.argmax(line))]
-        return Polytope(unique[idx].copy(), dim, 1, origin, basis,
-                        proj, proj[idx].copy(), None, None, extent)
-    idx = hull.vertices
-    return Polytope(unique[idx].copy(), dim, rank, origin, basis,
-                    proj, proj[idx].copy(), hull.equations.copy(),
-                    hull.simplices.copy(), extent)
-
-
-def _default_tol(poly: Polytope, tol: Optional[float]) -> float:
-    if tol is not None:
-        return tol
-    return MEM_TOL * max(poly.extent, 1.0)
-
-
-def _membership(poly: Polytope, pts: np.ndarray, tol: float) -> np.ndarray:
-    # orthogonal residual to the affine hull, then half-space margins inside it
-    diff = pts - poly.origin
-    y = diff @ poly.basis.T
-    res = np.linalg.norm(diff - y @ poly.basis, axis=1)
-    ok = res <= tol
-    if poly.dim_affine == 0:
-        return ok
-    if poly.dim_affine == 1:
-        line = poly.proj_vertices[:, 0]
-        return ok & (y[:, 0] >= line.min() - tol) & (y[:, 0] <= line.max() + tol)
-    margins = y @ poly.equations[:, :-1].T + poly.equations[:, -1]
-    return ok & (margins.max(axis=1) <= tol)
-
-
-def contains(poly: Polytope, x, tol: Optional[float] = None) -> bool:
-    """True iff x is within distance ~tol of the hull (default 1e-9 of extent)."""
-    pt = np.asarray(x, dtype=float).reshape(1, -1)
-    if pt.shape[1] != poly.dim_ambient:
-        raise ValueError(f"point dimension {pt.shape[1]} != {poly.dim_ambient}")
-    return bool(_membership(poly, pt, _default_tol(poly, tol))[0])
-
-
 def _stacks(x: np.ndarray, reach: np.ndarray):
-    """The distinct stacks x[reach[:, p]] and the rows `convex_hull` keeps
-    from each: the dedup survivors, or the first row when the stack's extent
-    is 0.
+    """The distinct stacks x[reach[:, p]] and the rows each keeps for its
+    hull: the greedy dedup survivors, or the first row when the stack's
+    extent is 0.
 
     Returns (owner, member, kept): owner[p] is agent p's stack, numbered in
     order of first appearance; member[s] and kept[s] mark, over the n rows
@@ -233,9 +103,9 @@ def _stacks(x: np.ndarray, reach: np.ndarray):
     """
     n = len(x)
     cols = np.ascontiguousarray(reach.T)
-    # dist[i, j] is the float norm(a[i] - a[j]) that dedup computes for any
-    # stack a holding rows i and j. No stack's extent exceeds that of x, so
-    # rows farther apart than 1e-9 of it are close in no stack.
+    # dist[i, j] is the float norm(a[i] - a[j]) that greedy dedup compares
+    # for any stack a holding rows i and j. No stack's extent exceeds that of
+    # x, so rows farther apart than 1e-9 of it are close in no stack.
     dist = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=2)
     close = dist <= DUP_TOL * (x.max(axis=0) - x.min(axis=0)).max()
     keys, same = cols, None
@@ -308,9 +178,9 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """Row p is the uniform-mass centroid of the convex hull of the positions
     x[q] (n, d) with reach[q, p], for all agents at once.
 
-    The bytes are those of `convex_hull` over each agent's stack
-    x[reach[:, p]], fanned from its vertex average (the per-stack reference
-    in tests/oracles.py): the same dedup, rank cut, Qhull input and fan sums.
+    The bytes are those of the per-stack reference in tests/oracles.py, the
+    hull of x[reach[:, p]] alone fanned from its vertex average: the same
+    dedup, rank cut, Qhull input and fan sums.
     Agents whose stacks are equal byte for byte share one result. What the
     stacks of a block end share is computed once: one distance matrix of x
     for dedup, and centering, SVD and rank cut batched over the stacks that
@@ -356,3 +226,23 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     for rank, stacks in fans.items():
         _fan_centroids(rank, stacks, cent)
     return cent[owner]
+
+
+def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
+    """True iff x lies within MEM_TOL * max(extent, 1) of the hull of the
+    (m, d) points, extent being their largest component extent. The hull
+    comes from the kernel's own dedup, rank cut and Qhull stages."""
+    tol = MEM_TOL * max(float((points.max(axis=0) - points.min(axis=0)).max()), 1.0)
+    # every agent of a complete reach holds the one stack of all the points
+    unique = points[_stacks(points, np.ones((len(points),) * 2, dtype=bool))[2][0]]
+    origin = unique.mean(axis=0)
+    _, svals, vt = np.linalg.svd(unique - origin, full_matrices=False)
+    rank = min(int(_rank_cut(svals, float(np.abs(points).max()))), len(unique) - 1)
+    rank, basis, proj, hull = _reduced_hull(unique - origin, vt, rank)
+    diff = x.reshape(1, -1) - origin
+    y = diff @ basis.T
+    if np.linalg.norm(diff - y @ basis, axis=1)[0] > tol:  # off the affine hull
+        return False
+    if rank < 2:
+        return rank == 0 or proj.min() - tol <= y[0, 0] <= proj.max() + tol
+    return (y @ hull.equations[:, :-1].T + hull.equations[:, -1]).max() <= tol

@@ -298,6 +298,10 @@ def graph_to_json(g: CommGraph) -> dict:
     return {"n": g.n, "edges": [[p, q] for p, q in sorted(g.edges)]}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def graph_from_json(obj: dict) -> CommGraph:
     if not isinstance(obj, dict):
         raise ValueError("graph literal must be an object")
@@ -307,7 +311,7 @@ def graph_from_json(obj: dict) -> CommGraph:
     if "n" not in obj or "edges" not in obj:
         raise ValueError("graph literal needs 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"invalid node count: {n!r}")
     adj = np.eye(n, dtype=bool)
     has_loop = np.zeros(n, dtype=bool)
@@ -315,7 +319,7 @@ def graph_from_json(obj: dict) -> CommGraph:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise ValueError(f"malformed edge entry: {e!r}")
         p, q = e
-        if not (isinstance(p, int) and isinstance(q, int) and 0 <= p < n and 0 <= q < n):
+        if not (_is_int(p) and _is_int(q) and 0 <= p < n and 0 <= q < n):
             raise ValueError(f"edge ({p!r}, {q!r}) out of range for n={n}")
         adj[p, q] = True
         if p == q:

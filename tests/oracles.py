@@ -1,13 +1,13 @@
 """References and fixtures the tests compare the package against.
 
 Nothing here is on the command line's path: the per-set update rules that
-the whole-array kernel must agree with, the per-hull centroid that
-`geometry.hull_centroids` must match bit for bit, a Monte Carlo centroid, the
-hyperpyramid that attains the centroid's safety constant, the scalar
-convex-combination construction that `reconstruct_matrices` vectorizes, a
-naive pure-Python scalar engine for tiny instances, per-macro-round
-contraction ratios, and the graph operations the tests build expectations
-from.
+the whole-array kernel must agree with, the per-hull `convex_hull` and
+`centroid` that `geometry.hull_centroids` must match bit for bit, the hull
+membership test `contains`, a Monte Carlo centroid, the hyperpyramid that
+attains the centroid's safety constant, the scalar convex-combination
+construction that `reconstruct_matrices` vectorizes, a naive pure-Python
+scalar engine for tiny instances, per-macro-round contraction ratios, and
+the graph operations the tests build expectations from.
 """
 
 import math
@@ -16,9 +16,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from consensus_dyn import geometry
-from consensus_dyn.algorithms import AlgorithmKind, _select_extreme
-from consensus_dyn.geometry import GeometryError, Polytope, _as_points, _membership, convex_hull
+from consensus_dyn.algorithms import AlgorithmKind
+from consensus_dyn.geometry import DUP_TOL, MEM_TOL, GeometryError, _rank_cut, _reduced_hull
 from consensus_dyn.graphs import CommGraph
 from consensus_dyn.simulator import RANGE_FLOOR, RunTrace
 
@@ -48,6 +47,23 @@ def component_midpoint_update(received: np.ndarray) -> np.ndarray:
     return (arr.min(axis=0) + arr.max(axis=0)) / 2
 
 
+def _select_extreme(points: np.ndarray, senders: Sequence[int], comp: int,
+                    maximize: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
+    coords = points[:, comp]
+    target = coords.max() if maximize else coords.min()
+    ties = np.nonzero(coords == target)[0]
+    if len(ties) == 1:
+        return points[ties[0]]
+    if rng is not None:
+        return points[int(rng.choice(ties))]
+    best = None
+    for i in ties:
+        key = (senders[i], tuple(points[i]))
+        if best is None or key < best[0]:
+            best = (key, int(i))
+    return points[best[1]]
+
+
 def extreme_point_update(received: np.ndarray, d: int,
                          senders: Optional[Sequence[int]] = None,
                          rng: Optional[np.random.Generator] = None) -> np.ndarray:
@@ -74,11 +90,131 @@ def centroid_update(received: np.ndarray) -> np.ndarray:
     arr = np.asarray(received, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one received position")
-    return centroid(geometry.convex_hull(arr)).centroid
+    return centroid(convex_hull(arr)).centroid
 
 
 # ---------------------------------------------------------------------------
 # geometry
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """Convex hull of a finite point set, reduced to its frame (extreme points).
+
+    ``origin``/``basis`` define the affine hull: basis rows are orthonormal and
+    ``proj_points`` are the deduplicated input points in those coordinates.
+    ``equations`` holds facet half-spaces [normal | offset] in projected
+    coordinates (unit normals, inside = normal @ y + offset <= 0); present only
+    when dim_affine >= 2.
+    """
+
+    vertices: np.ndarray
+    dim_ambient: int
+    dim_affine: int
+    origin: np.ndarray
+    basis: np.ndarray
+    proj_points: np.ndarray
+    proj_vertices: np.ndarray
+    equations: Optional[np.ndarray]
+    simplices: Optional[np.ndarray]
+    extent: float
+
+    def __post_init__(self):
+        for name in ("vertices", "origin", "basis", "proj_points", "proj_vertices",
+                     "equations", "simplices"):
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.setflags(write=False)
+
+
+def _as_points(points, d: Optional[int] = None) -> np.ndarray:
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
+        raise ValueError("need at least one point")
+    if arr.ndim == 1:
+        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise ValueError(f"points must be a 2-D array, got shape {arr.shape}")
+    if d is not None and arr.shape[1] != d:
+        raise ValueError(f"points have dimension {arr.shape[1]}, expected {d}")
+    if not np.isfinite(arr).all():
+        raise ValueError("points must be finite")
+    return arr
+
+
+def _greedy_dedup(arr: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of arr in order, keeping a row unless a kept row is within tol."""
+    keep = [0]
+    for i in range(1, len(arr)):
+        if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
+            keep.append(i)
+    return arr[keep]
+
+
+def convex_hull(points, d: Optional[int] = None) -> Polytope:
+    """Frame and facet structure of the convex hull of `points`.
+
+    The returned vertices are exactly the extreme points of the input (original
+    coordinates, deduplicated within tau_dup); dim_affine is the rank of the
+    centered point matrix at the tau_rank cutoff.
+    """
+    arr = _as_points(points, d)
+    dim = arr.shape[1]
+    extent = float((arr.max(axis=0) - arr.min(axis=0)).max()) if len(arr) > 1 else 0.0
+
+    unique = _greedy_dedup(arr, DUP_TOL * extent) if extent > 0 else arr[:1].copy()
+    origin = unique.mean(axis=0)
+    centered = unique - origin
+    if len(unique) == 1:
+        rank, vt = 0, None
+    else:
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        # m points can never span more than m - 1 affine dimensions
+        rank = min(int(_rank_cut(svals, float(np.abs(arr).max()))), len(unique) - 1)
+
+    rank, basis, proj, hull = _reduced_hull(centered, vt, rank)
+    if rank == 0:
+        return Polytope(unique[:1].copy(), dim, 0, origin, basis,
+                        np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent)
+    if rank == 1:
+        line = proj[:, 0]
+        idx = [int(np.argmin(line)), int(np.argmax(line))]
+        return Polytope(unique[idx].copy(), dim, 1, origin, basis,
+                        proj, proj[idx].copy(), None, None, extent)
+    idx = hull.vertices
+    return Polytope(unique[idx].copy(), dim, rank, origin, basis,
+                    proj, proj[idx].copy(), hull.equations.copy(),
+                    hull.simplices.copy(), extent)
+
+
+def _default_tol(poly: Polytope, tol: Optional[float]) -> float:
+    if tol is not None:
+        return tol
+    return MEM_TOL * max(poly.extent, 1.0)
+
+
+def _membership(poly: Polytope, pts: np.ndarray, tol: float) -> np.ndarray:
+    # orthogonal residual to the affine hull, then half-space margins inside it
+    diff = pts - poly.origin
+    y = diff @ poly.basis.T
+    res = np.linalg.norm(diff - y @ poly.basis, axis=1)
+    ok = res <= tol
+    if poly.dim_affine == 0:
+        return ok
+    if poly.dim_affine == 1:
+        line = poly.proj_vertices[:, 0]
+        return ok & (y[:, 0] >= line.min() - tol) & (y[:, 0] <= line.max() + tol)
+    margins = y @ poly.equations[:, :-1].T + poly.equations[:, -1]
+    return ok & (margins.max(axis=1) <= tol)
+
+
+def contains(poly: Polytope, x, tol: Optional[float] = None) -> bool:
+    """True iff x is within distance ~tol of the hull (default 1e-9 of extent)."""
+    pt = np.asarray(x, dtype=float).reshape(1, -1)
+    if pt.shape[1] != poly.dim_ambient:
+        raise ValueError(f"point dimension {pt.shape[1]} != {poly.dim_ambient}")
+    return bool(_membership(poly, pt, _default_tol(poly, tol))[0])
+
 
 
 @dataclass(frozen=True)

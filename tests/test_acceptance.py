@@ -11,7 +11,7 @@ import numpy as np
 
 from conftest import check
 
-from consensus_dyn import cli, geometry
+from consensus_dyn import cli
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha
 from consensus_dyn.graphs import (
     CommGraph,
@@ -39,6 +39,8 @@ from oracles import (
     build_hyperpyramid,
     centroid,
     centroid_oracle_mc,
+    contains,
+    convex_hull,
     decompose_safe_value,
     graph_product,
     measure_contraction,
@@ -56,7 +58,7 @@ def test_01_centroid_safety_constant():
         for i in range(1000):
             rng = np.random.default_rng((100, d, i))
             pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 13)), d))
-            c = centroid(geometry.convex_hull(pts)).centroid
+            c = centroid(convex_hull(pts)).centroid
             lo, hi = pts.min(axis=0), pts.max(axis=0)
             span = hi - lo
             live = span > 1e-30
@@ -280,15 +282,15 @@ def test_08_component_midpoint_dichotomy():
     """The R^3 box center of the three unit vectors escapes their hull, while
     1000 random planar sets keep their box centers inside."""
     t0 = time.monotonic()
-    hull3 = geometry.convex_hull(np.eye(3))
+    hull3 = convex_hull(np.eye(3))
     mid = np.full(3, 0.5)
-    escaped = not geometry.contains(hull3, mid)
+    escaped = not contains(hull3, mid)
     inside = 0
     for i in range(1000):
         rng = np.random.default_rng((8, i))
         pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 9)), 2))
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        if geometry.contains(geometry.convex_hull(pts), center):
+        if contains(convex_hull(pts), center):
             inside += 1
     elapsed = time.monotonic() - t0
     passed = escaped and inside == 1000 and elapsed < 10
@@ -309,7 +311,7 @@ def test_09_centroid_exact_vs_monte_carlo():
             while True:
                 rng = np.random.default_rng((9, d, i, salt))
                 pts = rng.uniform(0.0, 1.0, (int(rng.integers(d + 3, 13)), d))
-                poly = geometry.convex_hull(pts)
+                poly = convex_hull(pts)
                 if poly.dim_affine == d:
                     break
                 salt += 1
@@ -390,9 +392,9 @@ def test_11_bidirectional_intermittent_consensus():
             diam0 = max(float(np.linalg.norm(a - b))
                         for a in initial for b in initial)
             diam_t = max(float(np.linalg.norm(a - b)) for a in final for b in final)
-            hull0 = geometry.convex_hull(initial)
+            hull0 = convex_hull(initial)
             tol = 1e-9 * max(1.0, float(np.ptp(initial, axis=0).max()))
-            valid = all(geometry.contains(hull0, final[p], tol=tol) for p in range(n))
+            valid = all(contains(hull0, final[p], tol=tol) for p in range(n))
             delta_ok = bool((trace.deltas[-1] <= 1e-6 * trace.deltas[0]).all())
             if not (trace.metrics.converged and delta_ok
                     and diam_t <= 1e-6 * diam0 and valid):

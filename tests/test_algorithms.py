@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from consensus_dyn import geometry
 from consensus_dyn.algorithms import (
     AlgorithmKind,
     _extreme_points,
@@ -20,6 +19,8 @@ from oracles import (
     centroid,
     centroid_update,
     component_midpoint_update,
+    contains,
+    convex_hull,
     equal_neighbor_update,
     extreme_point_update,
     midpoint_update_1d,
@@ -65,7 +66,7 @@ def test_component_midpoint_update():
     tri = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     mid = component_midpoint_update(tri)
     assert np.allclose(mid, [0.5, 0.5, 0.5])
-    assert not geometry.contains(geometry.convex_hull(tri), mid)
+    assert not contains(convex_hull(tri), mid)
 
 
 def test_extreme_point_update_single_point():
@@ -115,7 +116,7 @@ def test_centroid_update():
     hull_pts = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [0.0, 3.0]])
     inner = np.vstack([hull_pts, [[1.0, 1.0]]])
     assert np.allclose(centroid_update(inner),
-                       centroid(geometry.convex_hull(hull_pts)).centroid)
+                       centroid(convex_hull(hull_pts)).centroid)
 
 
 def test_update_outputs_stay_in_hull():
@@ -129,7 +130,7 @@ def test_update_outputs_stay_in_hull():
             k = int(rng.integers(1, 8))
             pts = rng.uniform(-2, 2, (k, d))
             out = np.atleast_1d(fn(pts))
-            assert geometry.contains(geometry.convex_hull(pts), out)
+            assert contains(convex_hull(pts), out)
 
 
 def test_update_safety_margins():
@@ -341,4 +342,4 @@ def test_centroid_position_stays_in_gathered_hull():
     x0 = rng.uniform(0, 1, (4, 2))
     for _, start, reach, x in _rounds(kind, x0, pattern, 6, period=3):
         for p in range(4):
-            assert geometry.contains(geometry.convex_hull(start[reach[:, p]]), x[p])
+            assert contains(convex_hull(start[reach[:, p]]), x[p])

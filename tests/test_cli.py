@@ -93,6 +93,36 @@ def test_run_fixed_graph_literal(tmp_path):
                  "--out", str(tmp_path / "out")]) == 0
 
 
+def test_run_rejects_explicit_positions_that_are_not_numbers(tmp_path, capsys):
+    # strings and booleans would parse as floats: "0.25" -> 0.25, true -> 1.0
+    cfg = _minimal(n=2, initial={"kind": "explicit", "positions": [["0.25"], [True]]})
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'0.25'" in capsys.readouterr().err
+    cfg["initial"]["positions"] = [[0.25], [True]]
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "True" in capsys.readouterr().err
+    cfg["initial"]["positions"] = {"0": [0.25], "1": [0.5]}
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "list of rows" in capsys.readouterr().err
+
+
+def test_run_rejects_boolean_graph_node_count(tmp_path, capsys):
+    cfg = _minimal(n=1, initial={"kind": "random-unit-box"})
+    cfg["pattern"] = {"family": "fixed", "graph": {"n": True, "edges": []}}
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "node count" in capsys.readouterr().err
+
+
+def test_run_rejects_boolean_graph_edge(tmp_path, capsys):
+    # adj[True, False] = True is a boolean mask that sets nothing: the edge
+    # would vanish and leave a graph of self-loops that never converges
+    cfg = _minimal(n=2, initial={"kind": "random-unit-box"})
+    cfg["pattern"] = {"family": "fixed",
+                      "graph": {"n": 2, "edges": [[True, False], [0, 0], [1, 1]]}}
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "edge (True, False)" in capsys.readouterr().err
+
+
 def _loop_warnings(caplog):
     return [r for r in caplog.records if "missing self-loops" in r.getMessage()]
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_dyn import algorithms
-from consensus_dyn.geometry import contains, convex_hull, dedup
-from oracles import OracleUnreliableError, build_hyperpyramid, centroid, centroid_oracle_mc
+from consensus_dyn.geometry import in_hull
+from oracles import (OracleUnreliableError, build_hyperpyramid, centroid, centroid_oracle_mc,
+                     contains, convex_hull)
 
 
 def _vertex_set(poly):
@@ -83,54 +84,6 @@ def test_convex_hull_deduplicates():
     assert len(poly.vertices) == 3
 
 
-def _greedy_dedup(arr, tol):
-    """The row-by-row loop dedup replaced: keep a row unless a kept row is within tol."""
-    keep = [0]
-    for i in range(1, len(arr)):
-        if np.linalg.norm(arr[keep] - arr[i], axis=1).min() > tol:
-            keep.append(i)
-    return arr[keep]
-
-
-@st.composite
-def _near_duplicate_rows(draw):
-    d = draw(st.integers(1, 4))
-    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.5]))
-    shape = draw(st.sampled_from(["chain", "copies", "signed-zeros"]))
-    if shape == "chain":
-        # consecutive steps around tol: a row can be close only to a dropped
-        # row, where greedy and "drop if any earlier row is close" differ
-        steps = draw(st.lists(st.floats(0.5, 1.05), min_size=1, max_size=12))
-        direction = np.array(draw(st.lists(st.floats(0.1, 1), min_size=d, max_size=d)))
-        direction /= np.linalg.norm(direction)
-        rows = np.cumsum(np.outer(steps, direction) * max(tol, 1e-12), axis=0)
-    elif shape == "copies":
-        base = np.array(draw(st.lists(st.lists(st.floats(-1, 1), min_size=d, max_size=d),
-                                      min_size=1, max_size=4)))
-        picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=12))
-        rows = base[picks]
-    else:
-        values = [0.0, -0.0, tol, -tol]
-        rows = np.array(draw(st.lists(st.lists(st.sampled_from(values), min_size=d, max_size=d),
-                                      min_size=1, max_size=12)))
-    order = draw(st.permutations(range(len(rows))))
-    return rows[list(order)], tol
-
-
-@settings(max_examples=400, deadline=None)
-@given(_near_duplicate_rows())
-def test_dedup_matches_greedy_loop_bit_for_bit(case):
-    rows, tol = case
-    got, want = dedup(rows, tol), _greedy_dedup(rows, tol)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-
-
-def test_dedup_greedy_chain_keeps_row_close_only_to_dropped_row():
-    rows = np.array([[0.0], [0.8], [1.6]])
-    assert dedup(rows, 1.0).tolist() == [[0.0], [1.6]]
-
-
 def test_convex_hull_matches_brute_frame_2d():
     rng = np.random.default_rng(19)
     for _ in range(150):
@@ -165,6 +118,8 @@ def test_contains_componentwise_midpoint_outside_3d():
     assert poly.dim_affine == 2
     assert not contains(poly, (0.5, 0.5, 0.5))
     assert contains(poly, (1 / 3, 1 / 3, 1 / 3))
+    assert not in_hull(np.eye(3), np.full(3, 0.5))
+    assert in_hull(np.eye(3), np.full(3, 1 / 3))
 
 
 def test_contains_degenerate_segment():
@@ -501,3 +456,22 @@ def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
     alone = centroid(convex_hull(x[:3])).centroid
     assert new_x[0].tobytes() == new_x[1].tobytes() == alone.tobytes()
     assert new_x.tobytes() == _reference_round(x, adj).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_centroid_rounds(), st.sampled_from(["vertex", "edge", "box", "outside"]),
+       st.integers(0, 2**32 - 1))
+def test_in_hull_agrees_with_contains(case, query, seed):
+    # centroid-round point sets (exact and near duplicates, flat, single points)
+    # queried at a set point, on a segment, at the box center, 1e-6 outside
+    pts = case[0]
+    rng = np.random.default_rng(seed)
+    a, b = pts[rng.integers(0, len(pts), 2)]
+    u = rng.normal(size=pts.shape[1])
+    u /= np.linalg.norm(u)
+    x, expected = {"vertex": (a, True), "edge": (a + rng.uniform() * (b - a), None),
+                   "box": ((pts.min(axis=0) + pts.max(axis=0)) / 2, True if len(u) <= 2 else None),
+                   "outside": (pts[np.argmax(pts @ u)] + 1e-6 * u, False)}[query]
+    got = in_hull(pts, x)
+    assert got == contains(convex_hull(pts), x)
+    assert expected is None or got == expected

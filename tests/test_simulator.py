@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from consensus_dyn import geometry
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, parse_kind
 from consensus_dyn.graphs import (
     CommGraph,
@@ -31,7 +30,7 @@ from consensus_dyn.simulator import (
     write_margins_csv,
     write_trace_csv,
 )
-from oracles import measure_contraction
+from oracles import contains, convex_hull, measure_contraction
 
 
 def _spec(**kw):
@@ -244,9 +243,9 @@ def test_run_validity_hull_shrinks():
         trace = run(spec)
         tol = 1e-9 * float(np.ptp(trace.positions[0], axis=0).max())
         for t in range(1, len(trace.positions)):
-            hull = geometry.convex_hull(trace.positions[t - 1])
+            hull = convex_hull(trace.positions[t - 1])
             for p in range(5):
-                assert geometry.contains(hull, trace.positions[t, p], tol=tol)
+                assert contains(hull, trace.positions[t, p], tol=tol)
 
 
 def test_run_margins_midpoint_complete_graph():
