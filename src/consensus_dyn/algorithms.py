@@ -2,8 +2,11 @@
 
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
-for all agents at once, each over the positions that reached it; the tests
-hold it to one-set-at-a-time references in tests/oracles.py. `simulator.step`
+for all agents at once, each over the positions that reached it, as array
+work over the reach matrix: no Python loop runs per agent, component or
+in-degree, except the per-agent streams of extreme-point's random tie-break
+and the centroid's Qhull calls. The tests hold it bit for bit to
+one-set-at-a-time references in tests/oracles.py. `simulator.step`
 holds positions still inside a block and applies the rule over the block's
 reach matrix whenever the 1-based round index hits a multiple of the period
 (period 1 is the plain per-round algorithm; the amortized variants default
@@ -149,8 +152,8 @@ def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
     """(n, 2d, d): per agent, the d componentwise minimal and then the d maximal
     positions among the agents that reached it."""
     n, d = x.shape
-    chosen = np.empty((n, 2 * d, d))
     if kind.tie_break == "random":
+        chosen = np.empty((n, 2 * d, d))
         for p in range(n):
             rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
             pts = x[reach[:, p]]
@@ -158,26 +161,61 @@ def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
                 chosen[p, i] = _select_extreme(pts, i, False, rng)
                 chosen[p, d + i] = _select_extreme(pts, i, True, rng)
         return chosen
-    # Ties go to the lowest agent id: a stable sort keeps tied agents in id
-    # order, and each agent takes the first one that reached it.
-    for i in range(d):
-        for j, key in ((i, x[:, i]), (d + i, -x[:, i])):
-            order = np.argsort(key, kind="stable")
-            chosen[:, j] = x[order[reach[order].argmax(axis=0)]]
-    return chosen
+    # Ties go to the lowest agent id: a stable sort of each column of [x, -x]
+    # keeps tied agents in id order, and each agent takes, per column, the
+    # first one that reached it.
+    order = np.argsort(np.concatenate([x, -x], axis=1), axis=0, kind="stable")
+    first = reach.T[:, order].argmax(axis=1)
+    return x[order[first, np.arange(2 * d)]]
+
+
+def _pairwise_sums(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Entry i is rows[i, :count[i]].sum() bit for bit, where the width of
+    rows is a multiple of 8 and every entry of row i from count[i] on is
+    -0.0, which adds nothing. numpy's pairwise sum starts from +0.0 and adds
+    fewer than 8 values in order, up to 128 in 8 lanes joined in a fixed
+    tree and then the count % 8 left over in order, and more in two halves
+    (the first a multiple of 8) summed apart."""
+    m, width = rows.shape
+    col = np.arange(width)
+    out = np.empty(m)
+    big = count > 128
+    if big.any():
+        half = count[big] // 2
+        half -= half % 8
+        left = np.where(col < half[:, None], rows[big], -0.0)
+        shifted = np.minimum(col + half[:, None], width - 1)
+        right = np.where(col < (count[big] - half)[:, None],
+                         np.take_along_axis(rows[big], shifted, axis=1), -0.0)
+        out[big] = _pairwise_sums(left, half) + _pairwise_sums(right, count[big] - half)
+    rows, count = rows[~big], count[~big]
+    lanes = (count - count % 8)[:, None]
+    # cumsum adds left to right whatever the shape, where sum may go pairwise
+    r = np.where(col < lanes, rows, -0.0).reshape(len(rows), width // 8, 8).cumsum(axis=1)[:, -1]
+    r = r[:, 0::2] + r[:, 1::2]
+    r = r[:, 0::2] + r[:, 1::2]
+    tail = np.where(col >= lanes, rows, -0.0)
+    # + 0.0: the sum starts from +0.0, so an all-zero one is never -0.0
+    out[~big] = np.column_stack([r[:, 0] + r[:, 1], tail]).cumsum(axis=1)[:, -1] + 0.0
+    return out
 
 
 def _neighbor_means(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    # x[nb].mean over a compacted (agents, k, d) block adds the k received
-    # positions exactly as a per-agent (k, d) mean does, including numpy's
-    # pairwise summation at d = 1; a masked sum over all n rows would not.
+    """Row p is x[adj[:, p]].mean(axis=0) bit for bit: numpy adds the rows
+    in order from +0.0, except at d = 1, where it sums pairwise."""
+    n, d = x.shape
     deg = adj.sum(axis=0)
-    out = np.empty_like(x)
-    for k in np.unique(deg):
-        rows = np.flatnonzero(deg == k)
-        nb = np.nonzero(adj[:, rows].T)[1].reshape(len(rows), k)
-        out[rows] = x[nb].mean(axis=1)
-    return out
+    # row p holds p's in-neighbours' positions in id order, then -0.0 up to
+    # a multiple of 8 columns
+    receiver, sender = np.nonzero(adj.T)
+    slot = np.arange(len(sender)) - (np.cumsum(deg) - deg)[receiver]
+    padded = np.full((n, -(-int(deg.max()) // 8) * 8, d), -0.0)
+    padded[receiver, slot] = x[sender]
+    if d == 1 and deg.max() >= 8:
+        total = _pairwise_sums(padded[:, :, 0], deg)[:, None]
+    else:
+        total = padded.cumsum(axis=1)[:, -1] + 0.0
+    return total / deg[:, None]
 
 
 def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,

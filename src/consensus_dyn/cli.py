@@ -77,6 +77,15 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+def _as_float(v, what: str) -> float:
+    """float(v) of a JSON number; an integer beyond the float range is a
+    ValueError that names `what`."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer too large for a float") from None
+
+
 def load_config(path) -> dict:
     """Read, schema-check, and normalize a scenario config. The result is a
     fixpoint: loading a serialized normalized config gives it back unchanged."""
@@ -98,7 +107,8 @@ def load_config(path) -> dict:
     cfg["pattern"] = _check_pattern(raw["pattern"])
     eps = raw["epsilon"]
     _require(isinstance(eps, (int, float)) and not isinstance(eps, bool)
-             and eps > 0 and math.isfinite(eps), f"epsilon must be positive and finite, got {eps!r}")
+             and _as_float(eps, "epsilon") > 0 and math.isfinite(eps),
+             f"epsilon must be positive and finite, got {eps!r}")
     cfg["epsilon"] = float(eps)
 
     mr = raw.get("max_rounds", 100_000)
@@ -131,7 +141,7 @@ def serialize_config(cfg: dict) -> str:
 def _check_pattern(obj) -> dict:
     _require(isinstance(obj, dict), "pattern must be an object")
     family = obj.get("family")
-    _require(family in _PATTERN_KEYS,
+    _require(isinstance(family, str) and family in _PATTERN_KEYS,
              f"unknown pattern family {family!r}; expected one of {sorted(_PATTERN_KEYS)}")
     allowed = {"family"} | _PATTERN_KEYS[family]
     unknown = set(obj) - allowed
@@ -167,6 +177,7 @@ def _check_initial(obj, n, d) -> dict:
         # numpy parses strings and booleans as numbers: "0.25" -> 0.25, true -> 1.0
         for v in (v for row in rows for v in row):
             _require(_is_int(v) or isinstance(v, float), f"initial position {v!r} is not a number")
+            _as_float(v, "initial position")
         pos = np.asarray(rows, dtype=float)
         _require(pos.shape == (n, d), f"initial positions must be {n}x{d}, got {pos.shape}")
         _require(bool(np.isfinite(pos).all()), "initial positions must be finite")

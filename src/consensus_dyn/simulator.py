@@ -22,14 +22,16 @@ from .algorithms import (
     claimed_alpha,
     effective_period,
     format_kind,
-    masked_max,
-    masked_min,
     validate_kind,
 )
 from .graphs import CommPattern, RoundGraphs
 
 # component ranges at or below this are treated as already collapsed
 RANGE_FLOOR = 1e-30
+
+# elements in one chunk of the passes over a whole run (margins, CSV rows):
+# bounds their temporary memory whatever the number of rounds
+CHUNK_ELEMS = 1 << 16
 
 
 class UnsupportedScenarioError(RuntimeError):
@@ -122,16 +124,33 @@ def initial_positions(spec: RunSpec) -> np.ndarray:
     return initial.copy()
 
 
-def _margin_row(prev: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Realized relative margin of each agent against the range of prev over
-    its in-neighbours (adj[q, p]); NaN when every component range had already
-    collapsed."""
-    lo, hi = masked_min(prev, adj), masked_max(prev, adj)
-    span = hi - lo
-    live = span > RANGE_FLOOR
+def _margin_row(positions: np.ndarray, ends: List[np.ndarray], period: int) -> np.ndarray:
+    """(T, n) realized relative margins of a run's (T+1, n, d) positions;
+    row t-1 is round t. At the block ends t = period, 2·period, ... agent p's
+    margin is measured against the range of positions[t - period] over the
+    agents q with ends[t // period - 1][q, p], the block's reach matrix; it
+    is NaN inside a block and where every component range had already
+    collapsed. One pass over the run, in chunks of block ends whose
+    (blocks, n, n, d) temporaries hold at most CHUNK_ELEMS elements (or one
+    block)."""
+    rounds, n, d = positions.shape[0] - 1, positions.shape[1], positions.shape[2]
+    margins = np.full((rounds, n), np.nan)
+    block_ends = np.arange(period, rounds + 1, period)
+    per_chunk = max(1, CHUNK_ELEMS // (n * n * d))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(live, np.minimum(new - lo, hi - new) / span, np.inf)
-    return np.where(live.any(axis=1), ratio.min(axis=1), np.nan)
+        for first in range(0, len(block_ends), per_chunk):
+            t = block_ends[first:first + per_chunk]
+            # [block, q, p, k]: component k of q's block-start position where q reached p
+            reach = np.stack(ends[first:first + per_chunk])[..., None]
+            prev = positions[t - period][:, :, None, :]
+            low = np.where(reach, prev, np.inf).min(axis=1)
+            high = np.where(reach, prev, -np.inf).max(axis=1)
+            new = positions[t]
+            span = high - low
+            live = span > RANGE_FLOOR
+            ratio = np.where(live, np.minimum(new - low, high - new) / span, np.inf)
+            margins[t - 1] = np.where(live.any(axis=2), ratio.min(axis=2), np.nan)
+    return margins
 
 
 def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
@@ -163,17 +182,26 @@ def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
 def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
     """Run `spec`, reading round t's graph from `graphs`, a stack of
     spec.pattern's round graphs that callers pass to share it with the audits
-    or with other runs of the same pattern (a fresh one when None)."""
+    or with other runs of the same pattern (a fresh one when None).
+
+    Each round reads its graph, updates the block's reach matrix, calls
+    `step` once and tests whether the range of every component that had one
+    at round 0 is within epsilon times that range. The range history,
+    metrics and margins of the whole run are computed once, after the last
+    round.
+    """
     initial = initial_positions(spec)
     if graphs is None:
         graphs = RoundGraphs(spec.pattern)
     delta0 = delta_components(initial)
+    active = delta0 > 0.0
+    period = effective_period(spec.algorithm, spec.n)
     positions = [initial]
-    margins: List[np.ndarray] = []
-    if (delta0 > 0.0).any():
+    ends: List[np.ndarray] = []  # the reach matrix of every block end
+    if active.any():
         x = initial
-        period = effective_period(spec.algorithm, spec.n)
-        inside_block = np.full(spec.n, np.nan)
+        # within_epsilon's test of the range history, one round at a time
+        threshold = spec.epsilon * delta0[active]
         for t in range(1, spec.max_rounds + 1):
             adj = graphs.adj(t)
             # reach[q, p]: q's value can reach p within the current block; the
@@ -183,15 +211,14 @@ def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
             x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
             positions.append(x)
             if t % period == 0:
-                margins.append(_margin_row(positions[t - period], reach, x))
-            else:
-                margins.append(inside_block)
-            if within_epsilon(delta_components(x), delta0, spec.epsilon):
+                ends.append(reach)
+            span = x.max(axis=0) - x.min(axis=0)
+            if (span[active] <= threshold).all():
                 break
     pos_arr = np.stack(positions)
     deltas = delta_components(pos_arr)
-    margin_arr = np.stack(margins) if margins else np.empty((0, spec.n))
-    return RunTrace(spec, pos_arr, deltas, margin_arr, measure_run(spec, deltas))
+    return RunTrace(spec, pos_arr, deltas, _margin_row(pos_arr, ends, period),
+                    measure_run(spec, deltas))
 
 
 def _ceil_log(ratio: float, base: float) -> int:
@@ -243,8 +270,6 @@ def theorem_bound(spec: RunSpec) -> int:
 # floats round-trip bit-exactly
 
 
-# values formatted per chunk: bounds the memory of a write whatever T is
-_CHUNK_VALUES = 1 << 16
 
 
 def _float_texts(values: np.ndarray) -> np.ndarray:
@@ -259,7 +284,7 @@ def _write_table(path, header: List[str], table: np.ndarray, first: int) -> None
     m, k, w = table.shape
     values = np.ascontiguousarray(table, dtype=np.float64).reshape(m * k, w)
     inner = np.array(list(map(str, range(k))), dtype=object)
-    rows_per_chunk = max(1, _CHUNK_VALUES // w)
+    rows_per_chunk = max(1, CHUNK_ELEMS // w)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for lo in range(0, m * k, rows_per_chunk):

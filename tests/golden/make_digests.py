@@ -11,8 +11,9 @@ switches to pairwise summation); and seeded draws next to integer-grid
 inputs. Seeded draws never tie across senders, so only the
 grid inputs exercise the sender tie key.
 
-Each scenario goes through `consensus-dyn run`. The digests cover trace.csv
-and deltas.csv of every scenario, and margins.csv of the per-round ones.
+Each scenario goes through `consensus-dyn run`. The digests cover trace.csv,
+deltas.csv and margins.csv of every scenario (for amortized rules the
+block-end margins, NaN inside a block).
 Audited scenarios (every per-round rule on bidirectional-intermittent graphs
 with all three audits, and an amortized rule with the safeness audit) are
 digested by the `audits` block of their summary.json alone, so that new
@@ -140,10 +141,7 @@ def digests(workdir: Path) -> dict:
             blob = json.dumps(audits, indent=2, sort_keys=True).encode()
             out[f"{name}/summary.json#audits"] = hashlib.sha256(blob).hexdigest()
             continue
-        files = ["trace.csv", "deltas.csv"]
-        if "+amortized" not in cfg["algorithm"]:
-            files.append("margins.csv")
-        for f in files:
+        for f in ("trace.csv", "deltas.csv", "margins.csv"):
             out[f"{name}/{f}"] = hashlib.sha256((d / f).read_bytes()).hexdigest()
     return out
 

@@ -2,7 +2,8 @@
 
 Nothing here is on the command line's path: the per-set update rules that
 the whole-array kernel must agree with, the per-hull `convex_hull` and
-`centroid` that `geometry.hull_centroids` must match bit for bit, the hull
+`centroid` that `geometry.hull_centroids` must match bit for bit, the
+one-round margin row that `simulator.run`'s margins must match, the hull
 membership test `contains`, a Monte Carlo centroid, the hyperpyramid that
 attains the centroid's safety constant, the scalar convex-combination
 construction that `reconstruct_matrices` vectorizes, a naive pure-Python
@@ -337,6 +338,19 @@ def is_bidirectional(g: CommGraph) -> bool:
 
 # ---------------------------------------------------------------------------
 # runs
+
+
+def margin_row(prev: np.ndarray, adj: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Realized relative margin of each agent's new position against the
+    range of prev over its in-neighbours (adj[q, p]); NaN when every
+    component range had already collapsed."""
+    lo = np.where(adj[:, :, None], prev[:, None, :], np.inf).min(axis=0)
+    hi = np.where(adj[:, :, None], prev[:, None, :], -np.inf).max(axis=0)
+    span = hi - lo
+    live = span > RANGE_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(live, np.minimum(new - lo, hi - new) / span, np.inf)
+    return np.where(live.any(axis=1), ratio.min(axis=1), np.nan)
 
 
 def measure_contraction(trace: RunTrace, macro_period: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from consensus_dyn.algorithms import (
     AlgorithmKind,
@@ -343,3 +344,73 @@ def test_centroid_position_stays_in_gathered_hull():
     for _, start, reach, x in _rounds(kind, x0, pattern, 6, period=3):
         for p in range(4):
             assert contains(convex_hull(start[reach[:, p]]), x[p])
+
+
+@st.composite
+def _grid_rounds(draw):
+    """(x, reach): integer-grid positions, so that agents tie on components,
+    and a random reach matrix with every self-loop."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 16)), draw(st.integers(1, 5))
+    x = rng.integers(0, draw(st.sampled_from([2, 3, 5])), (n, d)).astype(float)
+    reach = rng.random((n, n)) < draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+    np.fill_diagonal(reach, True)
+    return x, reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_rounds())
+def test_extreme_point_index_kernel_matches_reference_bit_for_bit(case):
+    # grid coordinates add exactly, so the 2d additions may run in any order:
+    # only the selections, ties to the lowest agent id, decide the bytes
+    x, reach = case
+    d = x.shape[1]
+    out = apply_rule(AlgorithmKind("extreme-point"), x, reach, 1)
+    for p in range(len(x)):
+        ids = np.flatnonzero(reach[:, p])
+        want = extreme_point_update(x[ids], d, senders=ids.tolist())
+        assert out[p].tobytes() == want.tobytes(), p
+
+
+@st.composite
+def _neighbor_rounds(draw):
+    """(x, reach) with in-degrees on both sides of 8 (where numpy's sum goes
+    pairwise) and of 128 (where it splits in halves), and values that sum
+    inexactly or are ±0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 20), st.integers(120, 140)))
+    d = draw(st.integers(1, 4))
+    values = draw(st.sampled_from(["wide", "zeros", "mixed"]))
+    wide = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
+    zeros = rng.choice([0.0, -0.0], (n, d))
+    if values == "wide":
+        x = wide
+    elif values == "zeros":
+        x = zeros
+    else:
+        x = np.where(rng.random((n, d)) < 0.5, zeros, wide)
+    reach = rng.random((n, n)) < draw(st.sampled_from([0.1, 0.5, 0.95, 1.0]))
+    np.fill_diagonal(reach, True)
+    return x, reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(_neighbor_rounds())
+def test_equal_neighbor_kernel_matches_reference_bit_for_bit(case):
+    x, reach = case
+    out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
+    for p in range(len(x)):
+        want = equal_neighbor_update(x[reach[:, p]])
+        assert out[p].tobytes() == want.tobytes(), (p, int(reach[:, p].sum()))
+
+
+def test_equal_neighbor_kernel_covers_every_summation_order():
+    # one agent per in-degree from 1 to 140: sequential, 8 lanes and halves
+    n = 140
+    rng = np.random.default_rng(3)
+    reach = np.tri(n, dtype=bool).T  # agent p hears agents 0..p
+    for d in (1, 2):
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
+        out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
+        for p in range(n):
+            assert out[p].tobytes() == equal_neighbor_update(x[:p + 1]).tobytes(), (d, p)

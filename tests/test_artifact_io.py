@@ -99,7 +99,7 @@ def traces(draw, special=SPECIAL):
 @given(trace=traces(), chunk=st.sampled_from([1, 2, 3, 5, 7, 1 << 16]))
 def test_writers_match_csv_writer_bytes(tmp_path_factory, trace, chunk):
     # small chunks put chunk boundaries inside rows and between them
-    with mock.patch.object(simulator, "_CHUNK_VALUES", chunk):
+    with mock.patch.object(simulator, "CHUNK_ELEMS", chunk):
         _assert_same_bytes(tmp_path_factory.mktemp("io"), trace)
 
 

@@ -66,6 +66,29 @@ def test_run_rejects_bad_epsilon(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+def test_run_rejects_integer_epsilon_too_large_for_a_float(tmp_path, capsys):
+    # json reads 10**400 written out as a Python int, which float() cannot hold
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_minimal()).replace("0.001", str(10**400)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "epsilon is an integer too large for a float" in capsys.readouterr().err
+
+
+def test_run_rejects_explicit_position_too_large_for_a_float(tmp_path, capsys):
+    cfg = _minimal(initial={"kind": "explicit", "positions": [[0.0], [10**400], [1.0]]})
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "initial position is an integer too large for a float" in capsys.readouterr().err
+
+
+def test_run_rejects_pattern_family_that_is_not_a_string(tmp_path, capsys):
+    for family in ([], {}, 3):
+        cfg = _minimal(n=2, d=1, initial={"kind": "random-unit-box"},
+                       pattern={"family": family})
+        assert main(["run", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "unknown pattern family" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_keys(tmp_path):
     assert main(["run", "--config", _write(tmp_path, _minimal(typo=1)),
                  "--out", str(tmp_path / "o")]) == 2

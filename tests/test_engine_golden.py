@@ -1,7 +1,7 @@
 """The round engine must reproduce the recorded artifacts byte for byte.
 
 tests/golden/digests.json holds SHA-256 digests of trace.csv, deltas.csv and
-(per-round scenarios only) margins.csv over the scenario matrix in
+margins.csv over the scenario matrix in
 tests/golden/make_digests.py, plus the `audits` block of summary.json for the
 audited scenarios. A failure lists every differing key, so that a change
 that alters artifacts on purpose can be checked key by key against the list

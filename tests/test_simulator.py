@@ -1,8 +1,12 @@
 import math
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from consensus_dyn import simulator
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, parse_kind
 from consensus_dyn.graphs import (
     CommGraph,
@@ -30,7 +34,7 @@ from consensus_dyn.simulator import (
     write_margins_csv,
     write_trace_csv,
 )
-from oracles import contains, convex_hull, measure_contraction
+from oracles import contains, convex_hull, margin_row, measure_contraction
 
 
 def _spec(**kw):
@@ -341,3 +345,122 @@ def test_amortized_margins_are_block_end_margins():
     live = trace.margins[~np.isnan(trace.margins)]
     assert live.size > 0
     assert (live >= 1 / (2 * d) - 1e-9).all()
+
+
+def _block_reach(pattern, first, last):
+    """Boolean product of the round graphs first..last of `pattern`."""
+    reach = pattern.graph(first).adj
+    for t in range(first + 1, last + 1):
+        reach = reach @ pattern.graph(t).adj
+    return reach
+
+
+def _grid(n, d):
+    # integer-grid positions with zeros of both signs
+    x = np.array([[float((3 * p + 2 * k + p * k) % 4) for k in range(d)] for p in range(n)])
+    x[x == 0.0] = -0.0
+    x[::3] = np.abs(x[::3])
+    return x
+
+
+@pytest.mark.parametrize("chunk", [1, 200, simulator.CHUNK_ELEMS])
+def test_run_margins_match_the_per_round_reference(monkeypatch, chunk):
+    # row t-1 is the reference margin row of the block that ends at round t,
+    # over the block's product graph, and NaN inside a block; small chunks put
+    # several chunk boundaries inside a run
+    monkeypatch.setattr(simulator, "CHUNK_ELEMS", chunk)
+    n = 6
+    rules = [("midpoint", 1, "index"), ("component-midpoint", 2, "index"),
+             ("extreme-point", 3, "index"), ("extreme-point", 2, "random"),
+             ("centroid", 2, "index"), ("equal-neighbor", 2, "index")]
+    patterns = [random_rooted(n, seed=2), adversarial_rotating_star(n), random_nonsplit(n, seed=4),
+                bidirectional_intermittent(n, period=3, seed=1)]
+    checked = 0
+    for pattern in patterns:
+        for tag, d, tie in rules:
+            for period in (1, 3, n - 1):
+                if tag == "equal-neighbor" and period != 1:
+                    continue
+                kind = AlgorithmKind(tag, amortized=period > 1,
+                                     amortization_period=period if period > 1 else None,
+                                     tie_break=tie)
+                for initial in (None, _grid(n, d)):
+                    trace = run(_spec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-12,
+                                      initial=initial, max_rounds=40, seed=5))
+                    pos = trace.positions
+                    assert trace.margins.shape == (len(pos) - 1, n)
+                    for t in range(1, len(pos)):
+                        if t % period:
+                            want = np.full(n, np.nan)
+                        else:
+                            reach = _block_reach(pattern, t - period + 1, t)
+                            want = margin_row(pos[t - period], reach, pos[t])
+                        assert trace.margins[t - 1].tobytes() == want.tobytes(), (tag, period, t)
+                        checked += 1
+    assert checked > 2000
+
+
+@st.composite
+def _margin_cases(draw):
+    """(positions, block-end reach matrices, period) of a made-up run whose
+    positions tie, collapse and hold zeros of both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    period, rounds = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 1.0, 1e-31, 3.0])
+    positions = rng.choice(values, (rounds + 1, n, d))
+    ends = [rng.random((n, n)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+            for _ in range(rounds // period)]
+    for reach in ends:
+        np.fill_diagonal(reach, True)
+    return positions, ends, period
+
+
+@settings(max_examples=300, deadline=None)
+@given(_margin_cases(), st.sampled_from([1, 50, simulator.CHUNK_ELEMS]))
+def test_margin_pass_matches_the_per_round_reference_bit_for_bit(case, chunk):
+    positions, ends, period = case
+    n = positions.shape[1]
+    with mock.patch.object(simulator, "CHUNK_ELEMS", chunk):
+        margins = simulator._margin_row(positions, ends, period)
+    assert margins.shape == (len(positions) - 1, n)
+    for t in range(1, len(positions)):
+        if t % period:
+            want = np.full(n, np.nan)
+        else:
+            want = margin_row(positions[t - period], ends[t // period - 1], positions[t])
+        assert margins[t - 1].tobytes() == want.tobytes(), t
+
+
+@pytest.mark.parametrize("algorithm", ["midpoint", "midpoint+amortized", "midpoint+amortized:3"])
+def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypatch, algorithm):
+    # bench/run.py patches these names: simulator.rounds counts step calls,
+    # margin time is one _margin_row call per run, and graph calls count
+    # every round graph generated
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(simulator, "step", counted("step", simulator.step))
+    monkeypatch.setattr(simulator, "_margin_row", counted("margin", simulator._margin_row))
+    monkeypatch.setattr(CommPattern, "graph", counted("graph", CommPattern.graph))
+    for initial in (None, np.full((5, 1), 0.25)):
+        calls.clear()
+        trace = run(_spec(n=5, algorithm=parse_kind(algorithm), pattern=random_rooted(5, seed=1),
+                          epsilon=1e-9, initial=initial))
+        rounds = len(trace.positions) - 1
+        assert rounds > 0 or initial is not None
+        assert (calls["step"], calls["margin"], calls["graph"]) == (rounds, 1, rounds)
+
+
+def test_run_stops_at_the_first_round_whose_range_equals_the_threshold():
+    # agent 1 holds still and agent 0 moves halfway to it: the range halves
+    # every round and meets epsilon * delta0 = 0.25 exactly at round 2
+    pattern = fixed(CommGraph.from_edges(2, [(1, 0)]))
+    trace = run(_spec(n=2, pattern=pattern, initial=np.array([[0.0], [1.0]]), epsilon=0.25))
+    assert trace.deltas[:, 0].tolist() == [1.0, 0.5, 0.25]
+    assert trace.metrics.t_eps == 2
