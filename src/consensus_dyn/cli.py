@@ -1,8 +1,8 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
 Exit codes: 0 success, 2 validation or IO failure (for verify and plotdata
-also a trace row that is repeated, has a negative index, or has another field
-count than the header), 3 audit violation (for verify also a round 0 that is
+also a trace or margins row that is repeated, has a negative index, or has
+another field count than the header), 3 audit violation (for verify also a round 0 that is
 not the configured start, motion inside an amortized block, a trace whose
 round count differs from what run's stopping rule gives, or a summary.json
 with a field other than audits that differs from what run derives from the
@@ -43,6 +43,7 @@ from .simulator import (
     delta_components,
     initial_positions,
     measure_run,
+    read_margins_csv,
     read_trace_csv,
     run,
     write_deltas_csv,
@@ -57,19 +58,7 @@ from .verification import (
     reconstruct_matrices,
 )
 
-_TOP_KEYS = {"n", "d", "algorithm", "pattern", "initial", "epsilon", "max_rounds",
-             "seed", "audits", "tie_break", "allow_unsafe_dim", "sweep", "output"}
-_PATTERN_KEYS = {
-    "fixed": {"graph"},
-    "complete": set(),
-    "self-loops": set(),
-    "random-rooted": {"seed"},
-    "random-nonsplit": {"seed"},
-    "rotating-star": set(),
-    "bidirectional-intermittent": {"seed", "period"},
-}
-_AUDIT_KEYS = {"safeness", "matrices", "moreau"}
-_SWEEP_KEYS = ("n", "d", "algorithm", "seed")
+_REQUIRED, _OPTIONAL = object(), object()  # defaults of keys that have none
 
 
 def _require(cond, msg):
@@ -77,60 +66,152 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
-def _as_float(v, what: str) -> float:
-    """float(v) of a JSON number; an integer beyond the float range is a
-    ValueError that names `what`."""
+# Value checks: each takes (value, where), raises a ValueError that names
+# `where`, and returns the normalized value.
+
+
+def _check(test, what):
+    """The check that passes the values v with test(v)."""
+    def check(v, where):
+        if not test(v):  # the message is formatted only for a failing value
+            raise ValueError(f"{where} must be {what}, got {v!r}")
+        return v
+    return check
+
+
+def _then(first, second):
+    """The check that passes `first`'s result through `second`."""
+    return lambda v, where: second(first(v, where), where)
+
+
+def _int(low):
+    return _check(lambda v: _is_int(v) and v >= low, f"an integer >= {low}")
+
+
+def _choice(*options):
+    return _check(lambda v: isinstance(v, str) and v in options, f"one of {list(options)}")
+
+
+_bool = _check(lambda v: isinstance(v, bool), "a boolean")
+_str = _check(lambda v: isinstance(v, str), "a string")
+# parse_kind raises on a malformed string
+_algorithm = _check(lambda v: isinstance(v, str) and parse_kind(v), "an algorithm string")
+
+
+def _number(v, where) -> float:
+    """float(v) of a finite JSON number; booleans and integers beyond the
+    float range are rejected."""
+    _require(_is_int(v) or isinstance(v, float), f"{where} {v!r} is not a number")
     try:
-        return float(v)
+        v = float(v)
     except OverflowError:
-        raise ValueError(f"{what} is an integer too large for a float") from None
+        raise ValueError(f"{where} is an integer too large for a float") from None
+    _require(math.isfinite(v), f"{where} must be finite, got {v!r}")
+    return v
+
+
+def _axis(check):
+    """Check of a nonempty list whose entries each pass `check`."""
+    def axis(v, where):
+        _require(isinstance(v, list) and v, f"{where} must be a nonempty list")
+        return [check(x, f"{where} entry") for x in v]
+    return axis
+
+
+def _rows(v, where):
+    _require(isinstance(v, list) and all(isinstance(row, list) for row in v),
+             f"{where} must be a list of rows")
+    return [[_number(x, "initial position") for x in row] for row in v]
+
+
+def _section(obj, keys, where) -> dict:
+    """`obj` checked against `keys`, a table of key -> (default, check):
+    unknown keys are rejected, an absent key takes its default (is an error
+    if that is _REQUIRED, stays absent if it is _OPTIONAL), and each value is
+    replaced by what its check returns."""
+    _require(isinstance(obj, dict), f"{where} must be an object")
+    unknown = set(obj) - set(keys)
+    _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+    out = {}
+    for key, (default, check) in keys.items():
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ValueError(f"{where} is missing required key {key!r}")
+        if value is not _OPTIONAL:
+            out[key] = check(value, f"{where} {key}")
+    return out
+
+
+def _tagged(tag, kinds, what):
+    """Check of an object whose `tag` names its kind: kinds maps each kind
+    to (its other keys, its builder)."""
+    def check(obj, where):
+        _require(isinstance(obj, dict), f"{where} must be an object")
+        kind = obj.get(tag)
+        # a list or object here is unhashable: test the type before the lookup
+        _require(isinstance(kind, str) and kind in kinds,
+                 f"unknown {what} {tag} {kind!r}; expected one of {sorted(kinds)}")
+        return _section(obj, {tag: (_REQUIRED, _str), **kinds[kind][0]},
+                        f"{kind} {what}")
+    return check
+
+
+# initial kind -> (its keys besides kind, its RunSpec.initial)
+_INITIAL = {
+    "random-unit-box": ({}, lambda initial: None),
+    "explicit": ({"positions": (_REQUIRED, _rows)},
+                 lambda initial: np.asarray(initial["positions"], dtype=float)),
+}
+_SEED = (0, _int(0))
+# pattern family -> (its keys besides family, its builder from (pattern, n))
+_PATTERNS = {
+    "fixed": ({"graph": (_REQUIRED, lambda v, where: graph_to_json(graph_from_json(v)))},
+              lambda pat, n: fixed(graph_from_json(pat["graph"]))),
+    "complete": ({}, lambda pat, n: fixed(complete_graph(n))),
+    "self-loops": ({}, lambda pat, n: fixed(self_loops_only(n))),
+    "random-rooted": ({"seed": _SEED}, lambda pat, n: random_rooted(n, seed=pat["seed"])),
+    "random-nonsplit": ({"seed": _SEED}, lambda pat, n: random_nonsplit(n, seed=pat["seed"])),
+    "rotating-star": ({}, lambda pat, n: adversarial_rotating_star(n)),
+    "bidirectional-intermittent": (
+        {"seed": _SEED, "period": (_REQUIRED, _int(1))},
+        lambda pat, n: bidirectional_intermittent(n, period=pat["period"], seed=pat["seed"])),
+}
+_AUDITS = {name: (False, _bool) for name in ("safeness", "matrices", "moreau")}
+
+
+_CONFIG = {
+    "n": (_REQUIRED, _int(1)),
+    "d": (_REQUIRED, _int(1)),
+    "algorithm": (_REQUIRED, _algorithm),
+    "pattern": (_REQUIRED, _tagged("family", _PATTERNS, "pattern")),
+    "epsilon": (_REQUIRED, _then(_number, _check(lambda v: v > 0, "positive"))),
+    "max_rounds": (100_000, _int(1)),
+    "seed": (0, _int(0)),
+    "initial": ({"kind": "random-unit-box"}, _tagged("kind", _INITIAL, "initial")),
+    "audits": ({}, lambda v, where: _section(v, _AUDITS, where)),
+    "tie_break": ("index", _choice("index", "random")),
+    "allow_unsafe_dim": (False, _bool),
+    "sweep": (_OPTIONAL, _then(lambda v, where: _section(v, _SWEEP, where),
+                               _check(bool, "an object with at least one axis"))),
+    "output": (_OPTIONAL, _str),
+}
+# sweep axes: the scenario keys a sweep may list values of
+_SWEEP = {key: (_OPTIONAL, _axis(_CONFIG[key][1])) for key in ("n", "d", "algorithm", "seed")}
+
+
+def _check_shape(cfg: dict, where: str) -> None:
+    """Reject explicit initial positions that are not cfg's n x d."""
+    rows, n, d = cfg["initial"].get("positions"), cfg["n"], cfg["d"]
+    _require(rows is None or (len(rows) == n and all(len(row) == d for row in rows)),
+             f"{where}explicit initial positions must be {n}x{d}")
 
 
 def load_config(path) -> dict:
     """Read, schema-check, and normalize a scenario config. The result is a
     fixpoint: loading a serialized normalized config gives it back unchanged."""
     with open(path) as fh:
-        raw = json.load(fh)
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    _require(not unknown, f"unknown config keys: {sorted(unknown)}")
-    for key in ("n", "d", "algorithm", "pattern", "epsilon"):
-        _require(key in raw, f"config is missing required key {key!r}")
-
-    cfg = {}
-    _require(_is_int(raw["n"]) and raw["n"] >= 1, f"n must be a positive integer, got {raw['n']!r}")
-    _require(_is_int(raw["d"]) and raw["d"] >= 1, f"d must be a positive integer, got {raw['d']!r}")
-    cfg["n"], cfg["d"] = raw["n"], raw["d"]
-    _require(isinstance(raw["algorithm"], str), "algorithm must be a string")
-    parse_kind(raw["algorithm"])  # fail fast on malformed strings
-    cfg["algorithm"] = raw["algorithm"]
-    cfg["pattern"] = _check_pattern(raw["pattern"])
-    eps = raw["epsilon"]
-    _require(isinstance(eps, (int, float)) and not isinstance(eps, bool)
-             and _as_float(eps, "epsilon") > 0 and math.isfinite(eps),
-             f"epsilon must be positive and finite, got {eps!r}")
-    cfg["epsilon"] = float(eps)
-
-    mr = raw.get("max_rounds", 100_000)
-    _require(_is_int(mr) and mr >= 1, f"max_rounds must be a positive integer, got {mr!r}")
-    cfg["max_rounds"] = mr
-    seed = raw.get("seed", 0)
-    _require(_is_int(seed) and seed >= 0, f"seed must be a nonnegative integer, got {seed!r}")
-    cfg["seed"] = seed
-    cfg["initial"] = _check_initial(raw.get("initial", {"kind": "random-unit-box"}),
-                                    cfg["n"], cfg["d"])
-    cfg["audits"] = _check_audits(raw.get("audits", {}))
-    tie = raw.get("tie_break", "index")
-    _require(tie in ("index", "random"), f"tie_break must be 'index' or 'random', got {tie!r}")
-    cfg["tie_break"] = tie
-    unsafe = raw.get("allow_unsafe_dim", False)
-    _require(isinstance(unsafe, bool), f"allow_unsafe_dim must be a boolean, got {unsafe!r}")
-    cfg["allow_unsafe_dim"] = unsafe
-    if "output" in raw:
-        _require(isinstance(raw["output"], str), "output must be a directory path string")
-        cfg["output"] = raw["output"]
-    if "sweep" in raw:
-        cfg["sweep"] = _check_sweep(raw["sweep"])
+        cfg = _section(json.load(fh), _CONFIG, "config")
+    _check_shape(cfg, "")
     return cfg
 
 
@@ -138,117 +219,15 @@ def serialize_config(cfg: dict) -> str:
     return json.dumps(cfg, indent=2, sort_keys=True)
 
 
-def _check_pattern(obj) -> dict:
-    _require(isinstance(obj, dict), "pattern must be an object")
-    family = obj.get("family")
-    _require(isinstance(family, str) and family in _PATTERN_KEYS,
-             f"unknown pattern family {family!r}; expected one of {sorted(_PATTERN_KEYS)}")
-    allowed = {"family"} | _PATTERN_KEYS[family]
-    unknown = set(obj) - allowed
-    _require(not unknown, f"unknown pattern keys for family {family!r}: {sorted(unknown)}")
-    out = {"family": family}
-    if "seed" in _PATTERN_KEYS[family]:
-        seed = obj.get("seed", 0)
-        _require(_is_int(seed) and seed >= 0, f"pattern seed must be a nonnegative integer, got {seed!r}")
-        out["seed"] = seed
-    if family == "bidirectional-intermittent":
-        _require("period" in obj, "bidirectional-intermittent pattern needs a period")
-        period = obj["period"]
-        _require(_is_int(period) and period >= 1, f"pattern period must be >= 1, got {period!r}")
-        out["period"] = period
-    if family == "fixed":
-        _require("graph" in obj, "fixed pattern needs a graph literal")
-        g = graph_from_json(obj["graph"])
-        out["graph"] = graph_to_json(g)
-    return out
-
-
-def _check_initial(obj, n, d) -> dict:
-    _require(isinstance(obj, dict), "initial must be an object")
-    kind = obj.get("kind")
-    if kind == "random-unit-box":
-        _require(set(obj) == {"kind"}, "random-unit-box initial takes no other keys")
-        return {"kind": "random-unit-box"}
-    if kind == "explicit":
-        _require(set(obj) == {"kind", "positions"}, "explicit initial needs exactly 'positions'")
-        rows = obj["positions"]
-        _require(isinstance(rows, list) and all(isinstance(row, list) for row in rows),
-                 "initial positions must be a list of rows")
-        # numpy parses strings and booleans as numbers: "0.25" -> 0.25, true -> 1.0
-        for v in (v for row in rows for v in row):
-            _require(_is_int(v) or isinstance(v, float), f"initial position {v!r} is not a number")
-            _as_float(v, "initial position")
-        pos = np.asarray(rows, dtype=float)
-        _require(pos.shape == (n, d), f"initial positions must be {n}x{d}, got {pos.shape}")
-        _require(bool(np.isfinite(pos).all()), "initial positions must be finite")
-        return {"kind": "explicit", "positions": [[float(v) for v in row] for row in pos]}
-    raise ValueError(f"unknown initial kind {kind!r}; expected 'random-unit-box' or 'explicit'")
-
-
-def _check_audits(obj) -> dict:
-    _require(isinstance(obj, dict), "audits must be an object")
-    unknown = set(obj) - _AUDIT_KEYS
-    _require(not unknown, f"unknown audit keys: {sorted(unknown)}")
-    out = {}
-    for key in sorted(_AUDIT_KEYS):
-        val = obj.get(key, False)
-        _require(isinstance(val, bool), f"audit toggle {key!r} must be a boolean")
-        out[key] = val
-    return out
-
-
-def _check_sweep(obj) -> dict:
-    _require(isinstance(obj, dict), "sweep must be an object")
-    unknown = set(obj) - set(_SWEEP_KEYS)
-    _require(not unknown, f"unknown sweep axes: {sorted(unknown)}")
-    out = {}
-    for key in _SWEEP_KEYS:
-        if key not in obj:
-            continue
-        vals = obj[key]
-        _require(isinstance(vals, list) and vals, f"sweep axis {key!r} must be a nonempty list")
-        if key == "algorithm":
-            for v in vals:
-                _require(isinstance(v, str), "algorithm axis entries must be strings")
-                parse_kind(v)
-        else:
-            for v in vals:
-                _require(_is_int(v) and v >= (1 if key in ("n", "d") else 0),
-                         f"sweep axis {key!r} entry {v!r} is out of range")
-        out[key] = list(vals)
-    _require(out, "sweep section defines no axes")
-    return out
-
-
-def _build_pattern(pat: dict, n: int):
-    family = pat["family"]
-    if family == "fixed":
-        return fixed(graph_from_json(pat["graph"]))
-    if family == "complete":
-        return fixed(complete_graph(n))
-    if family == "self-loops":
-        return fixed(self_loops_only(n))
-    if family == "random-rooted":
-        return random_rooted(n, seed=pat["seed"])
-    if family == "random-nonsplit":
-        return random_nonsplit(n, seed=pat["seed"])
-    if family == "rotating-star":
-        return adversarial_rotating_star(n)
-    if family == "bidirectional-intermittent":
-        return bidirectional_intermittent(n, period=pat["period"], seed=pat["seed"])
-    raise ValueError(f"unknown pattern family {family!r}")
-
-
 def _build_spec(cfg: dict, seed_override=None) -> RunSpec:
     kind = parse_kind(cfg["algorithm"])
     kind = replace(kind, tie_break=cfg["tie_break"], allow_unsafe_dim=cfg["allow_unsafe_dim"])
-    initial = None
-    if cfg["initial"]["kind"] == "explicit":
-        initial = np.asarray(cfg["initial"]["positions"], dtype=float)
+    initial, pattern = cfg["initial"], cfg["pattern"]
     return RunSpec(
         n=cfg["n"], d=cfg["d"], algorithm=kind,
-        pattern=_build_pattern(cfg["pattern"], cfg["n"]),
-        epsilon=cfg["epsilon"], initial=initial, max_rounds=cfg["max_rounds"],
+        pattern=_PATTERNS[pattern["family"]][1](pattern, cfg["n"]),
+        epsilon=cfg["epsilon"], initial=_INITIAL[initial["kind"]][1](initial),
+        max_rounds=cfg["max_rounds"],
         seed=cfg["seed"] if seed_override is None else seed_override,
     )
 
@@ -388,23 +367,17 @@ def _sweep_row(idx, cfg, spec, graphs) -> dict:
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     _require("sweep" in cfg, "config has no sweep section")
-    sweep = cfg["sweep"]
-    axes = [sweep.get("n", [cfg["n"]]), sweep.get("d", [cfg["d"]]),
-            sweep.get("algorithm", [cfg["algorithm"]]), sweep.get("seed", [cfg["seed"]])]
+    base = {key: value for key, value in cfg.items() if key != "sweep"}
+    axes = [cfg["sweep"].get(key, [cfg[key]]) for key in _SWEEP]
     scenarios = []
     # scenarios of one pattern and n run on the same round graphs, so they
     # share one stack (one per call: a later call generates its own)
     stacks = {}
-    for idx, (n, d, alg, seed) in enumerate(itertools.product(*axes)):
-        sub = dict(cfg)
-        sub.pop("sweep")
-        sub.update(n=n, d=d, algorithm=alg, seed=seed)
-        if sub["initial"]["kind"] == "explicit":
-            pos = np.asarray(sub["initial"]["positions"], dtype=float)
-            _require(pos.shape == (n, d),
-                     f"scenario {idx}: explicit initial is {pos.shape}, scenario needs {(n, d)}")
-        spec = _build_spec(sub, seed_override=None)
-        key = (json.dumps(sub["pattern"], sort_keys=True), n)
+    for idx, values in enumerate(itertools.product(*axes)):
+        sub = {**base, **dict(zip(_SWEEP, values))}
+        _check_shape(sub, f"scenario {idx}: ")
+        spec = _build_spec(sub)
+        key = (json.dumps(sub["pattern"], sort_keys=True), spec.n)
         scenarios.append((idx, sub, spec, stacks.setdefault(key, RoundGraphs(spec.pattern))))
     out = _outdir(args, cfg)
     rows = [_sweep_row(*s) for s in scenarios]
@@ -451,16 +424,10 @@ def cmd_plotdata(args) -> int:
                 rows.append((t, f"log10_delta_{k}", repr(math.log10(v))))
     margins_path = Path(args.trace).parent / "margins.csv"
     if margins_path.exists():
-        per_round = {}
-        with open(margins_path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                v = float(rec["alpha_hat"])
-                if math.isnan(v):
-                    continue
-                t = int(rec["round"])
-                per_round[t] = min(per_round.get(t, math.inf), v)
-        for t in sorted(per_round):
-            rows.append((t, "alpha_hat", repr(per_round[t])))
+        for t, margins in enumerate(read_margins_csv(margins_path).tolist(), start=1):
+            live = [v for v in margins if not math.isnan(v)]
+            if live:
+                rows.append((t, "alpha_hat", repr(min(live))))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "plotdata.csv", "w", newline="") as fh:

@@ -308,8 +308,8 @@ def graph_from_json(obj: dict) -> CommGraph:
     unknown = set(obj) - {"n", "edges"}
     if unknown:
         raise ValueError(f"unknown graph keys: {sorted(unknown)}")
-    if "n" not in obj or "edges" not in obj:
-        raise ValueError("graph literal needs 'n' and 'edges'")
+    if "n" not in obj or not isinstance(obj.get("edges"), list):
+        raise ValueError("graph literal needs 'n' and a list of 'edges'")
     n = obj["n"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"invalid node count: {n!r}")

@@ -246,7 +246,9 @@ def theorem_bound(spec: RunSpec) -> int:
     validate_kind(spec.algorithm, spec.n, spec.d)
     if not (spec.epsilon > 0 and math.isfinite(spec.epsilon)):
         raise ValueError(f"epsilon must be positive and finite, got {spec.epsilon}")
-    ratio = 1.0 / spec.epsilon
+    # 1/epsilon overflows for a subnormal epsilon; the integer ratio does not
+    num, den = spec.epsilon.as_integer_ratio()
+    ratio = 1.0 / spec.epsilon if spec.epsilon >= 2.0 ** -1022 else den // num
     period = effective_period(spec.algorithm, spec.n)
     alpha = claimed_alpha(spec.algorithm, spec.n, spec.d)
     # alpha = 1 (equal-neighbor at n = 1) contracts by 0: one step collapses
@@ -308,49 +310,60 @@ def write_trace_csv(trace: RunTrace, path) -> None:
     _write_table(path, ["round", "agent"] + [f"comp_{k}" for k in range(d)], trace.positions, 0)
 
 
-def read_trace_csv(path) -> np.ndarray:
-    """The (T+1, n, d) positions of a trace file."""
+def _read_table(path, what: str, value_columns, first: int) -> np.ndarray:
+    """The (m, k, w) table of a file `_write_table(path, header, table, first)`
+    wrote: header `round,agent` and w value columns that `value_columns`
+    accepts, rows in any order. A row of another field count, a round before
+    `first` or a negative agent, and a missing or repeated (round, agent) raise."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise ValueError("trace file is empty")
-    header = rows[0]
-    if header[:2] != ["round", "agent"] or any(not c.startswith("comp_") for c in header[2:]):
-        raise ValueError(f"not a trace file: header {header}")
-    d = len(header) - 2
-    body = rows[1:]
-    if not body:
-        raise ValueError("trace file has no rows")
-    width = len(header)
-    if set(map(len, body)) != {width}:
+        raise ValueError(f"{what} file is empty")
+    header, body, width = rows[0], rows[1:], len(rows[0])
+    if header[:2] != ["round", "agent"] or not value_columns(header[2:]):
+        raise ValueError(f"not a {what} file: header {header}")
+    if set(map(len, body)) - {width}:
         i, row = next((i, r) for i, r in enumerate(body) if len(r) != width)
-        raise ValueError(f"trace file line {i + 2} has {len(row)} fields, the header has {width}")
-    m = len(body)
-    flat = list(itertools.chain.from_iterable(body))
-    rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m)
+        raise ValueError(f"{what} file line {i + 2} has {len(row)} fields, the header has {width}")
+    m, flat = len(body), list(itertools.chain.from_iterable(body))
+    rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m) - first
     agents = np.fromiter(map(int, flat[1::width]), dtype=np.intp, count=m)
-    # column by column, so the (d, m) result transposes into rows
+    # column by column, so the (w, m) result transposes into rows
     values = np.fromiter(map(float, itertools.chain.from_iterable(
-        flat[k::width] for k in range(2, width))), dtype=np.float64, count=m * d)
-    values = values.reshape(d, m).T
-    if rounds.min() < 0 or agents.min() < 0:
+        flat[k::width] for k in range(2, width))), dtype=np.float64, count=m * (width - 2))
+    negative = (rounds < 0) | (agents < 0)
+    if negative.any():
         # a negative index would land on a row counted from the end
-        i = int(np.argmax((rounds < 0) | (agents < 0)))
-        raise ValueError(f"trace file line {i + 2} has a negative round or agent")
-    n = int(agents.max()) + 1
-    t_max = int(rounds.max())
-    positions = np.full((t_max + 1, n, d), np.nan)
-    positions[rounds, agents] = values
+        raise ValueError(f"{what} file line {int(np.argmax(negative)) + 2} has a negative"
+                         f" round or agent (rounds start at {first})")
+    t, n = int(rounds.max(initial=-1)) + 1, int(agents.max(initial=-1)) + 1
+    # counted before anything of the cells' size is allocated, so that a
+    # huge index costs no memory
+    if m < t * n:
+        raise ValueError(f"{what} file is missing (round, agent) rows")
+    firsts = np.unique(rounds * n + agents, return_index=True)[1]
+    if len(firsts) < m:
+        i = int(np.setdiff1d(np.arange(m), firsts)[0])  # the first row whose cell came before
+        raise ValueError(f"{what} file repeats the row of round {rounds[i] + first},"
+                         f" agent {agents[i]}")
+    table = np.empty((t, n, width - 2))
+    table[rounds, agents] = values.reshape(width - 2, m).T
+    return table
+
+
+def read_trace_csv(path) -> np.ndarray:
+    """The (T+1, n, d) positions of a trace file."""
+    positions = _read_table(path, "trace", lambda cols: all(c.startswith("comp_") for c in cols), 0)
+    if not len(positions):
+        raise ValueError("trace file has no rows")
     if np.isnan(positions).any():
-        raise ValueError("trace file is missing (round, agent) rows")
-    if m > positions.shape[0] * n:
-        # every (round, agent) cell is filled, so some row comes more than once
-        seen = set()
-        for t, p in zip(rounds.tolist(), agents.tolist()):
-            if (t, p) in seen:
-                raise ValueError(f"trace file repeats the row of round {t}, agent {p}")
-            seen.add((t, p))
+        raise ValueError("trace file has a NaN position")
     return positions
+
+
+def read_margins_csv(path) -> np.ndarray:
+    """The (T, n) margins of a margins file; row t-1 is round t."""
+    return _read_table(path, "margins", lambda cols: cols == ["alpha_hat"], 1)[..., 0]
 
 
 def write_deltas_csv(trace: RunTrace, path) -> None:

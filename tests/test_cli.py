@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import logging
 import math
@@ -8,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import consensus_dyn
+from consensus_dyn import cli
 from consensus_dyn.cli import load_config, main, serialize_config
 from consensus_dyn.graphs import CommPattern
 
@@ -764,3 +767,119 @@ def test_equal_neighbor_alone_has_a_one_round_bound(tmp_path):
     assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "sweep")]) == 0
     rows = _read_rows(tmp_path / "sweep" / "sweep.csv")
     assert [(row["bound_t"], row["within_bound"]) for row in rows] == [("1", "yes")]
+
+
+# Fuzzing the CLI's inputs: a config, trace, margins or summary file may hold
+# anything, and every command must answer with exit 0, 2 or 3, never a
+# traceback.
+
+_FUZZ_BASES = [
+    {"n": 4, "d": 2, "algorithm": "extreme-point",
+     "pattern": {"family": "random-nonsplit", "seed": 2},
+     "initial": {"kind": "explicit",
+                 "positions": [[0.0, 1.0], [0.5, 0.25], [1.0, 0.0], [0.75, 0.5]]},
+     "epsilon": 1e-3, "max_rounds": 50, "seed": 3, "tie_break": "random",
+     "allow_unsafe_dim": False, "output": "unused",
+     "audits": {"safeness": True, "matrices": True, "moreau": True}},
+    {"n": 3, "d": 1, "algorithm": "midpoint", "pattern": {"family": "complete"},
+     "epsilon": 1e-3, "max_rounds": 20, "audits": {"safeness": True},
+     "sweep": {"n": [2, 3], "d": [1], "algorithm": ["midpoint", "centroid"], "seed": [0, 1]}},
+    {"n": 3, "d": 1, "algorithm": "equal-neighbor", "epsilon": 1e-2, "max_rounds": 30,
+     "pattern": {"family": "fixed",
+                 "graph": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0], [0, 0], [1, 1], [2, 2]]}},
+     "initial": {"kind": "random-unit-box"}},
+    {"n": 4, "d": 3, "algorithm": "centroid+amortized", "epsilon": 1e-2, "max_rounds": 40,
+     "pattern": {"family": "bidirectional-intermittent", "seed": 1, "period": 2},
+     "audits": {"safeness": True}},
+]
+# strings that pass some check, so that a mutation reaches the checks after it
+_FUZZ_NAMES = sorted(cli._PATTERNS) + sorted(cli._CONFIG) + [
+    "explicit", "random-unit-box", "index", "random", "midpoint", "centroid",
+    "extreme-point+amortized:2", "equal-neighbor+amortized", "graph", "edges",
+    "positions", "kind", "family", "period", "safeness", "matrices", "moreau"]
+# integers stay small, but for two that no float or index holds: a larger n,
+# d or max_rounds would make a run allocate or loop for real
+_FUZZ_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from([2**63, 10**400])
+    | st.floats() | st.text(max_size=6) | st.sampled_from(_FUZZ_NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(_FUZZ_NAMES), inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, prefix=()):
+    """The path of every value nested in obj, obj itself excluded."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    cfg = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    parent = functools.reduce(lambda obj, key: obj[key], path[:-1], cfg)
+    action = draw(st.sampled_from(["replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = draw(_FUZZ_JSON)
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, list):
+        parent.insert(path[-1], draw(_FUZZ_JSON))
+    else:
+        parent[draw(st.text(max_size=6) | st.sampled_from(_FUZZ_NAMES))] = draw(_FUZZ_JSON)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=_mutated_configs())
+@example(cfg=dict(_FUZZ_BASES[2], pattern={"family": "fixed", "graph": {"n": 3, "edges": 5}}))
+@example(cfg=dict(_FUZZ_BASES[0], epsilon=5e-324))
+def test_any_config_mutation_exits_0_2_or_3(tmp_path_factory, cfg):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert all(f"`{name}`" in readme for name in [*cli._CONFIG, *cli._PATTERNS])
+    work = tmp_path_factory.mktemp("config")
+    path = _write(work, cfg)
+    for command in ("run", "sweep", "verify"):
+        assert main([command, "--config", path, "--out", str(work / "out")]) in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def _small_run(tmp_path_factory):
+    cfg = {"n": 3, "d": 2, "algorithm": "extreme-point+amortized",
+           "pattern": {"family": "rotating-star"}, "epsilon": 1e-3, "seed": 1,
+           "audits": {"safeness": True}}
+    out = tmp_path_factory.mktemp("small_run")
+    path = _write(out, cfg)
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    return out
+
+
+_ARTIFACT_BYTES = b"0123456789-.,e\r\nnaif"
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["trace.csv", "margins.csv", "summary.json"]),
+       edits=st.lists(st.tuples(st.sampled_from(["substitute", "insert", "delete"]),
+                                st.integers(0, 1 << 16), st.sampled_from(_ARTIFACT_BYTES)),
+                      min_size=1, max_size=4))
+# the margins row `1,0`: line 2 loses the comma before its value
+@example(name="margins.csv", edits=[("delete", len("round,agent,alpha_hat\r\n1,0"), ord(","))])
+def test_any_artifact_byte_mutation_exits_0_2_or_3(tmp_path_factory, _small_run, name, edits):
+    work = tmp_path_factory.mktemp("artifacts")
+    for f in _small_run.iterdir():
+        (work / f.name).write_bytes(f.read_bytes())
+    data = bytearray((work / name).read_bytes())
+    for action, at, byte in edits:
+        at %= len(data) + 1
+        if action == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            data[at:at + 1] = [byte] if action == "substitute" else []
+    (work / name).write_bytes(bytes(data))
+    assert main(["verify", "--config", str(work / "config.json"), "--out", str(work)]) in (0, 2, 3)
+    assert main(["plotdata", str(work / "trace.csv"), "--out", str(work / "plot")]) in (0, 2, 3)

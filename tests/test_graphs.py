@@ -399,3 +399,6 @@ def test_graph_json_rejects_bad_input():
         graph_from_json({"n": 2, "edges": [[0, 5]]})
     with pytest.raises(ValueError):
         graph_from_json({"n": 2, "edges": [[0, 1]], "extra": 1})
+    for edges in (5, None, "", {}):
+        with pytest.raises(ValueError, match="a list of 'edges'"):
+            graph_from_json({"n": 3, "edges": edges})

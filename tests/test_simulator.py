@@ -131,6 +131,8 @@ def test_theorem_bound_values():
     spec = _spec(n=3, d=2, algorithm=AlgorithmKind("centroid", amortized=True),
                  pattern=random_rooted(3, seed=0), epsilon=1e-3)
     assert theorem_bound(spec) == 36
+    # subnormal eps = 2^-1074, whose reciprocal overflows a float
+    assert theorem_bound(_spec(epsilon=5e-324)) == 1074
 
 
 # The amortized bounds' per-rule bases as the bound once listed them: the
