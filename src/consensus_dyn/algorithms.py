@@ -3,14 +3,13 @@
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
 for all agents at once, each over the positions that reached it, as array
-work over the reach matrix: no Python loop runs per agent, component or
-in-degree, except the per-agent streams of extreme-point's random tie-break
-and the centroid's Qhull calls. The tests hold it bit for bit to
-one-set-at-a-time references in tests/oracles.py. `simulator.step`
-holds positions still inside a block and applies the rule over the block's
-reach matrix whenever the 1-based round index hits a multiple of the period
-(period 1 is the plain per-round algorithm; the amortized variants default
-the period to n-1).
+work over the reach matrix; only extreme-point's random tie-break and the
+centroid's Qhull calls loop per agent. Equal-neighbor gives agent p
+x[reach[:, p]].mean(axis=0) bit for bit (numpy's pairwise `add.reduceat` at
+d = 1, a left-to-right `cumsum` at d >= 2), and the tests hold every rule bit
+for bit to one-set-at-a-time references in tests/oracles.py.
+`simulator.step` applies a rule at rounds that are multiples of the period
+(1 per round; amortized variants default to n-1) and holds still between.
 """
 
 from __future__ import annotations
@@ -34,6 +33,8 @@ class AlgorithmKind:
     agents).
     allow_unsafe_dim permits component-midpoint at d >= 3 for demonstrations
     only: there the output can leave the hull of the inputs.
+    Construction rejects an unknown tag or tie_break and a period below 1;
+    validate_kind checks what depends on (n, d).
     """
 
     tag: str
@@ -42,29 +43,31 @@ class AlgorithmKind:
     tie_break: str = "index"
     allow_unsafe_dim: bool = False
 
+    def __post_init__(self):
+        if self.tag not in TAGS:
+            raise ValueError(f"unknown algorithm {self.tag!r}; expected one of {TAGS}")
+        if self.amortization_period is not None and self.amortization_period < 1:
+            raise ValueError(f"amortization period must be >= 1, got {self.amortization_period}")
+        if self.tie_break not in ("index", "random"):
+            raise ValueError(f"unknown tie_break {self.tie_break!r}")
+
 
 def parse_kind(s: str) -> AlgorithmKind:
     """Parse "tag[+amortized[:period]]" config strings."""
     parts = s.split("+")
-    tag = parts[0]
-    if tag not in TAGS:
-        raise ValueError(f"unknown algorithm {tag!r}; expected one of {TAGS}")
+    kind = AlgorithmKind(parts[0])  # an unknown tag is reported first
     if len(parts) == 1:
-        return AlgorithmKind(tag)
-    if len(parts) > 2:
+        return kind
+    suffix, colon, text = parts[1].partition(":")
+    if len(parts) > 2 or suffix != "amortized":
         raise ValueError(f"malformed algorithm string {s!r}")
-    suffix = parts[1]
-    if suffix == "amortized":
-        return AlgorithmKind(tag, amortized=True)
-    if suffix.startswith("amortized:"):
-        try:
-            period = int(suffix.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"malformed amortization period in {s!r}") from None
-        if period < 1:
-            raise ValueError(f"amortization period must be >= 1, got {period}")
-        return AlgorithmKind(tag, amortized=True, amortization_period=period)
-    raise ValueError(f"malformed algorithm string {s!r}")
+    if not colon:
+        return AlgorithmKind(kind.tag, amortized=True)
+    try:
+        period = int(text)
+    except ValueError:
+        raise ValueError(f"malformed amortization period in {s!r}") from None
+    return AlgorithmKind(kind.tag, amortized=True, amortization_period=period)
 
 
 def format_kind(kind: AlgorithmKind) -> str:
@@ -77,8 +80,6 @@ def format_kind(kind: AlgorithmKind) -> str:
 
 def validate_kind(kind: AlgorithmKind, n: int, d: int) -> None:
     """Reject rule/dimension combinations that cannot run safely."""
-    if kind.tag not in TAGS:
-        raise ValueError(f"unknown algorithm {kind.tag!r}; expected one of {TAGS}")
     if kind.tag == "midpoint" and d != 1:
         raise ValueError(f"midpoint operates on scalar values; got d={d} (use component-midpoint"
                          " for d=2 or extreme-point/centroid for higher d)")
@@ -89,10 +90,6 @@ def validate_kind(kind: AlgorithmKind, n: int, d: int) -> None:
             " only to demonstrate that failure")
     if kind.tag == "equal-neighbor" and kind.amortized:
         raise ValueError("equal-neighbor is a per-round rule; amortization is unsupported")
-    if kind.amortization_period is not None and kind.amortization_period < 1:
-        raise ValueError(f"amortization period must be >= 1, got {kind.amortization_period}")
-    if kind.tie_break not in ("index", "random"):
-        raise ValueError(f"unknown tie_break {kind.tie_break!r}")
 
 
 def effective_period(kind: AlgorithmKind, n: int) -> int:
@@ -112,9 +109,7 @@ def claimed_alpha(kind: AlgorithmKind, n: int, d: int) -> float:
         return 1 / (2 * d)
     if kind.tag == "centroid":
         return 1 / (d + 1)
-    if kind.tag == "equal-neighbor":
-        return 1 / n
-    raise ValueError(f"unknown algorithm {kind.tag!r}")
+    return 1 / n  # equal-neighbor
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +123,13 @@ def claimed_alpha(kind: AlgorithmKind, n: int, d: int) -> float:
 
 
 def masked_min(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Row p is the componentwise minimum of values[q] over q with adj[q, p]."""
-    return np.where(adj[:, :, None], values[:, None, :], np.inf).min(axis=0)
+    """Row p: componentwise min of values[q] over q with adj[q, p]; leading axes batch."""
+    return np.where(adj[..., None], values[..., :, None, :], np.inf).min(axis=-3)
 
 
 def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Row p is the componentwise maximum of values[q] over q with adj[q, p]."""
-    return np.where(adj[:, :, None], values[:, None, :], -np.inf).max(axis=0)
+    """Row p: componentwise max of values[q] over q with adj[q, p]; leading axes batch."""
+    return np.where(adj[..., None], values[..., :, None, :], -np.inf).max(axis=-3)
 
 
 def _select_extreme(points: np.ndarray, comp: int, maximize: bool,
@@ -169,51 +164,24 @@ def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
     return x[order[first, np.arange(2 * d)]]
 
 
-def _pairwise_sums(rows: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Entry i is rows[i, :count[i]].sum() bit for bit, where the width of
-    rows is a multiple of 8 and every entry of row i from count[i] on is
-    -0.0, which adds nothing. numpy's pairwise sum starts from +0.0 and adds
-    fewer than 8 values in order, up to 128 in 8 lanes joined in a fixed
-    tree and then the count % 8 left over in order, and more in two halves
-    (the first a multiple of 8) summed apart."""
-    m, width = rows.shape
-    col = np.arange(width)
-    out = np.empty(m)
-    big = count > 128
-    if big.any():
-        half = count[big] // 2
-        half -= half % 8
-        left = np.where(col < half[:, None], rows[big], -0.0)
-        shifted = np.minimum(col + half[:, None], width - 1)
-        right = np.where(col < (count[big] - half)[:, None],
-                         np.take_along_axis(rows[big], shifted, axis=1), -0.0)
-        out[big] = _pairwise_sums(left, half) + _pairwise_sums(right, count[big] - half)
-    rows, count = rows[~big], count[~big]
-    lanes = (count - count % 8)[:, None]
-    # cumsum adds left to right whatever the shape, where sum may go pairwise
-    r = np.where(col < lanes, rows, -0.0).reshape(len(rows), width // 8, 8).cumsum(axis=1)[:, -1]
-    r = r[:, 0::2] + r[:, 1::2]
-    r = r[:, 0::2] + r[:, 1::2]
-    tail = np.where(col >= lanes, rows, -0.0)
-    # + 0.0: the sum starts from +0.0, so an all-zero one is never -0.0
-    out[~big] = np.column_stack([r[:, 0] + r[:, 1], tail]).cumsum(axis=1)[:, -1] + 0.0
-    return out
-
-
 def _neighbor_means(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Row p is x[adj[:, p]].mean(axis=0) bit for bit: numpy adds the rows
     in order from +0.0, except at d = 1, where it sums pairwise."""
     n, d = x.shape
     deg = adj.sum(axis=0)
-    # row p holds p's in-neighbours' positions in id order, then -0.0 up to
-    # a multiple of 8 columns
     receiver, sender = np.nonzero(adj.T)
-    slot = np.arange(len(sender)) - (np.cumsum(deg) - deg)[receiver]
-    padded = np.full((n, -(-int(deg.max()) // 8) * 8, d), -0.0)
-    padded[receiver, slot] = x[sender]
-    if d == 1 and deg.max() >= 8:
-        total = _pairwise_sums(padded[:, :, 0], deg)[:, None]
+    starts = np.cumsum(deg) - deg
+    if d == 1:
+        # segment p is +0.0, then p's in-neighbours' values in id order:
+        # reduceat sums each one pairwise, as mean does
+        flat = np.zeros(n + len(sender))
+        flat[np.arange(len(sender)) + receiver + 1] = x[sender, 0]
+        total = np.add.reduceat(flat, starts + np.arange(n))[:, None]
     else:
+        # row p holds p's in-neighbours' positions in id order, then -0.0;
+        # cumsum adds left to right whatever the shape, where sum may not
+        padded = np.full((n, int(deg.max()), d), -0.0)
+        padded[receiver, np.arange(len(sender)) - starts[receiver]] = x[sender]
         total = padded.cumsum(axis=1)[:, -1] + 0.0
     return total / deg[:, None]
 
@@ -231,7 +199,5 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
         # the d minima, then the d maxima: the order of the 2d additions is
         # part of the artifacts' bytes
         return _extreme_points(kind, x, reach, t, tie_seed).mean(axis=1)
-    if kind.tag == "centroid":
-        return geometry.hull_centroids(x, reach)
-    raise ValueError(f"unknown algorithm {kind.tag!r}")
+    return geometry.hull_centroids(x, reach)  # centroid
 

@@ -1,12 +1,12 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 validation or IO failure (for verify and plotdata
-also a trace or margins row that is repeated, has a negative index, or has
-another field count than the header), 3 audit violation (for verify also a round 0 that is
-not the configured start, motion inside an amortized block, a trace whose
-round count differs from what run's stopping rule gives, or a summary.json
-with a field other than audits that differs from what run derives from the
-config and the trace).
+Exit codes: 0 success, 2 validation, IO or memory failure (for verify and
+plotdata also a trace or margins row that is repeated, has a negative or
+oversized index, or has another field count than the header), 3 audit
+violation (for verify also a round 0 that is not the configured start,
+motion inside an amortized block, a trace whose round count differs from
+what run's stopping rule gives, or a summary.json with a field other than
+audits that differs from what run derives from the config and the trace).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
@@ -474,7 +474,8 @@ def cmd_verify(args) -> int:
     # the block start bit for bit, the trailing partial block included.
     period = effective_period(spec.algorithm, spec.n)
     if period > 1:
-        start = positions[np.arange(len(positions)) // period * period]
+        block = min(period, len(positions))  # same starts; np.arange overflows past int64
+        start = positions[np.arange(len(positions)) // block * block]
         moved = (positions.view(np.uint64) != start.view(np.uint64)).any(axis=2)
         if moved.any():
             t, p = (int(i) for i in np.argwhere(moved)[0])
@@ -560,7 +561,7 @@ def main(argv=None) -> int:
     except SafenessViolationError as e:
         print(f"audit violation: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

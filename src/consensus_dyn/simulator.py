@@ -22,6 +22,8 @@ from .algorithms import (
     claimed_alpha,
     effective_period,
     format_kind,
+    masked_max,
+    masked_min,
     validate_kind,
 )
 from .graphs import CommPattern, RoundGraphs
@@ -140,11 +142,8 @@ def _margin_row(positions: np.ndarray, ends: List[np.ndarray], period: int) -> n
     with np.errstate(divide="ignore", invalid="ignore"):
         for first in range(0, len(block_ends), per_chunk):
             t = block_ends[first:first + per_chunk]
-            # [block, q, p, k]: component k of q's block-start position where q reached p
-            reach = np.stack(ends[first:first + per_chunk])[..., None]
-            prev = positions[t - period][:, :, None, :]
-            low = np.where(reach, prev, np.inf).min(axis=1)
-            high = np.where(reach, prev, -np.inf).max(axis=1)
+            reach, prev = np.stack(ends[first:first + per_chunk]), positions[t - period]
+            low, high = masked_min(prev, reach), masked_max(prev, reach)
             new = positions[t]
             span = high - low
             live = span > RANGE_FLOOR
@@ -314,7 +313,8 @@ def _read_table(path, what: str, value_columns, first: int) -> np.ndarray:
     """The (m, k, w) table of a file `_write_table(path, header, table, first)`
     wrote: header `round,agent` and w value columns that `value_columns`
     accepts, rows in any order. A row of another field count, a round before
-    `first` or a negative agent, and a missing or repeated (round, agent) raise."""
+    `first`, a negative agent, an index beyond intp, and a missing or repeated
+    (round, agent) raise."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
@@ -326,8 +326,11 @@ def _read_table(path, what: str, value_columns, first: int) -> np.ndarray:
         i, row = next((i, r) for i, r in enumerate(body) if len(r) != width)
         raise ValueError(f"{what} file line {i + 2} has {len(row)} fields, the header has {width}")
     m, flat = len(body), list(itertools.chain.from_iterable(body))
-    rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m) - first
-    agents = np.fromiter(map(int, flat[1::width]), dtype=np.intp, count=m)
+    try:
+        rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m) - first
+        agents = np.fromiter(map(int, flat[1::width]), dtype=np.intp, count=m)
+    except OverflowError:
+        raise ValueError(f"{what} file has a round or agent beyond the index range") from None
     # column by column, so the (w, m) result transposes into rows
     values = np.fromiter(map(float, itertools.chain.from_iterable(
         flat[k::width] for k in range(2, width))), dtype=np.float64, count=m * (width - 2))

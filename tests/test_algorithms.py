@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +222,19 @@ def test_validate_kind():
         validate_kind(AlgorithmKind("nope"), n=3, d=1)
 
 
+def test_algorithm_kind_rejects_bad_fields_when_built():
+    # what does not depend on (n, d) is checked by the type itself
+    for fields, message in (({"tag": "nope"}, "unknown algorithm 'nope'"),
+                            ({"tag": "centroid", "amortized": True, "amortization_period": 0},
+                             "amortization period must be >= 1, got 0"),
+                            ({"tag": "extreme-point", "tie_break": "first"},
+                             "unknown tie_break 'first'")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AlgorithmKind(**fields)
+    with pytest.raises(ValueError, match="unknown algorithm 'nope'"):
+        parse_kind("nope+bogus")
+
+
 def test_effective_period():
     assert effective_period(AlgorithmKind("midpoint"), n=5) == 1
     assert effective_period(AlgorithmKind("midpoint", amortized=True), n=5) == 4
@@ -405,12 +420,13 @@ def test_equal_neighbor_kernel_matches_reference_bit_for_bit(case):
 
 
 def test_equal_neighbor_kernel_covers_every_summation_order():
-    # one agent per in-degree from 1 to 140: sequential, 8 lanes and halves
-    n = 140
+    # one agent per in-degree from 1 to n: sequential, 8 lanes and halves,
+    # and at n = 300 halves that split again
     rng = np.random.default_rng(3)
-    reach = np.tri(n, dtype=bool).T  # agent p hears agents 0..p
-    for d in (1, 2):
-        x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
-        out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
-        for p in range(n):
-            assert out[p].tobytes() == equal_neighbor_update(x[:p + 1]).tobytes(), (d, p)
+    for n in (140, 300):
+        reach = np.tri(n, dtype=bool).T  # agent p hears agents 0..p
+        for d in (1, 2):
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
+            out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
+            for p in range(n):
+                assert out[p].tobytes() == equal_neighbor_update(x[:p + 1]).tobytes(), (n, d, p)

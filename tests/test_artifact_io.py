@@ -161,6 +161,11 @@ def test_reader_rejects_missing_repeated_and_negative_rows(tmp_path):
     path.write_text("round,agent,comp_0\n0,0,0.5\n0,1,0.25\n1,0,0.5\n-1,1,0.75\n")
     with pytest.raises(ValueError, match="line 5 has a negative round or agent"):
         read_trace_csv(path)
+    # indices beyond intp are rejected, not an OverflowError
+    for row in ("99999999999999999999999,0,1", "0,-99999999999999999999999,1"):
+        path.write_text(f"round,agent,comp_0\n0,0,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="trace file has a round or agent beyond the index"):
+            read_trace_csv(path)
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_trace_csv(path)

@@ -529,6 +529,33 @@ def test_verify_rejects_motion_in_trailing_partial_block(tmp_path, capsys):
     assert "agent 2 moves inside an amortized block" in capsys.readouterr().err
 
 
+def test_verify_accepts_a_period_beyond_int64(tmp_path, capsys):
+    # a period longer than the trace puts every round in the block of round 0
+    cfg = {"n": 4, "d": 1, "algorithm": "midpoint+amortized:" + "9" * 30,
+           "pattern": {"family": "complete"}, "epsilon": 1e-6, "max_rounds": 5, "seed": 5}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert main(["verify", "--config", path, "--out", str(out)]) == 0
+    _edit_trace(out / "trace.csv", 3, 1, [0.5])
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 3
+    assert "agent 1 moves inside an amortized block" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
+    # a graph too large for memory is reported, not a traceback; nothing
+    # here allocates it for real
+    def too_large(n):
+        raise MemoryError(f"Unable to allocate an ({n}, {n}) array")
+    monkeypatch.setattr(cli, "complete_graph", too_large)
+    path = _write(tmp_path, _minimal())
+    for command in ("run", "verify"):
+        capsys.readouterr()
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate an (3, 3) array\n"
+
+
 def test_run_rejects_legacy_frame_reduction_key(tmp_path, capsys):
     # frame_reduction changed no output, so it is not a config key
     for value in (False, True):
