@@ -3,8 +3,8 @@
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
 for all agents at once, each over the positions that reached it, as array
-work over the reach matrix; only extreme-point's random tie-break and the
-centroid's Qhull calls loop per agent. Equal-neighbor gives agent p
+work over the reach matrix; only extreme-point's random tie-break loops per
+agent, and the centroid's hulls per distinct stack. Equal-neighbor gives agent p
 x[reach[:, p]].mean(axis=0) bit for bit (numpy's pairwise `add.reduceat` at
 d = 1, a left-to-right `cumsum` at d >= 2), and the tests hold every rule bit
 for bit to one-set-at-a-time references in tests/oracles.py.

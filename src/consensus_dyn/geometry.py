@@ -9,9 +9,12 @@ the rounding noise of the input coordinates.
 
 `hull_centroids` is the centroid rule's round kernel: one distance matrix of
 the positions for every stack's dedup, the rank cut and the simplex fan
-batched over the stacks, and one Qhull call per distinct stack of rank 2 or
-more. No output byte differs from the per-hull reference in tests/oracles.py.
-`in_hull` runs the same dedup, rank cut and Qhull stages on one point set.
+batched over the stacks. A stack of rank r >= 2 that keeps r + 1 points is a
+simplex, whose centroid is its vertex mean; a planar stack gets Andrew's
+monotone chain; Qhull runs once per distinct stack of rank 3 or more with
+more points than a simplex. No output byte differs from the per-hull
+reference in tests/oracles.py. `in_hull` runs the same dedup, rank cut and
+hull stage on one point set.
 """
 
 from __future__ import annotations
@@ -54,20 +57,81 @@ def _rank_cut(svals: np.ndarray, scale) -> np.ndarray:
     return (svals > floor[..., None]).sum(axis=-1)
 
 
+class _Simplex:
+    """Hull of r + 1 affinely independent points in r dimensions, with the
+    fields of scipy's ConvexHull that the kernel reads: `vertices`,
+    `simplices` (facet i is every point but i) and `equations` (outward unit
+    normals and offsets, inside where normal @ y + offset <= 0)."""
+
+    def __init__(self, points: np.ndarray):
+        k = len(points)
+        self.points = points
+        self.vertices = np.arange(k)
+        self.simplices = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
+
+    @property
+    def equations(self) -> np.ndarray:
+        # row i of the inverse maps [y, 1] to the barycentric coordinate of
+        # vertex i, which is 0 on the facet opposite it and 1 at the vertex
+        bary = np.linalg.inv(np.vstack([self.points.T, np.ones(len(self.points))]))
+        return -bary / np.linalg.norm(bary[:, :-1], axis=1)[:, None]
+
+
+class _Polygon:
+    """Hull of planar points from Andrew's monotone chain, with the fields of
+    scipy's ConvexHull that the kernel reads: `vertices` counterclockwise from
+    the least point, `simplices` the edges between them, and `equations` their
+    outward unit normals and offsets (inside where normal @ y + offset <= 0)."""
+
+    def __init__(self, points: np.ndarray, vertices: list):
+        self.points = points
+        self.vertices = np.array(vertices)
+        self.simplices = np.array([vertices, vertices[1:] + vertices[:1]]).T
+
+    @property
+    def equations(self) -> np.ndarray:
+        start, end = self.points[self.simplices[:, 0]], self.points[self.simplices[:, 1]]
+        normal = (end - start)[:, ::-1] * [1.0, -1.0]
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        return np.column_stack([normal, -(normal * start).sum(axis=1)])
+
+
+def _monotone_chain(points: np.ndarray) -> list:
+    """Indices of the extreme points of the (m, 2) points, counterclockwise
+    from the least in (x, y) order; fewer than 3 when no triple turns left.
+    Andrew's monotone chain (1979): the lower and the upper chain of the
+    sorted points, each dropping its last point while it makes no left turn."""
+    pts = points.tolist()
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+
+    def chain(indices):
+        out = []
+        for i in indices:
+            px, py = pts[i]
+            while len(out) > 1:
+                (ox, oy), (ax, ay) = pts[out[-2]], pts[out[-1]]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) > 0:
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return chain(order)[:-1] + chain(reversed(order))[:-1]
+
+
 def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
     """Hull of the centered rows in their first `rank` principal directions
     (in the input coordinates when rank is the full dimension).
 
-    A set that Qhull finds flat even after joggling has a lower numerical
+    The hull's shape is known without Qhull in two cases: rank + 1 rows are
+    their own simplex, and a rank-2 set gets Andrew's monotone chain. Qhull
+    (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) builds the rest, at rank
+    >= 3 from at least rank + 2 rows. A set that Qhull finds flat even after
+    joggling, or whose chain has fewer than 3 vertices, has a lower numerical
     affine dimension than the SVD cut said, so the rank drops by one and the
     projection is redone. Returns (rank, basis, proj, hull); hull is None
     below rank 2 and proj is None at rank 0.
     """
-    # Qhull loads on the first hull, not with the package: only the centroid
-    # rule and `counterexample` build hulls, and scipy.spatial takes longer to
-    # import than a whole run of any other rule.
-    from scipy.spatial import ConvexHull, QhullError
-
     dim = centered.shape[1]
     while True:
         if rank == 0:
@@ -80,6 +144,20 @@ def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
             proj = centered @ basis.T
         if rank == 1:
             return 1, basis, proj, None
+        if len(proj) == rank + 1:
+            return rank, basis, proj, _Simplex(proj)
+        if rank == 2:
+            chain = _monotone_chain(proj)
+            if len(chain) > 2:
+                return 2, basis, proj, _Polygon(proj, chain)
+            logger.warning("planar hull is flat; reducing to dim 1")
+            rank = 1
+            continue
+        # Qhull loads on the first hull it builds, not with the package: only
+        # the centroid rule and `counterexample` build hulls, and scipy.spatial
+        # takes longer to import than a whole run of any other rule.
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             return rank, basis, proj, ConvexHull(proj)
         except QhullError:
@@ -179,15 +257,17 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     x[q] (n, d) with reach[q, p], for all agents at once.
 
     The bytes are those of the per-stack reference in tests/oracles.py, the
-    hull of x[reach[:, p]] alone fanned from its vertex average: the same
-    dedup, rank cut, Qhull input and fan sums.
+    hull of x[reach[:, p]] alone: the same dedup, rank cut, hull and fan sums.
     Agents whose stacks are equal byte for byte share one result. What the
     stacks of a block end share is computed once: one distance matrix of x
     for dedup, and centering, SVD and rank cut batched over the stacks that
-    keep the same number of rows. Qhull runs once per distinct stack of rank
-    >= 2, in order of the stacks' first agents, with its joggle and
-    rank-reduction fallbacks; the fan runs batched over every full-hull stack
-    of one rank.
+    keep the same number of rows. A stack of rank r >= 2 that keeps r + 1
+    rows is a simplex: its centroid is their mean, the centering origin, with
+    no hull and no fan. Every other stack of rank >= 2 gets its hull from
+    `_reduced_hull`, in order of the stacks' first agents (a monotone chain
+    at rank 2, Qhull with its joggle and rank-reduction fallbacks above),
+    and the fan from the vertex average runs batched over the hulls of one
+    rank.
     """
     x = np.ascontiguousarray(x, dtype=float)
     n, d = x.shape
@@ -215,7 +295,12 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     fans = {}
     for s, first, origin, centered, vt, rank in sorted(reduced, key=lambda h: h[0]):
         # m points can never span more than m - 1 affine dimensions
-        rank, basis, proj, hull = _reduced_hull(centered, vt, min(rank, len(centered) - 1))
+        rank = min(rank, len(centered) - 1)
+        if rank > 1 and rank == len(centered) - 1:
+            # a simplex: its centroid is its vertex mean
+            cent[s] = origin
+            continue
+        rank, basis, proj, hull = _reduced_hull(centered, vt, rank)
         if rank == 0:
             cent[s] = first
         elif rank == 1:
@@ -231,7 +316,7 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
 def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
     """True iff x lies within MEM_TOL * max(extent, 1) of the hull of the
     (m, d) points, extent being their largest component extent. The hull
-    comes from the kernel's own dedup, rank cut and Qhull stages."""
+    comes from the kernel's own dedup, rank cut and hull stages."""
     tol = MEM_TOL * max(float((points.max(axis=0) - points.min(axis=0)).max()), 1.0)
     # every agent of a complete reach holds the one stack of all the points
     unique = points[_stacks(points, np.ones((len(points),) * 2, dtype=bool))[2][0]]

@@ -327,18 +327,20 @@ def _read_table(path, what: str, value_columns, first: int) -> np.ndarray:
         raise ValueError(f"{what} file line {i + 2} has {len(row)} fields, the header has {width}")
     m, flat = len(body), list(itertools.chain.from_iterable(body))
     try:
-        rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m) - first
+        rounds = np.fromiter(map(int, flat[0::width]), dtype=np.intp, count=m)
         agents = np.fromiter(map(int, flat[1::width]), dtype=np.intp, count=m)
     except OverflowError:
         raise ValueError(f"{what} file has a round or agent beyond the index range") from None
     # column by column, so the (w, m) result transposes into rows
     values = np.fromiter(map(float, itertools.chain.from_iterable(
         flat[k::width] for k in range(2, width))), dtype=np.float64, count=m * (width - 2))
-    negative = (rounds < 0) | (agents < 0)
+    # checked before `first` is subtracted, which would wrap the least intp
+    negative = (rounds < first) | (agents < 0)
     if negative.any():
         # a negative index would land on a row counted from the end
         raise ValueError(f"{what} file line {int(np.argmax(negative)) + 2} has a negative"
                          f" round or agent (rounds start at {first})")
+    rounds -= first
     t, n = int(rounds.max(initial=-1)) + 1, int(agents.max(initial=-1)) + 1
     # counted before anything of the cells' size is allocated, so that a
     # huge index costs no memory

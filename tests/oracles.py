@@ -13,6 +13,7 @@ the graph operations the tests build expectations from.
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -229,7 +230,8 @@ def centroid(poly: Polytope) -> CentroidResult:
 
     Full-rank case: the hull is fanned into simplices from the vertex average;
     the centroid is the volume-weighted mean of simplex centroids (each the
-    arithmetic mean of its vertices), simplex volume = |det| / r!.
+    arithmetic mean of its vertices), simplex volume = |det| / r!. A hull of
+    r + 1 points is itself a simplex, and its centroid is their mean, `origin`.
     """
     r = poly.dim_affine
     if r == 0:
@@ -250,7 +252,45 @@ def centroid(poly: Polytope) -> CentroidResult:
     acc = np.cumsum(np.vstack([np.zeros(r), terms]), axis=0)[-1]
     if total <= 0.0 or not np.isfinite(total):
         raise GeometryError(f"degenerate fan decomposition: volume={total!r} at rank {r}")
+    if len(poly.proj_points) == r + 1:
+        return CentroidResult(poly.origin.copy(), total)
     return CentroidResult(poly.origin + (acc / total) @ poly.basis, total)
+
+
+def exact_vertex_mean(points) -> List[Fraction]:
+    """The mean of the rows of `points` in exact arithmetic: the centroid of a
+    simplex whose vertices they are."""
+    cols = zip(*np.asarray(points).tolist())
+    return [sum(map(Fraction, col), Fraction(0)) / len(points) for col in cols]
+
+
+def exact_planar_centroid(points) -> List[Fraction]:
+    """Centroid of the hull of (m, 2) points, not all on a line, in exact
+    arithmetic: Andrew's monotone chain with exact orientation tests, then
+    the shoelace centroid of the chain's polygon."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in np.asarray(points).tolist()})
+
+    def turn(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and turn(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])
+    if len(hull) < 3:
+        raise ValueError("the points lie on a line")
+    area2 = cx = cy = Fraction(0)
+    for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
+        cross = x0 * y1 - x1 * y0
+        area2 += cross
+        cx += (x0 + x1) * cross
+        cy += (y0 + y1) * cross
+    return [cx / (3 * area2), cy / (3 * area2)]
 
 
 class OracleUnreliableError(GeometryError):

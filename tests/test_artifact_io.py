@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from consensus_dyn import simulator
 from consensus_dyn.simulator import (
     RunTrace,
+    read_margins_csv,
     read_trace_csv,
     write_deltas_csv,
     write_margins_csv,
@@ -161,6 +162,11 @@ def test_reader_rejects_missing_repeated_and_negative_rows(tmp_path):
     path.write_text("round,agent,comp_0\n0,0,0.5\n0,1,0.25\n1,0,0.5\n-1,1,0.75\n")
     with pytest.raises(ValueError, match="line 5 has a negative round or agent"):
         read_trace_csv(path)
+    # margins rounds start at 1: subtracting it from the least intp would wrap
+    margins = tmp_path / "margins.csv"
+    margins.write_text(f"round,agent,alpha_hat\n1,0,0.5\n{-2**63},0,0.5\n")
+    with pytest.raises(ValueError, match="line 3 has a negative round or agent"):
+        read_margins_csv(margins)
     # indices beyond intp are rejected, not an OverflowError
     for row in ("99999999999999999999999,0,1", "0,-99999999999999999999999,1"):
         path.write_text(f"round,agent,comp_0\n0,0,0.5\n{row}\n")

@@ -720,17 +720,36 @@ print(json.dumps([code, "scipy.spatial" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("algorithm, loaded", [("extreme-point", False), ("centroid", True)])
-def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
-    # only hulls need Qhull: a run of any other rule never imports scipy.spatial
-    cfg = {"n": 4, "d": 2, "algorithm": algorithm, "epsilon": 1e-6,
-           "pattern": {"family": "random-nonsplit", "seed": 2}, "audits": ALL_AUDITS}
+def _loads_scipy_spatial(tmp_path, cfg):
+    """(exit code, whether scipy.spatial was imported) of a `run` of cfg in
+    a fresh interpreter."""
     path = _write(tmp_path, cfg)
     env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, path, str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("algorithm, loaded", [("extreme-point", False), ("centroid", True)])
+def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
+    # only Qhull hulls need scipy.spatial: a run of any other rule never
+    # imports it. Every agent of a complete graph on 6 agents at d = 3
+    # stacks 6 points of rank 3, whose hull only Qhull builds.
+    cfg = {"n": 6, "d": 3, "algorithm": algorithm, "epsilon": 1e-6,
+           "pattern": {"family": "complete"}, "audits": ALL_AUDITS}
+    assert _loads_scipy_spatial(tmp_path, cfg) == [0, loaded]
+
+
+@pytest.mark.parametrize("algorithm, pattern", [
+    ("centroid", {"family": "complete"}),
+    ("centroid", {"family": "random-nonsplit", "seed": 2}),
+    ("centroid+amortized", {"family": "rotating-star"})])
+def test_planar_centroid_run_never_loads_scipy_spatial(tmp_path, algorithm, pattern):
+    # below rank 3 every hull is a segment, a simplex or a monotone chain
+    cfg = {"n": 8, "d": 2, "algorithm": algorithm, "epsilon": 1e-6, "pattern": pattern,
+           "audits": {"safeness": True}}
+    assert _loads_scipy_spatial(tmp_path, cfg) == [0, False]
 
 
 def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):

@@ -51,7 +51,7 @@ def test_every_top_level_name_is_used_by_the_package():
 def test_oracles_import_nothing_of_the_package_but_shared_stages_and_types():
     # a reference that calls the code it checks agrees with it by
     # construction; the oracles may take the tolerances and the rank cut and
-    # Qhull stage they share with the centroid kernel, and the types they read
+    # hull stage they share with the centroid kernel, and the types they read
     allowed = {"geometry": {"DUP_TOL", "MEM_TOL", "GeometryError", "_rank_cut", "_reduced_hull"},
                "algorithms": {"AlgorithmKind"}, "graphs": {"CommGraph"},
                "simulator": {"RANGE_FLOOR", "RunTrace"}}
