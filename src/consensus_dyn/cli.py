@@ -273,7 +273,8 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict,
                 out[name] = {"skipped": "trace has 0 rounds, no transition to reconstruct"}
     elif matrices:
         try:
-            seq = reconstruct_matrices(positions, graphs, alpha)
+            report = check_moreau_assumptions(reconstruct_matrices(positions, graphs, alpha),
+                                              graphs, alpha, moreau_window(spec.pattern))
         except SafenessViolationError as e:
             if audits["matrices"]:
                 out["matrices"] = {"ok": False, "error": str(e)}
@@ -281,11 +282,9 @@ def _run_audits(positions: np.ndarray, spec: RunSpec, audits: dict,
                 out["moreau"] = {"skipped": "matrix reconstruction failed"}
             return out, 3
         if audits["matrices"]:
-            out["matrices"] = {"ok": True, "rounds": int(seq.matrices.shape[0]),
-                               "alpha": alpha}
+            out["matrices"] = {"ok": True, "rounds": rounds, "alpha": alpha}
         if audits["moreau"]:
-            out["moreau"] = check_moreau_assumptions(seq, graphs,
-                                                     moreau_window(spec.pattern)).to_json()
+            out["moreau"] = report.to_json()
     return out, code
 
 

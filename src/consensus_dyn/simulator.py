@@ -212,6 +212,11 @@ def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
             if t % period == 0:
                 ends.append(reach)
             span = x.max(axis=0) - x.min(axis=0)
+            # a non-finite position makes the sum non-finite, as may an overflow
+            if not math.isfinite(sum(span.tolist())) and not np.isfinite(x).all():
+                p, k = np.argwhere(~np.isfinite(x))[0]
+                raise ValueError(f"round {t}: agent {p} has a non-finite position {x[p, k]}"
+                                 f" in component {k}")
             if (span[active] <= threshold).all():
                 break
     pos_arr = np.stack(positions)
@@ -361,8 +366,11 @@ def read_trace_csv(path) -> np.ndarray:
     positions = _read_table(path, "trace", lambda cols: all(c.startswith("comp_") for c in cols), 0)
     if not len(positions):
         raise ValueError("trace file has no rows")
-    if np.isnan(positions).any():
-        raise ValueError("trace file has a NaN position")
+    finite = np.isfinite(positions)
+    if not finite.all():
+        t, p, k = np.argwhere(~finite)[0]
+        raise ValueError(f"trace file has a non-finite position: round {t}, agent {p},"
+                         f" component {k} is {positions[t, p, k]}")
     return positions
 
 

@@ -4,6 +4,9 @@ Everything here re-derives its answers from recorded positions and the round
 graphs alone: safety margins are recomputed from scratch and update steps
 are re-expressed as row-stochastic matrices. None of it calls back into the
 engine's update path, so agreement is evidence rather than tautology.
+
+Every audit walks the run through one chunked generator, `_blocks`, and the
+matrix reconstruction streams its chunks straight into the Moreau check.
 """
 
 import math
@@ -64,19 +67,6 @@ class SafenessReport:
 
 
 @dataclass
-class StochasticMatrixSeq:
-    """Row-stochastic matrices equivalent to a recorded run.
-
-    ``matrices[t, k]`` maps component-k values of configuration t to
-    configuration t+1 (rounds t+1 = 1..T); its nonzero pattern is round t+1's
-    graph with the edges reversed.
-    """
-
-    matrices: np.ndarray
-    alpha: float
-
-
-@dataclass
 class MoreauReport:
     """Outcome of the four convergence assumptions on a matrix sequence:
     positive diagonals, positive entries bounded below, bidirectional round
@@ -122,12 +112,23 @@ def _graph_stack(graphs: np.ndarray, n: int, rounds: int) -> np.ndarray:
     return graphs[:rounds]
 
 
-def _chunks(total: int, per_item: int):
-    """Consecutive (start, stop) ranges over `total` items with at most
-    CHUNK_ELEMS // per_item items each."""
-    step = max(1, CHUNK_ELEMS // per_item)
-    for start in range(0, total, step):
-        yield start, min(total, start + step)
+def _blocks(positions: np.ndarray, graphs: np.ndarray, period: int):
+    """Walk the complete period-`period` blocks of the (T+1, n, d) `positions`
+    over the round-graph stack `graphs`, CHUNK_ELEMS // (n·n·d) blocks at a
+    time (at least one). Each chunk yields (b0, start, reach, end): the index
+    of its first block, the (blocks, n, d) block-start and block-end
+    positions, and the (blocks, n, n) reach products, where reach[s, q, p]
+    says q's value at block s's start can reach p by its end."""
+    _, n, d = positions.shape
+    blocks = (len(positions) - 1) // period
+    adj = _graph_stack(graphs, n, blocks * period)
+    step = max(1, CHUNK_ELEMS // (n * n * d))
+    for b0 in range(0, blocks, step):
+        start, stop = b0 * period, min(blocks, b0 + step) * period
+        reach = adj[start:stop:period]
+        for j in range(1, period):
+            reach = reach @ adj[start + j:stop:period]
+        yield b0, positions[start:stop:period], reach, positions[start + period:stop + 1:period]
 
 
 def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: float,
@@ -154,22 +155,15 @@ def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: flo
     blocks = total // period
     if blocks < 1:
         raise ValueError(f"trace has {total} rounds, shorter than one period-{period} block")
-    adj = _graph_stack(graphs, n, blocks * period)
 
     margins = np.full((blocks, n, d), np.nan)
     violations: List[Tuple[int, int, int, float]] = []
     worst = math.inf
-    for b0, b1 in _chunks(blocks, n * n * d):
-        start, stop = b0 * period, b1 * period
-        # reach[s, q, p]: q's value at the block start can reach p by its end
-        reach = adj[start:stop:period]
-        for j in range(1, period):
-            reach = reach @ adj[start + j:stop:period]
+    for b0, start, reach, x in _blocks(positions, graphs, period):
         heard = reach.transpose(0, 2, 1)[..., None]  # (block, p, q, 1)
-        sent = positions[start:stop:period][:, None]  # (block, 1, q, d)
+        sent = start[:, None]  # (block, 1, q, d)
         lo = np.where(heard, sent, np.inf).min(axis=2)
         hi = np.where(heard, sent, -np.inf).max(axis=2)
-        x = positions[start + period:stop + 1:period]
         span = hi - lo
         mag = np.maximum(np.abs(lo), np.abs(hi))
         # A span within a few hundred ulps of the endpoint magnitude is a
@@ -180,7 +174,7 @@ def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: flo
         below, above = x - lo, hi - x
         with np.errstate(divide="ignore", invalid="ignore"):
             m = np.where(live, np.where(above < below, above, below) / span, np.nan)
-        margins[b0:b1] = m
+        margins[b0:b0 + len(m)] = m
         worst = min(worst, float(np.where(np.isnan(m), np.inf, m).min()))
         cand = np.nonzero(m < claimed_alpha - AUDIT_TOL)
         if len(cand[0]):
@@ -192,32 +186,29 @@ def audit_safeness(positions: np.ndarray, graphs: np.ndarray, claimed_alpha: flo
                           margins=margins, worst_alpha=worst, violations=violations)
 
 
-def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
-                         alpha: float) -> StochasticMatrixSeq:
+def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray, alpha: float):
     """Express each recorded round of the (T+1, n, d) `positions` as one
     row-stochastic matrix per component, over the first T entries of the
-    round-graph stack `graphs`.
+    round-graph stack `graphs`, yielded as (rounds, d, n, n) chunks in round
+    order.
 
-    Row p of matrices[t, k] spreads weight over p's in-neighbors in round
-    t+1's graph so that the weighted values reproduce p's new position; every
-    used entry is at least alpha/|in-neighbors| >= alpha/n. A position outside
+    Row p of chunk[t, k] spreads weight over p's in-neighbors in that round's
+    graph so that the weighted values reproduce p's new position; every used
+    entry is at least alpha/|in-neighbors| >= alpha/n. A position outside
     its safe interval by more than fp slack means the trace was not produced
     by an alpha-safe update and is rejected. The weights are the closed form
     of the scalar construction `decompose_safe_value` in tests/oracles.py,
     taken for every (round, component, agent) at once.
     """
     positions = np.asarray(positions, dtype=float)
-    total, n, d = positions.shape
-    total -= 1
-    if total < 1:
+    configs, n, _ = positions.shape
+    if configs < 2:
         raise ValueError("trace records no transitions; nothing to reconstruct")
     scale = max(1.0, float(np.abs(positions).max()))
     tol = 1e-9 * scale
-    adj = _graph_stack(graphs, n, total)
-    matrices = np.zeros((total, d, n, n))
-    for t0, t1 in _chunks(total, n * n * d):
-        heard = adj[t0:t1].transpose(0, 2, 1)[:, None]  # (round, 1, p, q)
-        sent = positions[t0:t1].transpose(0, 2, 1)[:, :, None]  # (round, k, 1, q)
+    for t0, start, adj, x in _blocks(positions, graphs, 1):
+        heard = adj.transpose(0, 2, 1)[:, None]  # (round, 1, p, q)
+        sent = start.transpose(0, 2, 1)[:, :, None]  # (round, k, 1, q)
         # each row sorted ascending with its in-neighbours first; the stable
         # sort keeps agent order on ties, as `sorted` did
         filled = np.where(heard, sent, np.inf)
@@ -226,7 +217,7 @@ def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
         count = heard.sum(axis=-1)  # (round, 1, p)
         last = np.broadcast_to(count - 1, svals.shape[:-1])[..., None]
         v1, vn = svals[..., 0], np.take_along_axis(svals, last, axis=-1)[..., 0]
-        x = positions[t0 + 1:t1 + 1].transpose(0, 2, 1)  # (round, k, p)
+        x = x.transpose(0, 2, 1)  # (round, k, p)
         lo = (1 - alpha) * v1 + alpha * vn
         hi = alpha * v1 + (1 - alpha) * vn
         bad = ((x < lo - tol) | (x > hi + tol)).transpose(0, 2, 1)  # (round, p, k)
@@ -259,26 +250,28 @@ def reconstruct_matrices(positions: np.ndarray, graphs: np.ndarray,
         np.put_along_axis(block, order[..., :1], w_min[..., None], axis=-1)
         np.put_along_axis(block, np.take_along_axis(order, last, axis=-1), w_max[..., None],
                           axis=-1)
-        matrices[t0:t1] = block
-    return StochasticMatrixSeq(matrices=matrices, alpha=alpha)
+        yield block
 
 
-def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
+def check_moreau_assumptions(matrices, graphs: np.ndarray, alpha: float,
                              window: int) -> MoreauReport:
     """Check the four assumptions that guarantee consensus for products of
     stochastic matrices on the run's own T rounds: positive diagonals (A1),
-    positive entries bounded below by a (A2), bidirectional round graphs (A3),
-    and strong connectivity of the edges that recur in every whole `window`
-    rounds of the run (A4). A run shorter than one window holds no evidence
-    of recurring edges, so A4 fails for it. Witnesses are the first in
-    (round, component, row, column) order. `graphs` is the (R, n, n) stack
-    of the run's round graphs; A3 and A4 read its first T entries."""
-    T, d, n, _ = seq.matrices.shape
-    graphs = _graph_stack(graphs, n, T)
-    a = seq.alpha / n
+    positive entries bounded below by a = alpha/n (A2), bidirectional round
+    graphs (A3), and strong connectivity of the edges that recur in every
+    whole `window` rounds of the run (A4). `matrices` is an iterable of
+    (rounds, d, n, n) chunks in round order (`reconstruct_matrices`) holding
+    T rounds in all. A run shorter than one window holds no evidence of
+    recurring edges, so A4 fails for it. Witnesses are the first in (round,
+    component, row, column) order. A3 and A4 read the first T entries of
+    `graphs`, the (R, n, n) stack of the run's round graphs."""
+    n = graphs.shape[-1]
+    a = alpha / n
     a1_w = a2_w = a3_w = a4_w = None
-    for t0, t1 in _chunks(T, n * n * d):
-        A = seq.matrices[t0:t1]
+    T = 0
+    for A in matrices:
+        t0, T = T, T + len(A)
+        adj = _graph_stack(graphs, A.shape[-1], T)[t0:]
         if a1_w is None:
             hit = np.argwhere(A.diagonal(axis1=2, axis2=3) <= 0)
             if len(hit):
@@ -290,7 +283,6 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
                 t, k, p, q = hit[0].tolist()
                 a2_w = (t0 + t + 1, k, p, q, float(A[t, k, p, q]))
         if a3_w is None:
-            adj = graphs[t0:t1]
             hit = np.flatnonzero((adj != adj.transpose(0, 2, 1)).any(axis=(1, 2)))
             if len(hit):
                 a3_w = t0 + int(hit[0]) + 1
@@ -298,7 +290,7 @@ def check_moreau_assumptions(seq: StochasticMatrixSeq, graphs: np.ndarray,
         a4 = False
         a4_w = f"the run's {T} rounds hold no whole window of {window} rounds"
     else:
-        a4 = is_strongly_connected(infinitely_often_union(graphs, window))
+        a4 = is_strongly_connected(infinitely_often_union(_graph_stack(graphs, n, T), window))
         if not a4:
             a4_w = f"recurring-edge graph over window {window} is not strongly connected"
     return MoreauReport(a=a, a1=a1_w is None, a2=a2_w is None, a3=a3_w is None, a4=a4,

@@ -361,8 +361,8 @@ def test_10_decomposition_and_matrix_assumptions():
     trace = run(spec)
     alpha = claimed_alpha(kind, n, d)
     graphs = RoundGraphs(pattern).first(len(trace.positions) - 1)
-    seq = reconstruct_matrices(trace.positions, graphs, alpha)
-    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
+    report = check_moreau_assumptions(reconstruct_matrices(trace.positions, graphs, alpha),
+                                      graphs, alpha, moreau_window(pattern))
     assumptions_ok = report.holds and abs(report.a - alpha / n) < 1e-15
     elapsed = time.monotonic() - t0
     passed = bad == 0 and worst_sum <= 1e-12 and assumptions_ok and elapsed < 60

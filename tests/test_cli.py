@@ -662,6 +662,38 @@ def test_verify_and_plotdata_reject_rows_of_the_wrong_width(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_verify_rejects_an_infinite_position(tmp_path, capsys, value):
+    # an infinite position made the reconstruction's tolerance, 1e-9 of the
+    # largest |x|, infinite, so the matrices audit passed it
+    cfg = {"n": 4, "d": 1, "algorithm": "midpoint",
+           "pattern": {"family": "random-nonsplit", "seed": 2}, "epsilon": 1e-6, "seed": 3,
+           "audits": {"safeness": True, "matrices": True, "moreau": True}}
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "summary.json").unlink()
+    _edit_trace(out / "trace.csv", 1, 2, [float(value)])
+    capsys.readouterr()
+    assert main(["verify", "--config", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"non-finite position: round 1, agent 2, component 0 is {value}" in captured.err
+    assert "matrices" not in captured.out
+
+
+def test_run_stops_at_the_round_whose_positions_overflow(tmp_path, capsys):
+    # the midpoint of 1e308 and 1.7e308 overflows to inf in round 1; every
+    # range after it is NaN, never within epsilon, so the run went on to
+    # max_rounds and wrote -Infinity into summary.json
+    initial = {"kind": "explicit", "positions": [[1.7e308], [1e308], [1.7e308]]}
+    path = _write(tmp_path, _minimal(initial=initial, max_rounds=1000))
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "round 1: agent 0 has a non-finite position inf in component 0" in \
+        capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     # main builds its parser once per process: a --seed given to one call, or
     # an argparse error, must not leak into the next call

@@ -283,6 +283,20 @@ def test_run_non_convergence_is_recorded():
     assert (ratios == 1.0).all()
 
 
+def test_run_stops_at_the_first_non_finite_position():
+    # midpoints of 1e308 and 1.7e308 overflow to inf in round 1
+    spec = _spec(n=3, pattern=fixed(complete_graph(3)),
+                 initial=np.array([[1.7e308], [1e308], [1.7e308]]), max_rounds=50)
+    with pytest.raises(ValueError, match=r"^round 1: agent 0 has a non-finite position inf"):
+        run(spec)
+    # finite positions whose range alone overflows are not stopped
+    spec = _spec(n=2, algorithm=AlgorithmKind("equal-neighbor"),
+                 pattern=fixed(self_loops_only(2)),
+                 initial=np.array([[1.7e308], [-1.7e308]]), max_rounds=3)
+    trace = run(spec)
+    assert np.isfinite(trace.positions).all() and np.isinf(trace.deltas).all()
+
+
 def test_measure_contraction_zero_floor():
     spec = _spec(n=3, pattern=fixed(complete_graph(3)),
                  initial=np.array([[0.0], [1.0], [2.0]]), max_rounds=3, epsilon=1e-30)

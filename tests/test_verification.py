@@ -31,7 +31,6 @@ from consensus_dyn.verification import (
     MoreauReport,
     SafenessReport,
     SafenessViolationError,
-    StochasticMatrixSeq,
     audit_safeness,
     check_moreau_assumptions,
     moreau_window,
@@ -60,6 +59,11 @@ def _stack(pattern, rounds):
 
 def _graphs_of(trace, pattern):
     return _stack(pattern, len(trace.positions) - 1)
+
+
+def _matrices(positions, graphs, alpha):
+    # the (T, d, n, n) sequence that reconstruct_matrices yields chunk by chunk
+    return np.concatenate(list(reconstruct_matrices(positions, graphs, alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,49 +221,48 @@ def test_reconstruct_self_loops_identity():
     pattern = fixed(self_loops_only(3))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
-    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
-    assert seq.matrices.shape[2:] == (3, 3)
-    for t in range(seq.matrices.shape[0]):
-        assert np.array_equal(seq.matrices[t, 0], np.eye(3))
+    matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
+    assert matrices.shape[2:] == (3, 3)
+    for t in range(matrices.shape[0]):
+        assert np.array_equal(matrices[t, 0], np.eye(3))
 
 
 def test_reconstruct_midpoint_complete_graph_row():
     pattern = fixed(complete_graph(3))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
-    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
+    matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
     # x_p = 1 decomposes over (0,1,2) as alpha/3 plus the two-point split
-    row = seq.matrices[0, 0, 0]
+    row = matrices[0, 0, 0]
     assert np.allclose(row, [5 / 12, 1 / 6, 5 / 12], atol=1e-12)
-    assert seq.alpha == 0.5
 
 
 def test_reconstruct_invariants():
     pattern = random_nonsplit(5, seed=3)
     trace = _run(5, 2, "centroid", pattern, epsilon=1e-3, seed=9)
-    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
-    T = seq.matrices.shape[0]
+    matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
+    T = matrices.shape[0]
     assert T == len(trace.positions) - 1
     scale = float(np.abs(trace.positions).max())
     for t in range(T):
         g = pattern.graph(t + 1)
         reversed_adj = g.adj.T
         for k in range(2):
-            A = seq.matrices[t, k]
+            A = matrices[t, k]
             assert np.all(A >= 0) and np.all(A <= 1 + 1e-15)
             assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)
             rec = A @ trace.positions[t][:, k]
             assert np.allclose(rec, trace.positions[t + 1][:, k], atol=1e-9 * max(1, scale))
             # support matches the reversed round graph, diagonal included
             assert ((A > 0) == reversed_adj).all()
-            assert A[A > 0].min() >= seq.alpha / 5 - 1e-15
+            assert A[A > 0].min() >= 1 / 3 / 5 - 1e-15
 
 
 def test_reconstruct_component_matrices_differ_for_centroid():
     pattern = random_nonsplit(5, seed=3)
     trace = _run(5, 2, "centroid", pattern, epsilon=1e-3, seed=9)
-    seq = reconstruct_matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
-    diffs = [not np.allclose(seq.matrices[t, 0], seq.matrices[t, 1], atol=1e-12)
-             for t in range(seq.matrices.shape[0])]
+    matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 1 / 3)
+    diffs = [not np.allclose(matrices[t, 0], matrices[t, 1], atol=1e-12)
+             for t in range(matrices.shape[0])]
     assert any(diffs)
 
 
@@ -269,7 +272,7 @@ def test_reconstruct_rejects_unsafe_trace():
     bad = trace.positions.copy()
     bad[1, 0, 0] = 2.5  # outside the received interval [0, 2]
     with pytest.raises(SafenessViolationError):
-        reconstruct_matrices(bad, _graphs_of(trace, pattern), 0.5)
+        _matrices(bad, _graphs_of(trace, pattern), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +284,8 @@ def test_moreau_identity_matrices():
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
     graphs = _graphs_of(trace, pattern)
-    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
-    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
+    report = check_moreau_assumptions(reconstruct_matrices(trace.positions, graphs, 0.5), graphs,
+                                      0.5, moreau_window(pattern))
     assert report.a1 and report.a2 and report.a3
     assert not report.a4
     assert not report.holds
@@ -294,8 +297,8 @@ def test_moreau_midpoint_bidirectional_intermittent():
     pattern = bidirectional_intermittent(n, period=3, seed=7)
     trace = _run(n, 1, "midpoint", pattern, epsilon=1e-6, seed=1)
     graphs = _graphs_of(trace, pattern)
-    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
-    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
+    report = check_moreau_assumptions(reconstruct_matrices(trace.positions, graphs, 0.5), graphs,
+                                      0.5, moreau_window(pattern))
     assert report.a == pytest.approx(1 / (2 * n))
     assert report.a1 and report.a2 and report.a3 and report.a4
     assert report.holds
@@ -307,8 +310,8 @@ def test_moreau_midpoint_bidirectional_intermittent():
 def test_moreau_zero_diagonal_witness():
     g = complete_graph(2)
     A = np.array([[[0.0, 1.0], [0.5, 0.5]]])  # agent 0 ignores itself
-    seq = StochasticMatrixSeq(matrices=A[np.newaxis], alpha=0.5)
-    report = check_moreau_assumptions(seq, _stack(fixed(g), 1), moreau_window(fixed(g)))
+    report = check_moreau_assumptions([A[np.newaxis]], _stack(fixed(g), 1), 0.5,
+                                      moreau_window(fixed(g)))
     assert not report.a1
     assert report.a1_witness == (1, 0, 0)
 
@@ -319,8 +322,8 @@ def test_moreau_non_bidirectional_witness():
     trace = _run(2, 1, "equal-neighbor", pattern,
                  initial=np.array([[0.0], [1.0]]), epsilon=1e-3)
     graphs = _graphs_of(trace, pattern)
-    seq = reconstruct_matrices(trace.positions, graphs, 0.5)
-    report = check_moreau_assumptions(seq, graphs, moreau_window(pattern))
+    report = check_moreau_assumptions(reconstruct_matrices(trace.positions, graphs, 0.5), graphs,
+                                      0.5, moreau_window(pattern))
     assert not report.a3
     assert report.a3_witness == 1
 
@@ -638,15 +641,16 @@ def _compare_audits(trace, pattern, alpha, period):
         assert new.violations == violations
         assert all(tuple(map(type, v)) == (int, int, int, float) for v in new.violations)
 
-    kind, seq = _outcome(reconstruct_matrices, trace.positions, stack, alpha)
+    kind, got = _outcome(_matrices, trace.positions, stack, alpha)
     ref_kind, ref = _outcome(_ref_reconstruct_matrices, trace, pattern, alpha)
     assert kind == ref_kind
     if kind == "raised":
-        assert seq == ref
+        assert got == ref
         return
     matrices, graphs = ref
-    assert _same_bits(seq.matrices, matrices)
-    report = check_moreau_assumptions(seq, stack, moreau_window(pattern))
+    assert _same_bits(got, matrices)
+    report = check_moreau_assumptions(reconstruct_matrices(trace.positions, stack, alpha), stack,
+                                      alpha, moreau_window(pattern))
     assert report == _ref_moreau(matrices, graphs, pattern, alpha)
 
 
@@ -684,10 +688,11 @@ def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
     adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
     graphs = [CommGraph(n, a) for a in adj]
     pattern = CommPattern(n, lambda t: graphs[(t - 1) % T])
-    seq = StochasticMatrixSeq(matrices=matrices, alpha=0.5)
     stack = _stack(pattern, T)
-    with mock.patch.object(verification, "CHUNK_ELEMS", chunk):
-        report = check_moreau_assumptions(seq, stack, moreau_window(pattern))
+    # the matrices arrive in chunks of `chunk` elements (at least one round)
+    step = max(1, chunk // (n * n * d))
+    chunks = (matrices[t:t + step] for t in range(0, T, step))
+    report = check_moreau_assumptions(chunks, stack, 0.5, moreau_window(pattern))
     assert report == _ref_moreau(matrices, graphs, pattern, 0.5)
 
 
@@ -701,8 +706,8 @@ def test_reconstruct_raises_for_first_bad_cell_in_round_agent_component_order():
     trace = RunTrace(None, bad, np.empty((0, 2)), np.empty((0, 3)), None)
     stack = _graphs_of(trace, pattern)
     with pytest.raises(SafenessViolationError, match=r"^round 2, agent 1, component 1: value -9\.0"):
-        reconstruct_matrices(bad, stack, 0.5)
-    assert _outcome(reconstruct_matrices, bad, stack, 0.5) == \
+        _matrices(bad, stack, 0.5)
+    assert _outcome(_matrices, bad, stack, 0.5) == \
         _outcome(_ref_reconstruct_matrices, trace, pattern, 0.5)
 
 
@@ -723,6 +728,29 @@ def test_audit_safeness_temporaries_stay_chunked():
         tracemalloc.stop()
     assert report.margins.shape == (rounds, n, d) and not report.violations
     assert peak <= 2 * report.margins.nbytes, (peak, report.margins.nbytes)
+
+
+def test_matrix_audits_stream_in_bounded_memory():
+    # 5,000 rounds of midpoint on self-loops at n = 64, d = 1: the whole
+    # (T, d, n, n) float64 matrix sequence would take 164 MB, one chunk's
+    # temporaries take about 1 MB each, and the reconstruction's one pass for
+    # max |x| takes the size of the positions (2.6 MB)
+    n, rounds = 64, 5000
+    pattern = fixed(self_loops_only(n))
+    trace = run(RunSpec(n=n, d=1, algorithm=AlgorithmKind("midpoint"), pattern=pattern,
+                        epsilon=1e-6, max_rounds=rounds, seed=1))
+    stack = _graphs_of(trace, pattern)
+    assert len(stack) == rounds
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_moreau_assumptions(reconstruct_matrices(trace.positions, stack, 0.5),
+                                          stack, 0.5, moreau_window(pattern))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.a1 and report.a2 and report.a3 and not report.a4
+    assert peak <= 8 * 2**20, peak
 
 
 def test_verification_imports_nothing_of_the_engine_but_constants():
