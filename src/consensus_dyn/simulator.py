@@ -201,24 +201,27 @@ def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
         x = initial
         # within_epsilon's test of the range history, one round at a time
         threshold = spec.epsilon * delta0[active]
-        for t in range(1, spec.max_rounds + 1):
-            adj = graphs.adj(t)
-            # reach[q, p]: q's value can reach p within the current block; the
-            # block-end update applies the rule over reach, and its margin is
-            # measured against reach, not against the round's graph alone
-            reach = adj if (t - 1) % period == 0 else reach @ adj
-            x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
-            positions.append(x)
-            if t % period == 0:
-                ends.append(reach)
-            span = x.max(axis=0) - x.min(axis=0)
-            # a non-finite position makes the sum non-finite, as may an overflow
-            if not math.isfinite(sum(span.tolist())) and not np.isfinite(x).all():
-                p, k = np.argwhere(~np.isfinite(x))[0]
-                raise ValueError(f"round {t}: agent {p} has a non-finite position {x[p, k]}"
-                                 f" in component {k}")
-            if (span[active] <= threshold).all():
-                break
+        # an update that overflows, or a range of infinities, is reported
+        # below by the position it made non-finite, not by numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(1, spec.max_rounds + 1):
+                adj = graphs.adj(t)
+                # reach[q, p]: q's value can reach p within the current block;
+                # the block-end update applies the rule over reach, and its
+                # margin is measured against reach, not the round's graph alone
+                reach = adj if (t - 1) % period == 0 else reach @ adj
+                x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
+                positions.append(x)
+                if t % period == 0:
+                    ends.append(reach)
+                span = x.max(axis=0) - x.min(axis=0)
+                # a non-finite position makes the sum non-finite, as may an overflow
+                if not math.isfinite(sum(span.tolist())) and not np.isfinite(x).all():
+                    p, k = np.argwhere(~np.isfinite(x))[0]
+                    raise ValueError(f"round {t}: agent {p} has a non-finite position"
+                                     f" {x[p, k]} in component {k}")
+                if (span[active] <= threshold).all():
+                    break
     pos_arr = np.stack(positions)
     deltas = delta_components(pos_arr)
     return RunTrace(spec, pos_arr, deltas, _margin_row(pos_arr, ends, period),

@@ -7,8 +7,10 @@ one-round margin row that `simulator.run`'s margins must match, the hull
 membership test `contains`, a Monte Carlo centroid, the hyperpyramid that
 attains the centroid's safety constant, the scalar convex-combination
 construction that `reconstruct_matrices` vectorizes, a naive pure-Python
-scalar engine for tiny instances, per-macro-round contraction ratios, and
-the graph operations the tests build expectations from.
+scalar engine for tiny instances, per-macro-round contraction ratios, the
+graph operations the tests build expectations from, each round's own random
+stream as the pattern families define it, and the round-graph count of the
+stack's read-ahead rule.
 """
 
 import math
@@ -374,6 +376,22 @@ def graph_product(g: CommGraph, h: CommGraph) -> CommGraph:
 
 def is_bidirectional(g: CommGraph) -> bool:
     return bool((g.adj == g.adj.T).all())
+
+
+def round_rng(seed: int, t: int) -> np.random.Generator:
+    """Round t's stream of a random pattern family, made as the families
+    define it: one SeedSequence and one Generator for the round."""
+    return np.random.default_rng(np.random.SeedSequence((seed, t)))
+
+
+def rounds_read_ahead(rounds: int, first_fill: int) -> int:
+    """How many round graphs reading rounds 1..rounds one at a time
+    generates when a miss at round t fills to max(t, 2·filled, first_fill)."""
+    filled = 0
+    for t in range(1, rounds + 1):
+        if t > filled:
+            filled = max(t, 2 * filled, first_fill)
+    return filled
 
 
 # ---------------------------------------------------------------------------

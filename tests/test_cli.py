@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import consensus_dyn
 from consensus_dyn import cli
 from consensus_dyn.cli import load_config, main, serialize_config
-from consensus_dyn.graphs import CommPattern
+from consensus_dyn.graphs import READ_AHEAD, CommPattern, RoundGraphs
+from oracles import rounds_read_ahead
 
 
 def _write(tmp_path, cfg, name="config.json"):
@@ -393,10 +394,17 @@ def test_verify_accepts_rounding_on_tiny_spans(tmp_path):
 
 
 def _count_graphs(monkeypatch):
+    # every round graph generated, in the order generated
     calls = []
-    graph = CommPattern.graph
-    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
+    fill = CommPattern.rounds
+    monkeypatch.setattr(CommPattern, "rounds", lambda self, t0, t1, out=None:
+                        calls.extend(range(t0, t1)) or fill(self, t0, t1, out))
     return calls
+
+
+def _read_ahead(rounds):
+    # the round graphs a loop reading rounds 1..rounds one at a time generates
+    return list(range(1, rounds_read_ahead(rounds, READ_AHEAD) + 1))
 
 
 def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
@@ -408,16 +416,23 @@ def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
            "audits": ALL_AUDITS}
     path, out = _write(tmp_path, cfg), str(tmp_path / "out")
     calls = _count_graphs(monkeypatch)
+    reads = []
+    first = RoundGraphs.first
+    monkeypatch.setattr(RoundGraphs, "first", lambda self, rounds:
+                        reads.append(rounds) or first(self, rounds))
     assert main(["run", "--config", path, "--out", out]) == 0
-    assert calls == list(range(1, 19))
+    # the engine's loop generated its rounds ahead; the audits read its 18
+    assert calls == _read_ahead(18) and reads == [18]
     summary = json.loads((Path(out) / "summary.json").read_text())
     assert summary["rounds"] == 18
     moreau = summary["audits"]["moreau"]
     assert moreau["a4"] is False and moreau["holds"] is False
     assert moreau["a4_witness"] == "the run's 18 rounds hold no whole window of 5000 rounds"
     calls.clear()
+    reads.clear()
     assert main(["verify", "--config", path, "--out", out]) == 0
-    assert calls == list(range(1, 19))
+    # verify generates exactly the trace's 18 rounds, which the audits read
+    assert calls == list(range(1, 19)) and reads == [18]
 
 
 def test_matrix_audits_of_amortized_rules_fail_before_any_work(tmp_path, capsys):
@@ -694,6 +709,19 @@ def test_run_stops_at_the_round_whose_positions_overflow(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+def test_overflowing_run_prints_only_its_error(tmp_path):
+    # the overflow that makes round 1's position infinite prints no numpy
+    # RuntimeWarning beside the error that names the position
+    initial = {"kind": "explicit", "positions": [[1.7e308], [1e308], [1.7e308]]}
+    path = _write(tmp_path, _minimal(initial=initial, max_rounds=1000))
+    env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "consensus_dyn.cli", "run", "--config", path,
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: round 1: agent 0 has a non-finite position inf in component 0\n"
+
+
 def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):
     # main builds its parser once per process: a --seed given to one call, or
     # an argparse error, must not leak into the next call
@@ -790,15 +818,16 @@ def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):
     path = _write(tmp_path, cfg)
     calls = _count_graphs(monkeypatch)
     for out in ("a", "b"):
-        # an audited run: the engine generates T rounds, the audits read them;
-        # the second main() call generates its own
+        # an audited run: the engine generates its T rounds by the read-ahead
+        # rule, the audits read them; the second main() call generates its own
         calls.clear()
         assert main(["run", "--config", path, "--out", str(tmp_path / out)]) == 0
         rounds = json.loads((tmp_path / out / "summary.json").read_text())["rounds"]
-        assert rounds > 1 and calls == list(range(1, rounds + 1))
+        assert rounds > 1 and calls == _read_ahead(rounds)
 
     # six scenarios on each n; those of one n share one stack, so a sweep
-    # generates max T_i rounds per n, not the sum, and a second sweep again
+    # generates the read-ahead rule's rounds for max T_i per n, not for each
+    # scenario, and a second sweep again
     sweep = dict(cfg, audits={"safeness": True},
                  sweep={"n": [6, 4], "algorithm": ["component-midpoint", "extreme-point",
                                                     "centroid"], "seed": [1, 2]})
@@ -811,21 +840,22 @@ def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):
         longest = {}
         for r in rows:  # a converged run stops at t_eps
             longest[r["n"]] = max(longest.get(r["n"], 0), int(r["t_eps"]))
-        assert len(calls) == sum(longest.values())
-        assert sorted(calls) == sorted(t for T in longest.values() for t in range(1, T + 1))
+        assert len(calls) == sum(len(_read_ahead(T)) for T in longest.values())
+        assert sorted(calls) == sorted(t for T in longest.values() for t in _read_ahead(T))
 
 
 def test_fixed_pattern_bound_generates_no_round(tmp_path, monkeypatch):
     # what a fixed pattern guarantees is known when it is built: the round
-    # bound reads it, and only the stack generates round 1
+    # bound reads it, and only the stack generates rounds: run's loop the
+    # read-ahead block of its one round, verify exactly round 1
     cfg = {"n": 4, "d": 1, "algorithm": "midpoint", "pattern": {"family": "complete"},
            "epsilon": 1e-6, "seed": 1, "audits": {"safeness": True}}
     path = _write(tmp_path, cfg)
     calls = _count_graphs(monkeypatch)
-    for command in ("run", "verify"):
+    for command, generated in (("run", _read_ahead(1)), ("verify", [1])):
         calls.clear()
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
-        assert calls == [1], command
+        assert calls == generated, command
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert (summary["rounds"], summary["bound_t"]) == (1, 20)
 

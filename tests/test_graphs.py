@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from consensus_dyn.graphs import (
     CommGraph,
+    READ_AHEAD,
     CommPattern,
     RoundGraphs,
     adversarial_rotating_star,
@@ -18,12 +19,13 @@ from consensus_dyn.graphs import (
     is_nonsplit,
     is_rooted,
     is_strongly_connected,
+    per_round,
     random_nonsplit,
     random_rooted,
     self_loops_only,
-    _round_rng,
+    _pcg64_states,
 )
-from oracles import graph_product, in_neighbors, is_bidirectional
+from oracles import graph_product, in_neighbors, is_bidirectional, round_rng, rounds_read_ahead
 
 
 def _bfs_reachable(g, start):
@@ -255,7 +257,7 @@ def test_fixed_pattern_classes_come_from_its_graph():
         pattern = fixed(g)
         assert (pattern.nonsplit, pattern.rooted) == (nonsplit, rooted)
     # a pattern built directly guarantees nothing unless told
-    plain = CommPattern(2, lambda t: complete_graph(2))
+    plain = CommPattern(2, per_round(lambda t: complete_graph(2)))
     assert not (plain.nonsplit or plain.rooted)
 
 
@@ -295,7 +297,7 @@ def _old_bidirectional_make(n, period, seed):
         tree_edges.append((int(perm[i]), int(perm[j])))
 
     def make(t):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        rng = round_rng(seed, t)
         adj = np.eye(n, dtype=bool)
         for i, (u, v) in enumerate(tree_edges):
             if t % period == i % period:
@@ -320,7 +322,7 @@ def test_bidirectional_intermittent_matches_per_edge_constructor(n, period, seed
 def _scalar_rooted_adj(n, seed, t):
     # random_rooted's round graph with its spanning chain drawn one scalar
     # rng.integers call per node, as it was first written
-    rng = _round_rng(seed, t)
+    rng = round_rng(seed, t)
     order = rng.permutation(n)
     adj = np.eye(n, dtype=bool)
     for i in range(1, n):
@@ -340,22 +342,109 @@ def test_random_rooted_matches_scalar_chain_draws(seed, n, t):
     assert np.array_equal(random_rooted(n, seed).graph(t).adj, _scalar_rooted_adj(n, seed, t))
 
 
+def _nonsplit_adj(n, seed, t):
+    # random_nonsplit's round graph, drawn round by round as it was first written
+    rng = round_rng(seed, t)
+    adj = np.eye(n, dtype=bool)
+    hub = int(rng.integers(0, n))
+    adj[hub, :] = True
+    extra = rng.random((n, n)) < rng.uniform(0.0, 0.5)
+    adj |= extra
+    np.fill_diagonal(adj, True)
+    return adj
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**64 + 2**33 + 7, 2**400 + 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("t0, t1", [(1, 2), (2**32 - 1, 2**32), (2**32, 2**32 + 1),
+                                    (2**32 - 3, 2**32 + 3)])
+def test_block_streams_are_the_per_round_streams(seed, t0, t1):
+    # one, two, three and thirteen entropy words of seed, one and two of t,
+    # and a block whose rounds change from one word of t to two
+    want = []
+    for t in range(t0, t1):
+        state = round_rng(seed, t).bit_generator.state["state"]
+        want.append((state["state"], state["inc"]))
+    assert _pcg64_states(seed, t0, t1) == want
+
+
+def test_block_streams_stop_below_two_to_the_64():
+    assert len(_pcg64_states(3, 2**64 - 1, 2**64)) == 1
+    with pytest.raises(ValueError, match="2\\*\\*64 - 1"):
+        _pcg64_states(3, 2**64 - 1, 2**64 + 1)
+
+
+FAMILIES = {
+    "random-rooted": (lambda n, seed, period: random_rooted(n, seed),
+                      lambda n, seed, period: lambda t: _scalar_rooted_adj(n, seed, t)),
+    "random-nonsplit": (lambda n, seed, period: random_nonsplit(n, seed),
+                        lambda n, seed, period: lambda t: _nonsplit_adj(n, seed, t)),
+    "bidirectional-intermittent": (
+        lambda n, seed, period: bidirectional_intermittent(n, period, seed),
+        lambda n, seed, period: _old_bidirectional_make(n, period, seed)),
+    "rotating-star": (lambda n, seed, period: adversarial_rotating_star(n),
+                      lambda n, seed, period: lambda t: star_graph(n, t % n).adj),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), n=st.integers(1, 40), seed=st.integers(0, 2**32),
+       period=st.integers(1, 50), t0=st.integers(1, 10**6), k=st.integers(1, 70))
+def test_block_is_the_stack_of_per_round_graphs(family, n, seed, period, t0, k):
+    build, reference = FAMILIES[family]
+    block = build(n, seed, period).rounds(t0, t0 + k)
+    make = reference(n, seed, period)
+    assert block.dtype == bool and block.shape == (k, n, n)
+    assert np.array_equal(block, np.stack([make(t) for t in range(t0, t0 + k)]))
+
+
 def test_round_graphs_stack_generates_each_round_once(monkeypatch):
     pattern = random_nonsplit(5, seed=4)
+    want = np.stack([_nonsplit_adj(5, 4, t) for t in range(1, 4 * READ_AHEAD + 1)])
     stack = RoundGraphs(pattern)
-    calls = []
-    graph = CommPattern.graph
-    monkeypatch.setattr(CommPattern, "graph", lambda self, t: calls.append(t) or graph(self, t))
-    assert stack.adj(3).shape == (5, 5)
+    blocks = []
+    rounds = CommPattern.rounds
+    monkeypatch.setattr(CommPattern, "rounds", lambda self, t0, t1, out=None:
+                        blocks.append((t0, t1)) or rounds(self, t0, t1, out))
+    # a round-by-round read that misses fills ahead to READ_AHEAD rounds
+    assert np.array_equal(stack.adj(3), want[2])
     first = stack.first(2)
-    assert stack.first(7).shape == (7, 5, 5)
-    assert stack.first(4).shape == (4, 5, 5)
-    assert calls == list(range(1, 8))
-    for t in range(1, 8):
-        assert np.array_equal(stack.adj(t), random_nonsplit(5, seed=4).graph(t).adj)
+    # first() generates exactly the rounds it lacks, and nothing it has
+    assert np.array_equal(stack.first(READ_AHEAD + 7), want[:READ_AHEAD + 7])
+    assert np.array_equal(stack.first(4), want[:4])
+    # a miss past the filled rounds fills to twice them
+    assert np.array_equal(stack.adj(READ_AHEAD + 8), want[READ_AHEAD + 7])
+    assert blocks == [(1, READ_AHEAD + 1), (READ_AHEAD + 1, READ_AHEAD + 8),
+                      (READ_AHEAD + 8, 2 * (READ_AHEAD + 7) + 1)]
+    assert np.array_equal(stack.first(2 * (READ_AHEAD + 7)), want[:2 * (READ_AHEAD + 7)])
+    assert len(blocks) == 3
     assert np.array_equal(first, stack.first(2))
     with pytest.raises(ValueError):
         first[0, 0, 1] = True
+
+
+@pytest.mark.parametrize("rounds", [0, 1, READ_AHEAD - 1, READ_AHEAD, READ_AHEAD + 1, 1000])
+def test_reading_round_by_round_generates_the_read_ahead_count(monkeypatch, rounds):
+    # each round once, in blocks, and at most max(READ_AHEAD, 2 * rounds)
+    generated = []
+    fill = CommPattern.rounds
+    monkeypatch.setattr(CommPattern, "rounds", lambda self, t0, t1, out=None:
+                        generated.extend(range(t0, t1)) or fill(self, t0, t1, out))
+    stack = RoundGraphs(adversarial_rotating_star(3))
+    for t in range(1, rounds + 1):
+        assert np.array_equal(stack.adj(t), star_graph(3, t % 3).adj)
+    assert generated == list(range(1, rounds_read_ahead(rounds, READ_AHEAD) + 1))
+    assert len(generated) <= max(READ_AHEAD, 2 * rounds)
+
+
+def test_pattern_blocks_check_every_rounds_self_loops():
+    def fill(t0, out):
+        out[...] = True
+        out[2, 1, 1] = False
+    with pytest.raises(ValueError, match="round 7 has no self-loop at node 1"):
+        CommPattern(3, fill).rounds(5, 9)
 
 
 def test_generator_determinism():

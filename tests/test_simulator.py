@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from consensus_dyn import simulator
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, parse_kind
 from consensus_dyn.graphs import (
+    READ_AHEAD,
     CommGraph,
     CommPattern,
     adversarial_rotating_star,
     bidirectional_intermittent,
     complete_graph,
     fixed,
+    per_round,
     random_nonsplit,
     random_rooted,
     self_loops_only,
@@ -34,7 +36,7 @@ from consensus_dyn.simulator import (
     write_margins_csv,
     write_trace_csv,
 )
-from oracles import contains, convex_hull, margin_row, measure_contraction
+from oracles import contains, convex_hull, margin_row, measure_contraction, rounds_read_ahead
 
 
 def _spec(**kw):
@@ -182,7 +184,7 @@ def test_theorem_bound_unsupported():
     spec = _spec(pattern=bidirectional_intermittent(4, period=3, seed=0))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
-    spec = _spec(pattern=CommPattern(4, lambda t: complete_graph(4)))
+    spec = _spec(pattern=CommPattern(4, per_round(lambda t: complete_graph(4))))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
     # the amortized component-wise midpoint has no bound on file
@@ -230,7 +232,7 @@ def test_run_permutation_equivariance():
         x0_perm[perm[p]] = x0[p]
     kind = AlgorithmKind("centroid")
     t_a = run(_spec(n=n, d=d, algorithm=kind, pattern=base, epsilon=1e-3, initial=x0))
-    t_b = run(_spec(n=n, d=d, algorithm=kind, pattern=CommPattern(n, permuted_graph),
+    t_b = run(_spec(n=n, d=d, algorithm=kind, pattern=CommPattern(n, per_round(permuted_graph)),
                     epsilon=1e-3, initial=x0_perm))
     assert len(t_a.positions) == len(t_b.positions)
     for t in range(len(t_a.positions)):
@@ -451,8 +453,8 @@ def test_margin_pass_matches_the_per_round_reference_bit_for_bit(case, chunk):
 @pytest.mark.parametrize("algorithm", ["midpoint", "midpoint+amortized", "midpoint+amortized:3"])
 def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypatch, algorithm):
     # bench/run.py patches these names: simulator.rounds counts step calls,
-    # margin time is one _margin_row call per run, and graph calls count
-    # every round graph generated
+    # and margin time is one _margin_row call per run; the round-by-round
+    # loop generates its round graphs by the stack's read-ahead rule
     calls = Counter()
 
     def counted(name, fn):
@@ -463,14 +465,17 @@ def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypa
 
     monkeypatch.setattr(simulator, "step", counted("step", simulator.step))
     monkeypatch.setattr(simulator, "_margin_row", counted("margin", simulator._margin_row))
-    monkeypatch.setattr(CommPattern, "graph", counted("graph", CommPattern.graph))
+    fill = CommPattern.rounds
+    monkeypatch.setattr(CommPattern, "rounds", lambda self, t0, t1, out=None:
+                        calls.update(graph=t1 - t0) or fill(self, t0, t1, out))
     for initial in (None, np.full((5, 1), 0.25)):
         calls.clear()
         trace = run(_spec(n=5, algorithm=parse_kind(algorithm), pattern=random_rooted(5, seed=1),
                           epsilon=1e-9, initial=initial))
         rounds = len(trace.positions) - 1
         assert rounds > 0 or initial is not None
-        assert (calls["step"], calls["margin"], calls["graph"]) == (rounds, 1, rounds)
+        assert (calls["step"], calls["margin"], calls["graph"]) == \
+            (rounds, 1, rounds_read_ahead(rounds, READ_AHEAD))
 
 
 def test_run_stops_at_the_first_round_whose_range_equals_the_threshold():

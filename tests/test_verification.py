@@ -19,6 +19,7 @@ from consensus_dyn.graphs import (
     complete_graph,
     fixed,
     is_strongly_connected,
+    per_round,
     random_nonsplit,
     random_rooted,
     self_loops_only,
@@ -687,7 +688,7 @@ def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
     adj = (rng.random((T, n, n)) < 0.4) | np.eye(n, dtype=bool)
     adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
     graphs = [CommGraph(n, a) for a in adj]
-    pattern = CommPattern(n, lambda t: graphs[(t - 1) % T])
+    pattern = CommPattern(n, per_round(lambda t: graphs[(t - 1) % T]))
     stack = _stack(pattern, T)
     # the matrices arrive in chunks of `chunk` elements (at least one round)
     step = max(1, chunk // (n * n * d))
