@@ -2,12 +2,14 @@
 
 Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
-for all agents at once, each over the positions that reached it, as array
-work over the reach matrix; only extreme-point's random tie-break loops per
-agent, and the centroid's hulls per distinct stack. Equal-neighbor gives agent p
-x[reach[:, p]].mean(axis=0) bit for bit (numpy's pairwise `add.reduceat` at
-d = 1, a left-to-right `cumsum` at d >= 2), and the tests hold every rule bit
-for bit to one-set-at-a-time references in tests/oracles.py.
+for all agents of a batch of runs at once, each agent over the positions that
+reached it, as array work over the reach matrix the runs share; the runs
+differ in d (padded to the largest) and seed. Only extreme-point's random
+tie-break loops per run and agent, and the centroid per run and distinct
+stack. Equal-neighbor gives agent p x[reach[:, p]].mean(axis=0) bit for bit
+(numpy's pairwise `add.reduceat` at d = 1, a left-to-right `cumsum` at
+d >= 2), and the tests hold every rule bit for bit to one-set-at-a-time
+references in tests/oracles.py.
 `simulator.step` applies a rule at rounds that are multiples of the period
 (1 per round; amortized variants default to n-1) and holds still between.
 """
@@ -15,7 +17,7 @@ for bit to one-set-at-a-time references in tests/oracles.py.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,12 +126,12 @@ def claimed_alpha(kind: AlgorithmKind, n: int, d: int) -> float:
 
 def masked_min(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Row p: componentwise min of values[q] over q with adj[q, p]; leading axes batch."""
-    return np.where(adj[..., None], values[..., :, None, :], np.inf).min(axis=-3)
+    return np.minimum.reduce(np.where(adj[..., None], values[..., :, None, :], np.inf), axis=-3)
 
 
 def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     """Row p: componentwise max of values[q] over q with adj[q, p]; leading axes batch."""
-    return np.where(adj[..., None], values[..., :, None, :], -np.inf).max(axis=-3)
+    return np.maximum.reduce(np.where(adj[..., None], values[..., :, None, :], -np.inf), axis=-3)
 
 
 def _select_extreme(points: np.ndarray, comp: int, maximize: bool,
@@ -142,62 +144,110 @@ def _select_extreme(points: np.ndarray, comp: int, maximize: bool,
     return points[int(rng.choice(ties))]
 
 
-def _extreme_points(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray,
-                    t: int, tie_seed: int) -> np.ndarray:
-    """(n, 2d, d): per agent, the d componentwise minimal and then the d maximal
-    positions among the agents that reached it."""
+def _random_extreme_points(x: np.ndarray, reach: np.ndarray, t: int,
+                           tie_seed: int) -> np.ndarray:
+    """(n, 2d, d) for one run's positions x (n, d): per agent, the d
+    componentwise minimal and then the d maximal positions among the agents
+    that reached it, ties drawn from a per-(tie_seed, t, agent) stream."""
     n, d = x.shape
-    if kind.tie_break == "random":
-        chosen = np.empty((n, 2 * d, d))
-        for p in range(n):
-            rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
-            pts = x[reach[:, p]]
-            for i in range(d):
-                chosen[p, i] = _select_extreme(pts, i, False, rng)
-                chosen[p, d + i] = _select_extreme(pts, i, True, rng)
-        return chosen
-    # Ties go to the lowest agent id: a stable sort of each column of [x, -x]
-    # keeps tied agents in id order, and each agent takes, per column, the
-    # first one that reached it.
-    order = np.argsort(np.concatenate([x, -x], axis=1), axis=0, kind="stable")
+    chosen = np.empty((n, 2 * d, d))
+    for p in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
+        pts = x[reach[:, p]]
+        for i in range(d):
+            chosen[p, i] = _select_extreme(pts, i, False, rng)
+            chosen[p, d + i] = _select_extreme(pts, i, True, rng)
+    return chosen
+
+
+def _extreme_choices(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """(n, B, 2D) agent ids: entry [p, b, c] is the agent whose position run
+    b's agent p takes for column c of [x_b, -x_b], the least value among the
+    agents that reached p, ties to the lowest agent id. The runs' columns
+    side by side make one table; a stable sort of each of its columns keeps
+    tied agents in id order, and each agent takes, per column, the first
+    one that reached it."""
+    batch, n, width = x.shape
+    table = np.concatenate([x, -x], axis=2).transpose(1, 0, 2).reshape(n, -1)
+    order = table.argsort(axis=0, kind="stable")
     first = reach.T[:, order].argmax(axis=1)
-    return x[order[first, np.arange(2 * d)]]
+    return order[first, np.arange(2 * batch * width)].reshape(n, batch, 2 * width)
 
 
-def _neighbor_means(x: np.ndarray, adj: np.ndarray) -> np.ndarray:
-    """Row p is x[adj[:, p]].mean(axis=0) bit for bit: numpy adds the rows
-    in order from +0.0, except at d = 1, where it sums pairwise."""
-    n, d = x.shape
+def _extreme_point_means(x: np.ndarray, reach: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """The index-tie extreme-point rule for every run of the batch: agent p of
+    run b averages its d = dims[b] componentwise minimal positions, then its
+    d maximal ones, added left to right from +0.0 as numpy's mean of the
+    (2d, d) stack adds them."""
+    batch, n, width = x.shape
+    chosen = _extreme_choices(x, reach)
+    members = np.arange(batch)[:, None]
+    if min(dims) == width:
+        # every run has all 2D columns: the reduction is mean's own
+        return (np.add.reduce(x[members, chosen], axis=2) / (2 * width)).transpose(1, 0, 2)
+    # run b's columns of [x_b, -x_b]: its d minima, its d maxima, and then
+    # padding columns, whose sum is never read
+    j, d = np.arange(2 * width), np.array(dims)[:, None]
+    chosen = chosen[:, members, np.where(j < d, j, np.where(j < 2 * d, width + j - d, j))]
+    total = x[members, chosen].cumsum(axis=2)[:, members[:, 0], 2 * d[:, 0] - 1]
+    return ((total + 0.0) / (2 * d)).transpose(1, 0, 2)
+
+
+def _neighbor_means(x: np.ndarray, adj: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Row p of run b is x_b[adj[:, p]].mean(axis=0) bit for bit, for x_b
+    the run's positions x[b, :, :dims[b]]: numpy adds the rows in order from
+    +0.0, except at d = 1, where it sums pairwise."""
+    batch, n, width = x.shape
     deg = adj.sum(axis=0)
-    receiver, sender = np.nonzero(adj.T)
-    starts = np.cumsum(deg) - deg
-    if d == 1:
+    receiver, sender = adj.T.nonzero()
+    starts = deg.cumsum() - deg
+    narrow = [b for b in range(batch) if dims[b] == 1]
+    out = np.zeros(x.shape) if narrow else None
+    if len(narrow) < batch:
+        wide = [b for b in range(batch) if dims[b] > 1]
+        # the runs' columns side by side, padding included (zeros sum to
+        # zero): row p holds p's in-neighbours' positions in id order, then
+        # -0.0; cumsum adds left to right whatever the shape, where sum may not
+        cols = (x[wide] if narrow else x).transpose(1, 0, 2).reshape(n, -1)
+        padded = np.full((n, int(deg.max()), cols.shape[1]), -0.0)
+        padded[receiver, np.arange(len(sender)) - starts[receiver]] = cols[sender]
+        means = (padded.cumsum(axis=1)[:, -1] + 0.0) / deg[:, None]
+        means = means.reshape(n, -1, width).transpose(1, 0, 2)
+        if not narrow:
+            return means
+        out[wide] = means
+    for b in narrow:
         # segment p is +0.0, then p's in-neighbours' values in id order:
-        # reduceat sums each one pairwise, as mean does
+        # reduceat sums each one pairwise, as mean does (one call per run:
+        # the pairwise blocks would change with the segment layout)
         flat = np.zeros(n + len(sender))
-        flat[np.arange(len(sender)) + receiver + 1] = x[sender, 0]
-        total = np.add.reduceat(flat, starts + np.arange(n))[:, None]
-    else:
-        # row p holds p's in-neighbours' positions in id order, then -0.0;
-        # cumsum adds left to right whatever the shape, where sum may not
-        padded = np.full((n, int(deg.max()), d), -0.0)
-        padded[receiver, np.arange(len(sender)) - starts[receiver]] = x[sender]
-        total = padded.cumsum(axis=1)[:, -1] + 0.0
-    return total / deg[:, None]
+        flat[np.arange(len(sender)) + receiver + 1] = x[b, sender, 0]
+        out[b, :, 0] = np.add.reduceat(flat, starts + np.arange(n)) / deg
+    return out
 
 
 def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
-               tie_seed: int = 0) -> np.ndarray:
-    """Base rule for all agents at once: row p is the rule applied to the
-    positions x[q] (n, d) with reach[q, p]. Random tie-breaks draw from a
-    per-(tie_seed, t, agent) stream."""
+               tie_seeds: Sequence[int], dims: Sequence[int]) -> np.ndarray:
+    """Base rule for every agent of a batch of runs at once. x (B, n, D)
+    holds B runs of `kind` on the same n agents, run b's positions in its
+    first dims[b] columns and zeros in the rest; row p of run b in the
+    result is the rule applied to the positions x_b[q] with reach[q, p], and
+    its padding columns stay zero. Random tie-breaks draw from a
+    per-(tie_seeds[b], t, agent) stream."""
     if kind.tag == "equal-neighbor":
-        return _neighbor_means(x, reach)
+        return _neighbor_means(x, reach, dims)
     if kind.tag in ("midpoint", "component-midpoint"):
+        # componentwise, so the padding columns stay zero
         return (masked_min(x, reach) + masked_max(x, reach)) / 2
-    if kind.tag == "extreme-point":
-        # the d minima, then the d maxima: the order of the 2d additions is
-        # part of the artifacts' bytes
-        return _extreme_points(kind, x, reach, t, tie_seed).mean(axis=1)
-    return geometry.hull_centroids(x, reach)  # centroid
-
+    if kind.tag == "extreme-point" and kind.tie_break == "index":
+        return _extreme_point_means(x, reach, dims)
+    out = np.zeros(x.shape)
+    for b, d in enumerate(dims):
+        xb = x[b, :, :d]
+        if kind.tag == "extreme-point":
+            # the d minima, then the d maxima: the order of the 2d additions
+            # is part of the artifacts' bytes
+            out[b, :, :d] = _random_extreme_points(xb, reach, t, tie_seeds[b]).mean(axis=1)
+        else:
+            out[b, :, :d] = geometry.hull_centroids(xb, reach)  # centroid
+    return out

@@ -46,6 +46,7 @@ from .simulator import (
     read_margins_csv,
     read_trace_csv,
     run,
+    run_batch,
     write_deltas_csv,
     write_margins_csv,
     write_trace_csv,
@@ -336,9 +337,8 @@ def cmd_run(args) -> int:
     return code
 
 
-def _sweep_row(idx, cfg, spec, graphs) -> dict:
-    trace = run(spec, graphs)
-    m = trace.metrics
+def _sweep_row(idx, cfg, trace, graphs) -> dict:
+    spec, m = trace.spec, trace.metrics
     row = {
         "scenario": idx,
         "n": spec.n, "d": spec.d,
@@ -368,24 +368,38 @@ def cmd_sweep(args) -> int:
     _require("sweep" in cfg, "config has no sweep section")
     base = {key: value for key, value in cfg.items() if key != "sweep"}
     axes = [cfg["sweep"].get(key, [cfg[key]]) for key in _SWEEP]
-    scenarios = []
     # scenarios of one pattern and n run on the same round graphs, so they
-    # share one stack (one per call: a later call generates its own)
-    stacks = {}
+    # share one stack (one per call: a later call generates its own); those
+    # that also share the rule differ only in d and seed, and run as one batch
+    stacks, batches = {}, {}
     for idx, values in enumerate(itertools.product(*axes)):
         sub = {**base, **dict(zip(_SWEEP, values))}
         _check_shape(sub, f"scenario {idx}: ")
         spec = _build_spec(sub)
         key = (json.dumps(sub["pattern"], sort_keys=True), spec.n)
-        scenarios.append((idx, sub, spec, stacks.setdefault(key, RoundGraphs(spec.pattern))))
+        stack = stacks.setdefault(key, RoundGraphs(spec.pattern))
+        batches.setdefault(key + (sub["algorithm"],), (stack, []))[1].append((idx, spec))
     out = _outdir(args, cfg)
-    rows = [_sweep_row(*s) for s in scenarios]
+    rows, failed = {}, None  # failed: (index, error) of the first failing scenario
+    # batches in order of their first scenario: one whose first scenario
+    # comes after a failure cannot hold an earlier one
+    for stack, members in batches.values():
+        if failed is not None and members[0][0] > failed[0]:
+            break
+        for (idx, _), outcome in zip(members, run_batch([s for _, s in members], stack)):
+            if isinstance(outcome, ValueError):
+                if failed is None or idx < failed[0]:
+                    failed = (idx, outcome)
+            elif failed is None:
+                rows[idx] = _sweep_row(idx, cfg, outcome, stack)
+    if failed is not None:
+        raise ValueError(f"scenario {failed[0]}: {failed[1]}")
     cols = ["scenario", "n", "d", "algorithm", "seed", "t_eps", "bound_t",
             "worst_alpha", "empirical_rate", "converged", "within_bound"]
     with open(out / "sweep.csv", "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=cols)
         w.writeheader()
-        w.writerows(rows)
+        w.writerows(rows[idx] for idx in sorted(rows))
     print(f"sweep: {len(rows)} scenarios -> {out / 'sweep.csv'}")
     return 0
 

@@ -9,10 +9,11 @@ reached it (period 1 is the per-round algorithm).
 """
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,14 +63,24 @@ class Metrics:
 
 @dataclass
 class RunTrace:
+    """A run's trajectory and what it measured. `margins` is the (T, n)
+    array of realized safety margins, row t-1 for round t; for amortized
+    rules only block ends carry one (against the block's product graph), and
+    NaN marks rounds inside a block and vacuous constraints. It is computed
+    when first read: `run` passes the margin pass, not its result, so a
+    caller that never reads margins (a sweep) never pays for it."""
+
     spec: RunSpec
     positions: np.ndarray  # (T+1, n, d), row t is the configuration after round t
     deltas: np.ndarray  # (T+1, d) per-component ranges
-    # (T, n) realized safety margins, row t-1 for round t; for amortized rules
-    # only block ends carry one (against the block's product graph), and NaN
-    # marks rounds inside a block and vacuous constraints
-    margins: np.ndarray
+    _margins: Union[np.ndarray, Callable[[], np.ndarray]]
     metrics: Metrics
+
+    @property
+    def margins(self) -> np.ndarray:
+        if callable(self._margins):
+            self._margins = self._margins()
+        return self._margins
 
 
 def delta_components(positions: np.ndarray) -> np.ndarray:
@@ -87,17 +98,20 @@ def within_epsilon(delta: np.ndarray, delta0: np.ndarray, epsilon: float):
 
 
 def step(start: np.ndarray, reach: np.ndarray, algorithm: AlgorithmKind, t: int,
-         tie_seed: int = 0) -> np.ndarray:
+         tie_seeds: Sequence[int], dims: Sequence[int]) -> np.ndarray:
     """Positions after round t of the block that started at positions `start`
-    (n, d), where reach[q, p] says q reached p during the block so far: `start`
-    inside the block, the base rule over reach at its end. Every agent reads
-    the block start, so the result does not depend on agent order."""
-    n = len(start)
+    (B, n, D), B runs of `algorithm` whose run b holds its positions in the
+    first dims[b] columns and zeros in the rest, where reach[q, p] says q
+    reached p during the block so far: `start` inside the block, the base
+    rule over reach at its end, with run b's random ties drawn from
+    tie_seeds[b]. Every agent reads the block start, so the result does not
+    depend on agent order."""
+    n = start.shape[1]
     if reach.shape != (n, n):
         raise ValueError(f"size mismatch: {n} positions, reach matrix of shape {reach.shape}")
     if t % effective_period(algorithm, n):
         return start
-    return apply_rule(algorithm, start, reach, t, tie_seed)
+    return apply_rule(algorithm, start, reach, t, tie_seeds, dims)
 
 
 def initial_positions(spec: RunSpec) -> np.ndarray:
@@ -123,6 +137,12 @@ def initial_positions(spec: RunSpec) -> np.ndarray:
         raise ValueError(f"initial positions must have shape {(spec.n, spec.d)}, got {initial.shape}")
     if not np.isfinite(initial).all():
         raise ValueError("initial positions must be finite")
+    # a range of inf makes epsilon times it inf too, and every range would
+    # pass the stopping test (Python floats overflow to inf without a warning)
+    for k, (hi, lo) in enumerate(zip(initial.max(axis=0).tolist(), initial.min(axis=0).tolist())):
+        if hi - lo == math.inf:
+            raise ValueError(f"the range of the initial positions overflows a float in component"
+                             f" {k}: {hi!r} - {lo!r}")
     return initial.copy()
 
 
@@ -178,54 +198,129 @@ def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
     return Metrics(t_eps=t_eps, converged=t_eps is not None, empirical_rate=rate, bound_t=bound)
 
 
-def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
-    """Run `spec`, reading round t's graph from `graphs`, a stack of
-    spec.pattern's round graphs that callers pass to share it with the audits
-    or with other runs of the same pattern (a fresh one when None).
+def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) -> list:
+    """Run specs that share n, algorithm and pattern (they may differ in d,
+    seed, start, epsilon and max_rounds) through one round loop, reading
+    round t's graph from `graphs`, a stack of the pattern's round graphs that
+    callers pass to share it with the audits or with other batches (a fresh
+    one when None). Returns, per spec in order, its RunTrace or the
+    ValueError that ended it: an invalid spec, or the round at which one of
+    its positions became non-finite, which ends that run only.
 
-    Each round reads its graph, updates the block's reach matrix, calls
-    `step` once and tests whether the range of every component that had one
-    at round 0 is within epsilon times that range. The range history,
-    metrics and margins of the whole run are computed once, after the last
-    round.
+    The live runs' positions are one (B, n, D) array, padded with zeros to
+    the largest live d. Each round reads its graph once, updates the block's
+    reach matrix once, calls `step` once for the batch and tests, per run,
+    whether the range of every component that had one at round 0 is within
+    epsilon times that range. A run that passes, reaches its max_rounds or
+    fails leaves the live set at that round; a run that starts in exact
+    consensus never enters it. Each run's range history and metrics are
+    computed after the loop, and its margins when first read.
     """
-    initial = initial_positions(spec)
-    if graphs is None:
-        graphs = RoundGraphs(spec.pattern)
-    delta0 = delta_components(initial)
-    active = delta0 > 0.0
-    period = effective_period(spec.algorithm, spec.n)
-    positions = [initial]
+    kind, n = specs[0].algorithm, specs[0].n
+    if any(spec.algorithm != kind or spec.n != n for spec in specs[1:]):
+        raise ValueError("a batch of runs must share n and the algorithm")
+    outcomes: list = [None] * len(specs)
+    starts = {}
+    for i, spec in enumerate(specs):
+        try:
+            starts[i] = initial_positions(spec)
+        except ValueError as e:
+            outcomes[i] = e
+    # within_epsilon's test of the range history, one round at a time:
+    # components without a range at round 0 always pass; a run with none
+    # starts in exact consensus and never enters the loop
+    thresholds = {}
+    for i, x0 in starts.items():
+        delta0 = delta_components(x0)
+        active = delta0 > 0.0
+        if active.any():
+            thresholds[i] = np.where(active, specs[i].epsilon * delta0, np.inf)
+    live = list(thresholds)
+    period = effective_period(kind, n)
     ends: List[np.ndarray] = []  # the reach matrix of every block end
-    if active.any():
-        x = initial
-        # within_epsilon's test of the range history, one round at a time
-        threshold = spec.epsilon * delta0[active]
+    segments = []  # (live runs, their (rounds, B, n, D) positions) per stretch of rounds
+    if live:
+        if graphs is None:
+            graphs = RoundGraphs(specs[live[0]].pattern)
+        dims = tuple(specs[i].d for i in live)
+        x = np.zeros((len(live), n, max(dims)))
+        threshold = np.full((len(live), max(dims)), np.inf)  # padding always passes
+        for j, i in enumerate(live):
+            x[j, :, :dims[j]] = starts[i]
+            threshold[j, :dims[j]] = thresholds[i]
+        seeds = tuple(specs[i].seed for i in live)
+        limits = {specs[i].max_rounds for i in live}
+        rows = [x]
         # an update that overflows, or a range of infinities, is reported
         # below by the position it made non-finite, not by numpy's warning
         with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(1, spec.max_rounds + 1):
+            for t in itertools.count(1):
                 adj = graphs.adj(t)
                 # reach[q, p]: q's value can reach p within the current block;
                 # the block-end update applies the rule over reach, and its
                 # margin is measured against reach, not the round's graph alone
                 reach = adj if (t - 1) % period == 0 else reach @ adj
-                x = step(x, reach, spec.algorithm, t, tie_seed=spec.seed)
-                positions.append(x)
+                x = step(x, reach, kind, t, seeds, dims)
+                rows.append(x)
                 if t % period == 0:
                     ends.append(reach)
-                span = x.max(axis=0) - x.min(axis=0)
+                # the ufuncs' own reductions: x.max, x.min and all without
+                # their Python wrappers, a few microseconds a round
+                span = np.maximum.reduce(x, axis=1) - np.minimum.reduce(x, axis=1)
+                done = np.logical_and.reduce(span <= threshold, axis=1).tolist()
                 # a non-finite position makes the sum non-finite, as may an overflow
-                if not math.isfinite(sum(span.tolist())) and not np.isfinite(x).all():
-                    p, k = np.argwhere(~np.isfinite(x))[0]
-                    raise ValueError(f"round {t}: agent {p} has a non-finite position"
-                                     f" {x[p, k]} in component {k}")
-                if (span[active] <= threshold).all():
+                failed = (not math.isfinite(sum(span.ravel().tolist()))
+                          and not np.isfinite(x).all())
+                if not (failed or any(done) or t in limits):
+                    continue
+                done = np.array(done) | [specs[i].max_rounds == t for i in live]
+                if failed:
+                    for j in np.flatnonzero(~np.isfinite(x).all(axis=(1, 2))):
+                        p, k = np.argwhere(~np.isfinite(x[j]))[0]
+                        outcomes[live[j]] = ValueError(
+                            f"round {t}: agent {p} has a non-finite position"
+                            f" {x[j, p, k]} in component {k}")
+                        done[j] = True
+                segments.append((live, np.stack(rows)))
+                if done.all():
                     break
-    pos_arr = np.stack(positions)
-    deltas = delta_components(pos_arr)
-    return RunTrace(spec, pos_arr, deltas, _margin_row(pos_arr, ends, period),
-                    measure_run(spec, deltas))
+                live = [i for i, stop in zip(live, done) if not stop]
+                dims = tuple(specs[i].d for i in live)
+                seeds = tuple(specs[i].seed for i in live)
+                x, threshold = x[~done, :, :max(dims)], threshold[~done, :max(dims)]
+                rows = []
+    for i, x0 in starts.items():
+        if outcomes[i] is not None:
+            continue
+        d = specs[i].d
+        parts = [stack[:, ids.index(i), :, :d] for ids, stack in segments if i in ids]
+        positions = (np.concatenate(parts) if len(parts) > 1
+                     else np.ascontiguousarray(parts[0]) if parts else x0[None])
+        deltas = delta_components(positions)
+        margins = functools.partial(_margin_row, positions,
+                                    ends[:(len(positions) - 1) // period], period)
+        outcomes[i] = RunTrace(specs[i], positions, deltas, margins,
+                               measure_run(specs[i], deltas))
+    return outcomes
+
+
+def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
+    """Run `spec`, reading round t's graph from `graphs`, a stack of
+    spec.pattern's round graphs that callers pass to share it with the audits
+    or with other runs of the same pattern (a fresh one when None).
+
+    This is `run_batch` of one run: each round reads its graph, updates the
+    block's reach matrix, calls `step` once and tests whether the range of
+    every component that had one at round 0 is within epsilon times that
+    range. An invalid spec, or a position that becomes non-finite, raises a
+    ValueError. The range history and metrics of the whole run are computed
+    once, after the last round; the margins when `RunTrace.margins` is
+    first read.
+    """
+    outcome = run_batch([spec], graphs)[0]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 def _ceil_log(ratio: float, base: float) -> int:

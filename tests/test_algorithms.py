@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from consensus_dyn.algorithms import (
     AlgorithmKind,
-    _extreme_points,
+    _extreme_choices,
     apply_rule,
     claimed_alpha,
     effective_period,
@@ -30,6 +30,11 @@ from oracles import (
 )
 
 
+def _rule(kind, x, reach, t=1):
+    """apply_rule on the batch of the one run x (n, d)."""
+    return apply_rule(kind, x[None], reach, t, (0,), (x.shape[1],))[0]
+
+
 def _rounds(kind, x0, pattern, rounds, period):
     # minimal local round loop over the kernel: (t, block start, reach so far,
     # positions after round t) for each round
@@ -37,7 +42,7 @@ def _rounds(kind, x0, pattern, rounds, period):
     for t in range(1, rounds + 1):
         adj = pattern.graph(t).adj
         reach = adj if (t - 1) % period == 0 else reach @ adj
-        start, x = x, x if t % period else apply_rule(kind, x, reach, t)
+        start, x = x, x if t % period else _rule(kind, x, reach, t)
         yield t, start, reach, x
 
 
@@ -344,8 +349,8 @@ def test_extreme_point_gather_tracks_componentwise_extremes():
     rng = np.random.default_rng(11)
     x0 = rng.uniform(0, 1, (4, 2))
     for t, start, reach, _ in _rounds(kind, x0, pattern, 6, period=3):
-        for p, tracked in enumerate(_extreme_points(kind, start, reach, t, 0)):
-            gathered = start[reach[:, p]]
+        for p, ids in enumerate(_extreme_choices(start[None], reach)[:, 0]):
+            tracked, gathered = start[ids], start[reach[:, p]]
             for i in range(2):
                 assert tracked[i, i] == gathered[:, i].min()
                 assert tracked[2 + i, i] == gathered[:, i].max()
@@ -380,7 +385,7 @@ def test_extreme_point_index_kernel_matches_reference_bit_for_bit(case):
     # only the selections, ties to the lowest agent id, decide the bytes
     x, reach = case
     d = x.shape[1]
-    out = apply_rule(AlgorithmKind("extreme-point"), x, reach, 1)
+    out = _rule(AlgorithmKind("extreme-point"), x, reach)
     for p in range(len(x)):
         ids = np.flatnonzero(reach[:, p])
         want = extreme_point_update(x[ids], d, senders=ids.tolist())
@@ -413,7 +418,7 @@ def _neighbor_rounds(draw):
 @given(_neighbor_rounds())
 def test_equal_neighbor_kernel_matches_reference_bit_for_bit(case):
     x, reach = case
-    out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
+    out = _rule(AlgorithmKind("equal-neighbor"), x, reach)
     for p in range(len(x)):
         want = equal_neighbor_update(x[reach[:, p]])
         assert out[p].tobytes() == want.tobytes(), (p, int(reach[:, p].sum()))
@@ -427,6 +432,54 @@ def test_equal_neighbor_kernel_covers_every_summation_order():
         reach = np.tri(n, dtype=bool).T  # agent p hears agents 0..p
         for d in (1, 2):
             x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
-            out = apply_rule(AlgorithmKind("equal-neighbor"), x, reach, 1)
+            out = _rule(AlgorithmKind("equal-neighbor"), x, reach)
             for p in range(n):
                 assert out[p].tobytes() == equal_neighbor_update(x[:p + 1]).tobytes(), (n, d, p)
+
+
+@st.composite
+def _padded_batches(draw):
+    """(x, reach, dims): runs of different d on one reach matrix, each in the
+    first d columns of x and zeros after them, with values that add
+    inexactly, tie, or are zeros of both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    dims = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    x = np.zeros((len(dims), n, max(dims)))
+    for b, d in enumerate(dims):
+        wide = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-12, 12, (n, d))
+        ties = rng.choice([-1.0, -0.0, 0.0, 2.0], (n, d))
+        x[b, :, :d] = np.where(rng.random((n, d)) < draw(st.sampled_from([0.0, 0.5, 1.0])),
+                               ties, wide)
+    reach = rng.random((n, n)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    np.fill_diagonal(reach, True)
+    return x, reach, tuple(dims)
+
+
+def _extreme_mean(points):
+    # the d least points, then the d greatest, the lowest id on ties, added
+    # in that order as the mean of their (2d, d) stack adds them
+    d = points.shape[1]
+    picks = [points[np.argmin(points[:, i])] for i in range(d)]
+    picks += [points[np.argmax(points[:, i])] for i in range(d)]
+    return np.stack(picks).mean(axis=0)
+
+
+_PER_RUN = {"equal-neighbor": equal_neighbor_update,
+            "component-midpoint": component_midpoint_update,
+            "extreme-point": _extreme_mean}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_padded_batches(), st.sampled_from(sorted(_PER_RUN)))
+def test_batch_kernels_match_each_runs_own_reference_bit_for_bit(case, tag):
+    # every run of a batch gets its own rule's bytes, whatever d the other
+    # runs have, and its padding columns stay zero
+    x, reach, dims = case
+    out = apply_rule(AlgorithmKind(tag), x, reach, 1, (0,) * len(dims), dims)
+    assert out.shape == x.shape
+    for b, d in enumerate(dims):
+        assert not out[b, :, d:].any()
+        for p in range(x.shape[1]):
+            want = _PER_RUN[tag](x[b, reach[:, p], :d])
+            assert out[b, p, :d].tobytes() == want.tobytes(), (b, p)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import consensus_dyn
-from consensus_dyn import cli
+from consensus_dyn import cli, simulator
 from consensus_dyn.cli import load_config, main, serialize_config
 from consensus_dyn.graphs import READ_AHEAD, CommPattern, RoundGraphs
 from oracles import rounds_read_ahead
@@ -720,6 +720,81 @@ def test_overflowing_run_prints_only_its_error(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr == "error: round 1: agent 0 has a non-finite position inf in component 0\n"
+
+
+def _cli_process(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
+    return subprocess.run([sys.executable, "-m", "consensus_dyn.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_a_start_whose_range_overflows_is_rejected(tmp_path, command):
+    # 1.7e308 - -1.7e308 is inf, so epsilon times it passed every range: run
+    # said converged after 1 round, with numpy's overflow warnings
+    initial = {"kind": "explicit", "positions": [[1.7e308], [-1.7e308]]}
+    cfg = _minimal(n=2, algorithm="equal-neighbor", pattern={"family": "self-loops"},
+                   initial=initial, epsilon=0.5)
+    if command == "sweep":
+        cfg["sweep"] = {"seed": [0]}
+    out = tmp_path / "out"
+    out.mkdir()
+    # verify reads the stored trace first
+    (out / "trace.csv").write_text("round,agent,comp_0\r\n0,0,1.7e+308\r\n0,1,-1.7e+308\r\n")
+    proc = _cli_process(command, "--config", _write(tmp_path, cfg), "--out", str(out))
+    assert proc.returncode == 2
+    scenario = "scenario 0: " if command == "sweep" else ""
+    assert proc.stderr == (f"error: {scenario}the range of the initial positions overflows a float"
+                           " in component 0: 1.7e+308 - -1.7e+308\n")
+    assert not (out / "summary.json").exists() and not (out / "sweep.csv").exists()
+
+
+# n 3, d 2 on the complete graph: extreme-point with random ties overflows in
+# component 1 at round 1 when an agent draws agent 0 as its least component
+# 0 (0.6e308 + 0.1e308 + 0.6e308 + 0.6e308), and not when it draws agent 1
+_TIED_HUGE = {"kind": "explicit", "positions": [[0.0, 0.6e308], [0.0, 0.1e308], [1.0, 0.6e308]]}
+
+
+def test_sweep_failure_names_the_first_failing_scenario(tmp_path, capsys):
+    # scenarios 0-3 (component-midpoint) pass; in the extreme-point batch
+    # 4-7, seeds 1 and 2 overflow at round 1 and seeds 0 and 18 converge
+    cfg = _minimal(n=3, d=2, algorithm="component-midpoint", initial=_TIED_HUGE,
+                   tie_break="random",
+                   sweep={"algorithm": ["component-midpoint", "extreme-point"],
+                          "seed": [0, 1, 18, 2]})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "error: scenario 5: round 1: agent 1 has a non-finite position inf in component 1\n"
+    assert not (out / "sweep.csv").exists()
+    # each failing scenario on its own stops at the same round
+    for idx, seed in ((5, 1), (7, 2)):
+        scenario = dict(cfg, algorithm="extreme-point", seed=seed)
+        del scenario["sweep"]
+        path = _write(tmp_path, scenario, f"s{idx}.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path / f"s{idx}")]) == 2
+        assert "round 1: agent" in capsys.readouterr().err
+    # without the failing seeds every scenario converges
+    cfg["sweep"]["seed"] = [0, 18]
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert [r["converged"] for r in _read_rows(out / "sweep.csv")] == ["yes"] * 4
+
+
+def test_sweep_runs_a_batch_per_block_end_not_per_scenario(tmp_path, monkeypatch):
+    # five extreme-point+amortized scenarios over d 1-5 share the pattern, n
+    # and rule: one kernel call per block end of the longest, not one per
+    # block end of each scenario
+    calls = []
+    rule = simulator.apply_rule
+    monkeypatch.setattr(simulator, "apply_rule", lambda *a: calls.append(a[3]) or rule(*a))
+    cfg = {"n": 6, "d": 1, "algorithm": "extreme-point+amortized", "epsilon": 1e-9,
+           "pattern": {"family": "rotating-star"}, "seed": 1, "sweep": {"d": [1, 2, 3, 4, 5]}}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    rounds = [int(r["t_eps"]) for r in _read_rows(out / "sweep.csv")]
+    assert len(set(rounds)) > 1
+    assert calls == list(range(5, max(rounds) + 1, 5))
 
 
 def test_parser_reuse_matches_fresh_processes(tmp_path, monkeypatch, capsys):

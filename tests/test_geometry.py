@@ -360,7 +360,8 @@ def _reference_round(x, reach):
 
 
 def _centroid_round(x, reach):
-    return algorithms.apply_rule(algorithms.parse_kind("centroid"), x, reach, t=1)
+    return algorithms.apply_rule(algorithms.parse_kind("centroid"), x[None], reach, 1, (0,),
+                                 (x.shape[1],))[0]
 
 
 @st.composite

@@ -30,6 +30,7 @@ from consensus_dyn.simulator import (
     delta_components,
     read_trace_csv,
     run,
+    run_batch,
     step,
     theorem_bound,
     write_deltas_csv,
@@ -53,7 +54,7 @@ def test_step_self_loops_only_is_identity():
         kind = AlgorithmKind(tag)
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (3, d))
-        out = step(x, self_loops_only(3).adj, kind, 1)
+        out = step(x[None], self_loops_only(3).adj, kind, 1, (0,), (d,))[0]
         assert out.shape == x.shape
         assert np.allclose(out, x, atol=1e-12)
 
@@ -61,14 +62,14 @@ def test_step_self_loops_only_is_identity():
 def test_step_complete_graph_midpoint():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("midpoint")
-    out = step(x, complete_graph(3).adj, kind, 1)
+    out = step(x[None], complete_graph(3).adj, kind, 1, (0,), (1,))[0]
     assert np.array_equal(out, np.full((3, 1), 1.0))
 
 
 def test_step_complete_graph_equal_neighbor():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("equal-neighbor")
-    out = step(x, complete_graph(3).adj, kind, 1)
+    out = step(x[None], complete_graph(3).adj, kind, 1, (0,), (1,))[0]
     assert np.allclose(out, 1.0)
 
 
@@ -76,7 +77,7 @@ def test_step_size_mismatch():
     x = np.zeros((3, 1))
     kind = AlgorithmKind("midpoint")
     with pytest.raises(ValueError):
-        step(x, self_loops_only(4).adj, kind, 1)
+        step(x[None], self_loops_only(4).adj, kind, 1, (0,), (1,))
 
 
 def test_run_single_agent():
@@ -291,12 +292,14 @@ def test_run_stops_at_the_first_non_finite_position():
                  initial=np.array([[1.7e308], [1e308], [1.7e308]]), max_rounds=50)
     with pytest.raises(ValueError, match=r"^round 1: agent 0 has a non-finite position inf"):
         run(spec)
-    # finite positions whose range alone overflows are not stopped
+    # finite positions whose range alone overflows are rejected before round
+    # 1: epsilon times an infinite range would pass every range
     spec = _spec(n=2, algorithm=AlgorithmKind("equal-neighbor"),
                  pattern=fixed(self_loops_only(2)),
-                 initial=np.array([[1.7e308], [-1.7e308]]), max_rounds=3)
-    trace = run(spec)
-    assert np.isfinite(trace.positions).all() and np.isinf(trace.deltas).all()
+                 initial=np.array([[0.0, 1.7e308], [0.0, -1.7e308]]), d=2, max_rounds=3)
+    with pytest.raises(ValueError, match=r"^the range of the initial positions overflows a float"
+                                         r" in component 1: 1\.7e\+308 - -1\.7e\+308$"):
+        run(spec)
 
 
 def test_measure_contraction_zero_floor():
@@ -333,6 +336,8 @@ def test_run_spec_validation():
         run(_spec(initial=np.zeros((2, 1))))
     with pytest.raises(ValueError):
         run(_spec(d=2))  # midpoint needs d == 1
+    with pytest.raises(ValueError, match="must share n and the algorithm"):
+        run_batch([_spec(), _spec(algorithm=AlgorithmKind("component-midpoint"))])
 
 
 def test_csv_round_trip(tmp_path):
@@ -450,11 +455,89 @@ def test_margin_pass_matches_the_per_round_reference_bit_for_bit(case, chunk):
         assert margins[t - 1].tobytes() == want.tobytes(), t
 
 
+# the dimensions each rule runs at in the batch property: equal-neighbor's
+# d = 1 (pairwise sums) beside its d >= 2 (left-to-right sums)
+_BATCH_DIMS = {"equal-neighbor": [1, 2, 3, 4], "midpoint": [1], "component-midpoint": [1, 2],
+               "extreme-point": [1, 2, 3, 4], "centroid": [1, 2, 3]}
+
+
+def _batch_pattern(draw, n):
+    family = draw(st.sampled_from(["fixed", "complete", "self-loops", "rotating-star",
+                                   "random-nonsplit", "random-rooted", "bidirectional"]))
+    seed = draw(st.integers(0, 2**32))
+    if family == "fixed":
+        adj = np.random.default_rng(seed).random((n, n)) < 0.4
+        np.fill_diagonal(adj, True)
+        return fixed(CommGraph(n, adj))
+    return {"complete": lambda: fixed(complete_graph(n)),
+            "self-loops": lambda: fixed(self_loops_only(n)),
+            "rotating-star": lambda: adversarial_rotating_star(n),
+            "random-nonsplit": lambda: random_nonsplit(n, seed=seed),
+            "random-rooted": lambda: random_rooted(n, seed=seed),
+            "bidirectional": lambda: bidirectional_intermittent(
+                n, period=draw(st.integers(1, 2 * n)), seed=seed)}[family]()
+
+
+def _batch_start(draw, n, d, seed, tag):
+    """None (the seeded draw), a start in exact consensus, grid positions
+    that tie and hold zeros of both signs, or positions so large that an
+    update can overflow (not for centroid, whose hull volumes overflow
+    first)."""
+    kinds = ["seeded", "seeded", "consensus", "grid"] + ["huge"] * (tag != "centroid")
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(seed)
+    if kind == "consensus":
+        return np.full((n, d), rng.choice([-0.0, 0.25, 3.0]))
+    if kind == "grid":
+        return rng.choice([-1.0, -0.0, 0.0, 1.0, 2.0], (n, d))
+    if kind == "huge":
+        return rng.choice([0.1e308, 0.6e308, 0.9e308], (n, d))
+    return None
+
+
+@st.composite
+def _batches(draw):
+    """Specs of one batch: a rule, n and pattern, and the product of a list
+    of d and one to four seeds, as a sweep builds it."""
+    n = draw(st.integers(1, 12))
+    tag = draw(st.sampled_from(sorted(_BATCH_DIMS)))
+    amortized = tag != "equal-neighbor" and draw(st.booleans())
+    kind = AlgorithmKind(
+        tag, amortized=amortized,
+        amortization_period=draw(st.sampled_from([None, 2, 3])) if amortized else None,
+        tie_break=draw(st.sampled_from(["index", "random"])) if tag == "extreme-point" else "index")
+    dims = draw(st.lists(st.sampled_from(_BATCH_DIMS[tag]), min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=4))
+    pattern = _batch_pattern(draw, n)
+    epsilon = draw(st.sampled_from([1e-12, 1e-3, 1.0, 2.0]))  # 1 or more stops at round 1
+    max_rounds = draw(st.integers(1, 30))
+    return [RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=epsilon, max_rounds=max_rounds,
+                    seed=seed, initial=_batch_start(draw, n, d, seed, tag))
+            for d in dims for seed in seeds]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_every_run_of_a_batch_is_its_own_run_bit_for_bit(specs):
+    for spec, outcome in zip(specs, run_batch(specs), strict=True):
+        try:
+            alone = run(spec)
+        except ValueError as e:
+            assert isinstance(outcome, ValueError) and str(outcome) == str(e)
+            continue
+        assert outcome.spec is spec
+        for field in ("positions", "deltas", "margins"):
+            got, want = getattr(outcome, field), getattr(alone, field)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        assert outcome.metrics == alone.metrics
+
+
 @pytest.mark.parametrize("algorithm", ["midpoint", "midpoint+amortized", "midpoint+amortized:3"])
 def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypatch, algorithm):
     # bench/run.py patches these names: simulator.rounds counts step calls,
-    # and margin time is one _margin_row call per run; the round-by-round
-    # loop generates its round graphs by the stack's read-ahead rule
+    # and margin time is one _margin_row call per run, made when the margins
+    # are first read; the round-by-round loop generates its round graphs by
+    # the stack's read-ahead rule
     calls = Counter()
 
     def counted(name, fn):
@@ -474,6 +557,8 @@ def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypa
                           epsilon=1e-9, initial=initial))
         rounds = len(trace.positions) - 1
         assert rounds > 0 or initial is not None
+        assert calls["margin"] == 0
+        assert trace.margins is trace.margins
         assert (calls["step"], calls["margin"], calls["graph"]) == \
             (rounds, 1, rounds_read_ahead(rounds, READ_AHEAD))
 
