@@ -4,12 +4,12 @@ Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
 for all agents of a batch of runs at once, each agent over the positions that
 reached it, as array work over the reach matrix the runs share; the runs
-differ in d (padded to the largest) and seed. Only extreme-point's random
-tie-break loops per run and agent, and the centroid per run and distinct
-stack. Equal-neighbor gives agent p x[reach[:, p]].mean(axis=0) bit for bit
-(numpy's pairwise `add.reduceat` at d = 1, a left-to-right `cumsum` at
-d >= 2), and the tests hold every rule bit for bit to one-set-at-a-time
-references in tests/oracles.py.
+differ in d (padded to the largest) and seed. Only the centroid loops, per
+run and distinct stack; extreme-point's random ties build a stream only for
+an agent that has a tie. Equal-neighbor gives agent p
+x[reach[:, p]].mean(axis=0) bit for bit (numpy's pairwise `add.reduceat` at
+d = 1, a left-to-right `cumsum` at d >= 2), and the tests hold every rule
+bit for bit to one-set-at-a-time references in tests/oracles.py.
 `simulator.step` applies a rule at rounds that are multiples of the period
 (1 per round; amortized variants default to n-1) and holds still between.
 """
@@ -134,32 +134,6 @@ def masked_max(values: np.ndarray, adj: np.ndarray) -> np.ndarray:
     return np.maximum.reduce(np.where(adj[..., None], values[..., :, None, :], -np.inf), axis=-3)
 
 
-def _select_extreme(points: np.ndarray, comp: int, maximize: bool,
-                    rng: np.random.Generator) -> np.ndarray:
-    """The point with the least (greatest) component comp; ties drawn from rng."""
-    coords = points[:, comp]
-    ties = np.nonzero(coords == (coords.max() if maximize else coords.min()))[0]
-    if len(ties) == 1:
-        return points[ties[0]]
-    return points[int(rng.choice(ties))]
-
-
-def _random_extreme_points(x: np.ndarray, reach: np.ndarray, t: int,
-                           tie_seed: int) -> np.ndarray:
-    """(n, 2d, d) for one run's positions x (n, d): per agent, the d
-    componentwise minimal and then the d maximal positions among the agents
-    that reached it, ties drawn from a per-(tie_seed, t, agent) stream."""
-    n, d = x.shape
-    chosen = np.empty((n, 2 * d, d))
-    for p in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((tie_seed, t, p)))
-        pts = x[reach[:, p]]
-        for i in range(d):
-            chosen[p, i] = _select_extreme(pts, i, False, rng)
-            chosen[p, d + i] = _select_extreme(pts, i, True, rng)
-    return chosen
-
-
 def _extreme_choices(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """(n, B, 2D) agent ids: entry [p, b, c] is the agent whose position run
     b's agent p takes for column c of [x_b, -x_b], the least value among the
@@ -174,14 +148,30 @@ def _extreme_choices(x: np.ndarray, reach: np.ndarray) -> np.ndarray:
     return order[first, np.arange(2 * batch * width)].reshape(n, batch, 2 * width)
 
 
-def _extreme_point_means(x: np.ndarray, reach: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """The index-tie extreme-point rule for every run of the batch: agent p of
-    run b averages its d = dims[b] componentwise minimal positions, then its
-    d maximal ones, added left to right from +0.0 as numpy's mean of the
-    (2d, d) stack adds them."""
+def _extreme_point_means(x: np.ndarray, reach: np.ndarray, dims: Sequence[int], t: int,
+                         tie_seeds: Optional[Sequence[int]]) -> np.ndarray:
+    """The extreme-point rule for every run of the batch: agent p of run b
+    averages its d = dims[b] componentwise minimal positions, then its d
+    maximal ones, added left to right from +0.0 as numpy's mean of the
+    (2d, d) stack adds them. Ties go to the lowest agent id or, given
+    tie_seeds, are drawn uniformly among the tied agents in id order from
+    a per-(tie_seeds[b], t, p) stream, in the order min 0, max 0, min 1, ..."""
     batch, n, width = x.shape
     chosen = _extreme_choices(x, reach)
     members = np.arange(batch)[:, None]
+    if tie_seeds is not None:
+        # tied[b, q, p, c]: q reached p and holds run b's extreme value of
+        # column c of [x_b, -x_b]; a column past d is padding and never drawn
+        table = np.concatenate([x, -x], axis=2)
+        extreme = np.take_along_axis(table, chosen.transpose(1, 0, 2), axis=1)
+        tied = reach[:, :, None] & (table[:, :, None] == extreme[:, None])
+        j = np.arange(2 * width)
+        draw = (tied.sum(axis=1) > 1) & (j % width < np.array(dims)[:, None])[:, None]
+        interleaved = j.reshape(2, width).T.ravel()
+        for b, p in zip(*draw.any(axis=2).nonzero()):
+            rng = np.random.default_rng(np.random.SeedSequence((tie_seeds[b], t, p)))
+            for c in interleaved[draw[b, p, interleaved]]:
+                chosen[p, b, c] = rng.choice(np.flatnonzero(tied[b, :, p, c]))
     if min(dims) == width:
         # every run has all 2D columns: the reduction is mean's own
         return (np.add.reduce(x[members, chosen], axis=2) / (2 * width)).transpose(1, 0, 2)
@@ -233,21 +223,16 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
     first dims[b] columns and zeros in the rest; row p of run b in the
     result is the rule applied to the positions x_b[q] with reach[q, p], and
     its padding columns stay zero. Random tie-breaks draw from a
-    per-(tie_seeds[b], t, agent) stream."""
+    per-(tie_seeds[b], t, agent) stream; the centroid goes run by run."""
     if kind.tag == "equal-neighbor":
         return _neighbor_means(x, reach, dims)
     if kind.tag in ("midpoint", "component-midpoint"):
         # componentwise, so the padding columns stay zero
         return (masked_min(x, reach) + masked_max(x, reach)) / 2
-    if kind.tag == "extreme-point" and kind.tie_break == "index":
-        return _extreme_point_means(x, reach, dims)
+    if kind.tag == "extreme-point":
+        return _extreme_point_means(x, reach, dims, t,
+                                    tie_seeds if kind.tie_break == "random" else None)
     out = np.zeros(x.shape)
-    for b, d in enumerate(dims):
-        xb = x[b, :, :d]
-        if kind.tag == "extreme-point":
-            # the d minima, then the d maxima: the order of the 2d additions
-            # is part of the artifacts' bytes
-            out[b, :, :d] = _random_extreme_points(xb, reach, t, tie_seeds[b]).mean(axis=1)
-        else:
-            out[b, :, :d] = geometry.hull_centroids(xb, reach)  # centroid
+    for b, d in enumerate(dims):  # centroid
+        out[b, :, :d] = geometry.hull_centroids(x[b, :, :d], reach)
     return out

@@ -1,12 +1,12 @@
 """Batch front end: JSON scenario configs in, CSV/JSON artifacts out.
 
-Exit codes: 0 success, 2 validation, IO or memory failure (for verify and
-plotdata also a trace or margins row that is repeated, has a negative or
-oversized index, or has another field count than the header), 3 audit
-violation (for verify also a round 0 that is not the configured start,
-motion inside an amortized block, a trace whose round count differs from
-what run's stopping rule gives, or a summary.json with a field other than
-audits that differs from what run derives from the config and the trace).
+Exit codes: 0 success, 2 validation, IO, memory or centroid-geometry failure
+(for verify and plotdata also a trace or margins row that is repeated, has a
+negative or oversized index, or has another field count than the header), 3
+audit violation (for verify also a round 0 that is not the configured start,
+motion inside an amortized block, a trace whose round count differs from what
+run's stopping rule gives, or a summary.json with a field other than audits
+that differs from what run derives from the config and the trace).
 Everything is deterministic for a fixed config; repeated runs produce
 byte-identical files.
 """
@@ -574,7 +574,7 @@ def main(argv=None) -> int:
     except SafenessViolationError as e:
         print(f"audit violation: {e}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, MemoryError) as e:
+    except (ValueError, OSError, KeyError, MemoryError, geometry.GeometryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -247,7 +247,7 @@ def _fan_centroids(r: int, stacks, cent: np.ndarray) -> None:
     acc = np.cumsum(np.concatenate([np.zeros((len(ids), 1, r)), terms], axis=1), axis=1)[:, -1]
     if not 0.0 < total.min() <= total.max() < np.inf:
         bad = total[~((total > 0.0) & (total < np.inf))][0]
-        raise GeometryError(f"degenerate fan decomposition: volume={bad!r} at rank {r}")
+        raise GeometryError(f"degenerate fan decomposition: volume={float(bad)!r} at rank {r}")
     mean = (acc / total[:, None])[:, None, :] @ np.array(bases)
     cent[list(ids)] = np.array(origins) + mean[:, 0]
 

@@ -13,6 +13,7 @@ stream as the pattern families define it, and the round-graph count of the
 stack's read-ahead rule.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +45,19 @@ def midpoint_update_1d(m: float, M: float) -> float:
     return (m + M) / 2
 
 
+def fold_min_max(arr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Componentwise least and greatest of the rows of arr, folded with
+    np.minimum and np.maximum in row order: which zero a mix of +0.0 and
+    -0.0 gives is then fixed, where arr.min(axis=0) picks it by SIMD lane."""
+    return functools.reduce(np.minimum, arr), functools.reduce(np.maximum, arr)
+
+
 def component_midpoint_update(received: np.ndarray) -> np.ndarray:
     arr = np.asarray(received, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one received position")
-    return (arr.min(axis=0) + arr.max(axis=0)) / 2
+    lo, hi = fold_min_max(arr)
+    return (lo + hi) / 2
 
 
 def _select_extreme(points: np.ndarray, senders: Sequence[int], comp: int,
@@ -74,7 +83,9 @@ def extreme_point_update(received: np.ndarray, d: int,
     """Average of 2d selected positions: per component one minimal and one maximal.
 
     Ties are broken by lowest sender id then lexicographic point order (sender
-    ids default to list positions), or uniformly at random when rng is given.
+    ids default to list positions), or uniformly at random when rng is given,
+    drawn in the order min 0, max 0, min 1, ... The average is the mean of
+    the (2d, d) stack of the d minimal positions, then the d maximal ones.
     """
     arr = np.asarray(received, dtype=float)
     if arr.size == 0:
@@ -82,11 +93,11 @@ def extreme_point_update(received: np.ndarray, d: int,
     arr = arr.reshape(len(arr), d)
     if senders is None:
         senders = list(range(len(arr)))
-    total = np.zeros(d)
+    picks = np.empty((2 * d, d))
     for i in range(d):
-        total += _select_extreme(arr, senders, i, False, rng)
-        total += _select_extreme(arr, senders, i, True, rng)
-    return total / (2 * d)
+        picks[i] = _select_extreme(arr, senders, i, False, rng)
+        picks[d + i] = _select_extreme(arr, senders, i, True, rng)
+    return picks.mean(axis=0)
 
 
 def centroid_update(received: np.ndarray) -> np.ndarray:

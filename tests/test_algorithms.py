@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from consensus_dyn.algorithms import (
     AlgorithmKind,
@@ -26,6 +26,7 @@ from oracles import (
     convex_hull,
     equal_neighbor_update,
     extreme_point_update,
+    fold_min_max,
     midpoint_update_1d,
 )
 
@@ -264,7 +265,8 @@ def _reference(kind, d, received, ids, p, t, tie_seed):
     """The standalone update of `kind` for agent p in round t over the
     positions it received from agents `ids`."""
     if kind.tag == "midpoint":
-        return np.array([midpoint_update_1d(received.min(), received.max())])
+        lo, hi = fold_min_max(received[:, 0])
+        return np.array([midpoint_update_1d(lo, hi)])
     if kind.tag == "component-midpoint":
         return component_midpoint_update(received)
     if kind.tag == "centroid":
@@ -279,8 +281,7 @@ def _reference(kind, d, received, ids, p, t, tie_seed):
 
 def test_block_ends_match_reference_updates():
     # Every block end of a run is the standalone update of each agent over the
-    # block-start positions that reached it during the block: bit for bit,
-    # except the 2d additions of extreme-point, which run in another order.
+    # block-start positions that reached it during the block, bit for bit.
     n, rounds = 5, 12
     rules = [("midpoint", 1, "index"), ("component-midpoint", 2, "index"),
              ("extreme-point", 2, "index"), ("extreme-point", 3, "random"),
@@ -308,10 +309,7 @@ def test_block_ends_match_reference_updates():
                             ids = np.flatnonzero(reach[:, p])
                             want = _reference(kind, d, start[ids], ids, p, t, spec.seed)
                             got = positions[t, p]
-                            if tag == "extreme-point":
-                                assert np.allclose(got, want, rtol=0, atol=1e-12), (tag, t, p)
-                            else:
-                                assert got.tobytes() == want.tobytes(), (tag, period, t, p)
+                            assert got.tobytes() == want.tobytes(), (tag, period, t, p)
                             checked += 1
     assert checked > 2000
 
@@ -456,30 +454,55 @@ def _padded_batches(draw):
     return x, reach, tuple(dims)
 
 
-def _extreme_mean(points):
-    # the d least points, then the d greatest, the lowest id on ties, added
-    # in that order as the mean of their (2d, d) stack adds them
-    d = points.shape[1]
-    picks = [points[np.argmin(points[:, i])] for i in range(d)]
-    picks += [points[np.argmax(points[:, i])] for i in range(d)]
-    return np.stack(picks).mean(axis=0)
-
-
-_PER_RUN = {"equal-neighbor": equal_neighbor_update,
-            "component-midpoint": component_midpoint_update,
-            "extreme-point": _extreme_mean}
+_BATCH_KINDS = [AlgorithmKind("component-midpoint"), AlgorithmKind("equal-neighbor"),
+                AlgorithmKind("extreme-point"), AlgorithmKind("extreme-point", tie_break="random")]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_padded_batches(), st.sampled_from(sorted(_PER_RUN)))
-def test_batch_kernels_match_each_runs_own_reference_bit_for_bit(case, tag):
+@given(_padded_batches(), st.sampled_from(_BATCH_KINDS), st.integers(2, 99),
+       st.integers(0, 2**32 - 1))
+# numpy's own min of this stack is +0.0, the kernel's reduction over senders
+# gives -0.0: the references fold min and max over the agents in id order
+@example(case=(np.array([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0])[None, :, None],
+               np.ones((9, 9), dtype=bool), (1,)),
+         kind=AlgorithmKind("component-midpoint"), t=2, seed=0)
+def test_batch_kernels_match_each_runs_own_reference_bit_for_bit(case, kind, t, seed):
     # every run of a batch gets its own rule's bytes, whatever d the other
-    # runs have, and its padding columns stay zero
+    # runs have, and its padding columns stay zero; random ties draw from
+    # each run's own per-(seed, t, agent) stream
     x, reach, dims = case
-    out = apply_rule(AlgorithmKind(tag), x, reach, 1, (0,) * len(dims), dims)
+    seeds = tuple(seed + b for b in range(len(dims)))
+    out = apply_rule(kind, x, reach, t, seeds, dims)
     assert out.shape == x.shape
     for b, d in enumerate(dims):
         assert not out[b, :, d:].any()
         for p in range(x.shape[1]):
-            want = _PER_RUN[tag](x[b, reach[:, p], :d])
+            ids = np.flatnonzero(reach[:, p])
+            want = _reference(kind, d, x[b, ids, :d], ids, p, t, seeds[b])
             assert out[b, p, :d].tobytes() == want.tobytes(), (b, p)
+
+
+def test_random_ties_build_a_stream_only_for_agents_with_a_tie(monkeypatch):
+    # one Generator per agent that shares an extreme with another agent that
+    # reached it, none for the others; padding columns, all zero, tie nowhere
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: built.append(seed) or default_rng(seed))
+    kind = AlgorithmKind("extreme-point", tie_break="random")
+    n, dims = 9, (3, 2)
+    reach = default_rng(5).random((n, n)) < 0.2
+    np.fill_diagonal(reach, True)
+    x = np.zeros((2, n, 3))
+    x[0], x[1, :, :2] = default_rng(6).random((n, 3)), default_rng(7).random((n, 2))
+    apply_rule(kind, x, reach, 4, (1, 2), dims)
+    assert built == []
+    x[0], x[1, :, :2] = _grid(n, 3), _grid(n, 2)
+    tied = 0
+    for b, d in enumerate(dims):
+        for p in range(n):
+            pts = x[b, reach[:, p], :d]
+            tied += any(((pts == pts.min(axis=0)).sum(axis=0) > 1)
+                        | ((pts == pts.max(axis=0)).sum(axis=0) > 1))
+    apply_rule(kind, x, reach, 4, (1, 2), dims)
+    assert 0 < len(built) == tied < n * len(dims)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -569,6 +570,20 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: Unable to allocate an (3, 3) array\n"
+
+
+def test_degenerate_hull_exits_2(tmp_path, capsys):
+    # starts 2**-400 apart leave a rank-3 hull whose fan volumes underflow to
+    # zero: one error line naming the volume as a float, not a traceback
+    positions = 2.0**-400 * np.random.default_rng(3).random((10, 3))
+    cfg = _minimal(n=10, d=3, algorithm="centroid",
+                   pattern={"family": "random-nonsplit", "seed": 5},
+                   initial={"kind": "explicit", "positions": positions.tolist()})
+    path = _write(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: degenerate fan decomposition: volume=0.0 at rank 3\n"
 
 
 def test_run_rejects_legacy_frame_reduction_key(tmp_path, capsys):
