@@ -4,12 +4,15 @@ Five update rules: equal-neighbor mean, range midpoint (1-D), component-wise
 midpoint, extreme-point averaging, hull centroid. `apply_rule` applies a rule
 for all agents of a batch of runs at once, each agent over the positions that
 reached it, as array work over the reach matrix the runs share; the runs
-differ in d (padded to the largest) and seed. Only the centroid loops, per
-run and distinct stack; extreme-point's random ties build a stream only for
-an agent that has a tie. Equal-neighbor gives agent p
+differ in d (padded to the largest) and seed. The centroid's kernel
+(`geometry.hull_centroids`) takes the whole batch too, and loops only over
+the few stacks that need a hull of their own; extreme-point's random ties
+build a stream only for an agent that has a tie. Equal-neighbor gives agent p
 x[reach[:, p]].mean(axis=0) bit for bit (numpy's pairwise `add.reduceat` at
 d = 1, a left-to-right `cumsum` at d >= 2), and the tests hold every rule
-bit for bit to one-set-at-a-time references in tests/oracles.py.
+bit for bit to one-set-at-a-time references in tests/oracles.py, except the
+centroids the kernel takes from facet enumeration, which they hold to the
+exact centroid.
 `simulator.step` applies a rule at rounds that are multiples of the period
 (1 per round; amortized variants default to n-1) and holds still between.
 """
@@ -223,7 +226,8 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
     first dims[b] columns and zeros in the rest; row p of run b in the
     result is the rule applied to the positions x_b[q] with reach[q, p], and
     its padding columns stay zero. Random tie-breaks draw from a
-    per-(tie_seeds[b], t, agent) stream; the centroid goes run by run."""
+    per-(tie_seeds[b], t, agent) stream; the centroid makes one kernel call
+    for the whole batch."""
     if kind.tag == "equal-neighbor":
         return _neighbor_means(x, reach, dims)
     if kind.tag in ("midpoint", "component-midpoint"):
@@ -232,7 +236,4 @@ def apply_rule(kind: AlgorithmKind, x: np.ndarray, reach: np.ndarray, t: int,
     if kind.tag == "extreme-point":
         return _extreme_point_means(x, reach, dims, t,
                                     tie_seeds if kind.tie_break == "random" else None)
-    out = np.zeros(x.shape)
-    for b, d in enumerate(dims):  # centroid
-        out[b, :, :d] = geometry.hull_centroids(x[b, :, :d], reach)
-    return out
+    return geometry.hull_centroids(x, reach, dims)  # centroid

@@ -428,8 +428,8 @@ def bidirectional_intermittent(n: int, period: int, seed: int) -> CommPattern:
             np.less(draws, 0.15, out=out[i])
         out &= upper
         out |= out.transpose(0, 2, 1)  # numpy reads an overlapping operand from a copy
-        residues = (t0 % period + np.arange(len(out))) % period
-        out |= base[np.minimum(residues, len(base) - 1)]
+        # in Python ints: a period past int64 is valid
+        out |= base[[min((t0 + i) % period, len(base) - 1) for i in range(len(out))]]
 
     return CommPattern(n, fill, period=period,
                        name=f"bidirectional-intermittent(n={n}, period={period}, seed={seed})")

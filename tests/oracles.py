@@ -2,8 +2,11 @@
 
 Nothing here is on the command line's path: the per-set update rules that
 the whole-array kernel must agree with, the per-hull `convex_hull` and
-`centroid` that `geometry.hull_centroids` must match bit for bit, the
-one-round margin row that `simulator.run`'s margins must match, the hull
+`centroid` that `geometry.hull_centroids` must match bit for bit on the
+stacks it does not enumerate, exact centroids in `fractions.Fraction` (a
+polygon's, a simplex's and, by facet enumeration, any full-rank hull's) and
+`check_kernel_centroid`, which holds each kernel centroid to the right one
+of them, the one-round margin row that `simulator.run`'s margins must match, the hull
 membership test `contains`, a Monte Carlo centroid, the hyperpyramid that
 attains the centroid's safety constant, the scalar convex-combination
 construction that `reconstruct_matrices` vectorizes, a naive pure-Python
@@ -14,6 +17,7 @@ stack's read-ahead rule.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +124,9 @@ class Polytope:
     ``proj_points`` are the deduplicated input points in those coordinates.
     ``equations`` holds facet half-spaces [normal | offset] in projected
     coordinates (unit normals, inside = normal @ y + offset <= 0); present only
-    when dim_affine >= 2.
+    when dim_affine >= 2. ``noise`` is how far the rank cut may have moved a
+    point: the largest singular value it dropped, at least 64 ulps of the
+    largest |coordinate|.
     """
 
     vertices: np.ndarray
@@ -133,6 +139,7 @@ class Polytope:
     equations: Optional[np.ndarray]
     simplices: Optional[np.ndarray]
     extent: float
+    noise: float = 0.0
 
     def __post_init__(self):
         for name in ("vertices", "origin", "basis", "proj_points", "proj_vertices",
@@ -188,24 +195,40 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
         rank = min(int(_rank_cut(svals, float(np.abs(arr).max()))), len(unique) - 1)
 
     rank, basis, proj, hull = _reduced_hull(centered, vt, rank)
+    noise = 64 * np.finfo(float).eps * float(np.abs(arr).max())
+    if len(unique) > 1 and rank < len(svals):
+        noise = max(noise, float(svals[rank]))
     if rank == 0:
         return Polytope(unique[:1].copy(), dim, 0, origin, basis,
-                        np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent)
+                        np.zeros((1, 0)), np.zeros((1, 0)), None, None, extent, noise)
     if rank == 1:
         line = proj[:, 0]
         idx = [int(np.argmin(line)), int(np.argmax(line))]
         return Polytope(unique[idx].copy(), dim, 1, origin, basis,
-                        proj, proj[idx].copy(), None, None, extent)
+                        proj, proj[idx].copy(), None, None, extent, noise)
     idx = hull.vertices
     return Polytope(unique[idx].copy(), dim, rank, origin, basis,
                     proj, proj[idx].copy(), hull.equations.copy(),
-                    hull.simplices.copy(), extent)
+                    hull.simplices.copy(), extent, noise)
+
+
+def rank_is_ambiguous(points) -> bool:
+    """Whether a singular value of the deduplicated, centered points lies
+    within a factor 1e3 of the rank cut, where rounding can decide the rank
+    (the rule bench/checker.py uses)."""
+    arr = _as_points(points)
+    extent = float((arr.max(axis=0) - arr.min(axis=0)).max())
+    unique = _greedy_dedup(arr, DUP_TOL * extent) if extent > 0 else arr[:1]
+    svals = np.linalg.svd(unique - unique.mean(axis=0), compute_uv=False)[:len(unique) - 1]
+    cut = max(1e-9 * svals[0], 64 * np.finfo(float).eps * float(np.abs(arr).max())) if len(svals) else 0.0
+    return bool(((svals > cut / 1e3) & (svals < cut * 1e3)).any())
 
 
 def _default_tol(poly: Polytope, tol: Optional[float]) -> float:
+    """1e-9 of the extent, at least the rank cut's noise."""
     if tol is not None:
         return tol
-    return MEM_TOL * max(poly.extent, 1.0)
+    return max(MEM_TOL * poly.extent, poly.noise)
 
 
 def _membership(poly: Polytope, pts: np.ndarray, tol: float) -> np.ndarray:
@@ -224,7 +247,8 @@ def _membership(poly: Polytope, pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def contains(poly: Polytope, x, tol: Optional[float] = None) -> bool:
-    """True iff x is within distance ~tol of the hull (default 1e-9 of extent)."""
+    """True iff x is within distance ~tol of the hull (default: 1e-9 of the
+    extent, at least what the rank cut may have moved a point)."""
     pt = np.asarray(x, dtype=float).reshape(1, -1)
     if pt.shape[1] != poly.dim_ambient:
         raise ValueError(f"point dimension {pt.shape[1]} != {poly.dim_ambient}")
@@ -304,6 +328,75 @@ def exact_planar_centroid(points) -> List[Fraction]:
         cx += (x0 + x1) * cross
         cy += (y0 + y1) * cross
     return [cx / (3 * area2), cy / (3 * area2)]
+
+
+def _int_det(rows) -> int:
+    """Determinant of a square matrix of Python ints, by cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j] * _int_det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j in range(len(rows)) if rows[0][j])
+
+
+def exact_hull_centroid(points) -> List[Fraction]:
+    """Centroid of the hull of (m, r) points that span r dimensions, in
+    exact arithmetic: every r-subset whose other points all lie strictly on
+    one side of its hyperplane is a facet, and the hull is the union of the
+    cones from the points' mean over its facets, each of volume |det| / r!
+    and centroid (apex + its facet's points) / (r + 1). Raises ValueError
+    when a facet's hyperplane holds another point. Coordinates are scaled to
+    integers by a common power of two (and by m, to make the mean one), so
+    that all the work is integer arithmetic."""
+    rows = sorted({tuple(map(Fraction, p)) for p in np.asarray(points).tolist()})
+    m, r = len(rows), len(rows[0])
+    denom = max(c.denominator for row in rows for c in row) * m
+    ints = [[int(c * denom) for c in row] for row in rows]
+    apex = [sum(col) // m for col in zip(*ints)]
+    rel = [[c - a for c, a in zip(row, apex)] for row in ints]
+    total, acc = 0, [0] * r
+    for subset in itertools.combinations(range(m), r):
+        base = rel[subset[0]]
+        edges = [[c - b for c, b in zip(rel[i], base)] for i in subset[1:]]
+        normal = [(-1) ** j * _int_det([e[:j] + e[j + 1:] for e in edges]) for j in range(r)]
+        sides = {(s > 0) - (s < 0) for s in
+                 (sum(n * (c - b) for n, c, b in zip(normal, rel[i], base))
+                  for i in range(m) if i not in subset)}
+        if len(sides - {0}) == 1:
+            if 0 in sides:
+                raise ValueError(f"the facet {subset} holds another point")
+            volume = abs(sum(n * b for n, b in zip(normal, base)))
+            total += volume
+            acc = [a + volume * sum(rel[i][j] for i in subset) for j, a in enumerate(acc)]
+    if total == 0:
+        raise ValueError("the points do not span their dimension")
+    return [(Fraction(a, (r + 1) * total) + c) / denom for a, c in zip(acc, apex)]
+
+
+# stacks the kernel enumerated, against the exact centroid: over 8,000
+# rounds of tests/test_geometry.py's `_centroid_rounds` (4,992 enumerated
+# stacks) the worst error was 0.58 ulps of the largest |coordinate| per unit
+# of condition number (largest over smallest singular value of the centered
+# rows), and 0.88 for the per-hull reference on the same stacks
+ENUM_ULPS_PER_COND = 1
+
+
+def check_kernel_centroid(got: np.ndarray, stack: np.ndarray, enumerated: Set[bytes]) -> None:
+    """Assert that the kernel's centroid `got` of `stack` is the per-hull
+    reference's bytes, or, for a stack it enumerated (its centered rows, as
+    the reference has them, are among the bytes in `enumerated`), within
+    ENUM_ULPS_PER_COND of the exact centroid; where the rank is ambiguous
+    the kernel's rank cut may differ from the reference's, and `got` need
+    only lie in the hull."""
+    poly = convex_hull(stack)
+    if poly.proj_points.tobytes() in enumerated:
+        svals = np.linalg.svd(poly.proj_points, compute_uv=False)
+        ulps = ENUM_ULPS_PER_COND * Fraction(svals[0] / svals[-1])
+        error = max(abs(Fraction(c) - e) for c, e in zip(got, exact_hull_centroid(poly.vertices)))
+        assert error <= ulps * Fraction(np.spacing(np.abs(stack).max())), (got, stack)
+    elif rank_is_ambiguous(stack):
+        assert contains(poly, got), (got, stack)
+    else:
+        assert got.tobytes() == centroid(poly).centroid.tobytes(), (got, stack)
 
 
 class OracleUnreliableError(GeometryError):

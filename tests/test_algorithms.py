@@ -18,9 +18,11 @@ from consensus_dyn.algorithms import (
 )
 from consensus_dyn.graphs import adversarial_rotating_star, random_nonsplit, random_rooted
 from consensus_dyn.simulator import RunSpec, run
+from conftest import EnumeratedStacks
 from oracles import (
     centroid,
     centroid_update,
+    check_kernel_centroid,
     component_midpoint_update,
     contains,
     convex_hull,
@@ -299,7 +301,8 @@ def test_block_ends_match_reference_updates():
                 for initial in (None, _grid(n, d)):
                     spec = RunSpec(n=n, d=d, algorithm=kind, pattern=pattern, epsilon=1e-15,
                                    initial=initial, max_rounds=rounds, seed=7)
-                    positions = run(spec).positions
+                    with EnumeratedStacks() as enumerated:
+                        positions = run(spec).positions
                     for t in range(period, len(positions), period):
                         start = positions[t - period]
                         reach = pattern.graph(t - period + 1).adj
@@ -307,9 +310,13 @@ def test_block_ends_match_reference_updates():
                             reach = reach @ pattern.graph(s).adj
                         for p in range(n):
                             ids = np.flatnonzero(reach[:, p])
-                            want = _reference(kind, d, start[ids], ids, p, t, spec.seed)
                             got = positions[t, p]
-                            assert got.tobytes() == want.tobytes(), (tag, period, t, p)
+                            if tag == "centroid":
+                                # enumerated stacks are held to the exact centroid
+                                check_kernel_centroid(got, start[ids], enumerated.rows)
+                            else:
+                                want = _reference(kind, d, start[ids], ids, p, t, spec.seed)
+                                assert got.tobytes() == want.tobytes(), (tag, period, t, p)
                             checked += 1
     assert checked > 2000
 
@@ -480,6 +487,21 @@ def test_batch_kernels_match_each_runs_own_reference_bit_for_bit(case, kind, t, 
             ids = np.flatnonzero(reach[:, p])
             want = _reference(kind, d, x[b, ids, :d], ids, p, t, seeds[b])
             assert out[b, p, :d].tobytes() == want.tobytes(), (b, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_padded_batches())
+def test_centroid_batch_gives_each_run_its_own_bytes(case):
+    # the runs of a batch share the centroid kernel's passes (all runs of
+    # d <= 4 one padded pass, runs of one d one enumeration), and each
+    # still gets the bytes of its own call
+    x, reach, dims = case
+    kind = AlgorithmKind("centroid")
+    out = apply_rule(kind, x, reach, 1, (0,) * len(dims), dims)
+    for b, d in enumerate(dims):
+        assert not out[b, :, d:].any()
+        alone = apply_rule(kind, np.ascontiguousarray(x[b:b + 1, :, :d]), reach, 1, (0,), (d,))
+        assert out[b, :, :d].tobytes() == alone.tobytes(), b
 
 
 def test_random_ties_build_a_stream_only_for_agents_with_a_tie(monkeypatch):

@@ -572,18 +572,49 @@ def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == "error: Unable to allocate an (3, 3) array\n"
 
 
-def test_degenerate_hull_exits_2(tmp_path, capsys):
-    # starts 2**-400 apart leave a rank-3 hull whose fan volumes underflow to
-    # zero: one error line naming the volume as a float, not a traceback
-    positions = 2.0**-400 * np.random.default_rng(3).random((10, 3))
-    cfg = _minimal(n=10, d=3, algorithm="centroid",
-                   pattern={"family": "random-nonsplit", "seed": 5},
+def test_degenerate_hull_exits_2(tmp_path, capsys, monkeypatch):
+    # a hull whose fan has no volume (here every Qhull hull is collapsed onto
+    # one point: 12 points at d = 3 are more than facet enumeration takes):
+    # one error line naming the volume as a float, not a traceback
+    from consensus_dyn import geometry
+
+    real = geometry._reduced_hull
+
+    def collapsed(centered, vt, rank):
+        rank, basis, proj, hull = real(centered, vt, rank)
+        return rank, basis, np.zeros_like(proj), hull
+
+    monkeypatch.setattr(geometry, "_reduced_hull", collapsed)
+    positions = np.random.default_rng(3).random((12, 3))
+    cfg = _minimal(n=12, d=3, algorithm="centroid", pattern={"family": "complete"},
                    initial={"kind": "explicit", "positions": positions.tolist()})
     path = _write(tmp_path, cfg)
     capsys.readouterr()
     assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == \
         "error: degenerate fan decomposition: volume=0.0 at rank 3\n"
+
+
+@pytest.mark.parametrize("d, k", [(4, 400), (3, -400), (2, -600)])
+def test_centroid_run_far_from_unit_scale_takes_the_unit_rounds(tmp_path, d, k):
+    # starts 2^k * U[0, 1)^d: Qhull once died on d = 4, k = 400 with a
+    # segfault, d = 3, k = -400 underflowed its fan volumes, and d = 2,
+    # k = -600 merged every stack into one point; a fresh interpreter, so
+    # that a crash fails only this test
+    positions = np.random.default_rng(3).random((10, d))
+    rounds = []
+    for scale in (0, k):
+        cfg = _minimal(n=10, d=d, algorithm="centroid", epsilon=1e-6,
+                       pattern={"family": "random-nonsplit", "seed": 5},
+                       initial={"kind": "explicit", "positions": np.ldexp(positions, scale).tolist()})
+        path = _write(tmp_path, cfg, f"config{scale}.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-m", "consensus_dyn.cli", "run", "--config", path,
+                               "--out", str(tmp_path / f"out{scale}")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        rounds.append(json.loads((tmp_path / f"out{scale}" / "summary.json").read_text())["rounds"])
+    assert rounds[0] == rounds[1]
 
 
 def test_run_rejects_legacy_frame_reduction_key(tmp_path, capsys):
@@ -884,9 +915,10 @@ def _loads_scipy_spatial(tmp_path, cfg):
 @pytest.mark.parametrize("algorithm, loaded", [("extreme-point", False), ("centroid", True)])
 def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
     # only Qhull hulls need scipy.spatial: a run of any other rule never
-    # imports it. Every agent of a complete graph on 6 agents at d = 3
-    # stacks 6 points of rank 3, whose hull only Qhull builds.
-    cfg = {"n": 6, "d": 3, "algorithm": algorithm, "epsilon": 1e-6,
+    # imports it. Every agent of a complete graph on 12 agents at d = 3
+    # stacks 12 points of rank 3, more than facet enumeration takes, whose
+    # hull only Qhull builds.
+    cfg = {"n": 12, "d": 3, "algorithm": algorithm, "epsilon": 1e-6,
            "pattern": {"family": "complete"}, "audits": ALL_AUDITS}
     assert _loads_scipy_spatial(tmp_path, cfg) == [0, loaded]
 
@@ -896,7 +928,8 @@ def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
     ("centroid", {"family": "random-nonsplit", "seed": 2}),
     ("centroid+amortized", {"family": "rotating-star"})])
 def test_planar_centroid_run_never_loads_scipy_spatial(tmp_path, algorithm, pattern):
-    # below rank 3 every hull is a segment, a simplex or a monotone chain
+    # below rank 3 every hull is a segment, a simplex, a monotone chain or
+    # facet enumeration
     cfg = {"n": 8, "d": 2, "algorithm": algorithm, "epsilon": 1e-6, "pattern": pattern,
            "audits": {"safeness": True}}
     assert _loads_scipy_spatial(tmp_path, cfg) == [0, False]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_dyn import algorithms
-from consensus_dyn.geometry import MEM_TOL, _reduced_hull, in_hull
-from oracles import (OracleUnreliableError, build_hyperpyramid, centroid, centroid_oracle_mc,
-                     contains, convex_hull, exact_planar_centroid, exact_vertex_mean)
+from consensus_dyn.geometry import ENUM_MAX, MEM_TOL, _reduced_hull, in_hull
+from conftest import EnumeratedStacks
+from oracles import (OracleUnreliableError, build_hyperpyramid, centroid,
+                     centroid_oracle_mc, check_kernel_centroid, contains, convex_hull,
+                     exact_hull_centroid, exact_planar_centroid, exact_vertex_mean)
 
 
 def _vertex_set(poly):
@@ -405,21 +407,32 @@ def _centroid_rounds(draw):
 @settings(max_examples=400, deadline=None)
 @given(_centroid_rounds())
 def test_centroid_round_matches_per_hull_reference_bit_for_bit(case):
+    # every stack on the per-hull route gets the reference's bytes, and an
+    # enumerated one is within a measured bound of the exact centroid
     x, reach = case
-    assert _centroid_round(x, reach).tobytes() == _reference_round(x, reach).tobytes()
+    with EnumeratedStacks() as enumerated:
+        got = _centroid_round(x, reach)
+    for p in range(len(x)):
+        check_kernel_centroid(got[p], x[reach[:, p]], enumerated.rows)
+
+
+def _above_the_cutoff(d):
+    """(n, d) strategy: stacks of n - 1 or n points take Qhull at d."""
+    least = ENUM_MAX[d] + 2 if d < len(ENUM_MAX) else d + 2
+    return st.tuples(st.integers(least, 14), st.just(d))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.integers(3, 5).flatmap(lambda d: st.tuples(st.integers(d + 2, 12), st.just(d))),
+@given(st.integers(0, 2**32 - 1), st.integers(3, 5).flatmap(_above_the_cutoff),
        st.sampled_from(["plain", "joggled"]))
 def test_centroid_round_takes_qhull_fallbacks_as_the_reference(seed, n_d, fails):
     # Qhull rejects every stack with an odd number of points, and with
     # `fails == "joggled"` the joggled retry too, so the rank drops down to
     # 1; the warnings name the dimensions, and must come in the reference's
     # order. Qhull sees only stacks of rank >= 3 with at least rank + 2
-    # points (planar stacks and simplices are built without it), so d starts
-    # at 3 and n at d + 2.
+    # points that facet enumeration leaves alone, so d starts at 3 and every
+    # agent misses at most one other: each stack holds more points than
+    # enumeration takes (rank 5 it never takes).
     n, d = n_d
     import scipy.spatial
 
@@ -432,8 +445,9 @@ def test_centroid_round_takes_qhull_fallbacks_as_the_reference(seed, n_d, fails)
 
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (n, d))
-    reach = rng.random((n, n)) < 0.6
-    np.fill_diagonal(reach, True)
+    reach = np.ones((n, n), dtype=bool)
+    missed = (np.arange(n) + rng.integers(1, n, n)) % n
+    reach[missed, np.arange(n)] = rng.random(n) < 0.3
     logger = logging.getLogger("consensus_dyn.geometry")
     records = []
     handler = logging.Handler()
@@ -469,30 +483,36 @@ def _count_qhull_calls(monkeypatch):
 def test_centroid_round_shares_hull_work_between_identical_stacks(monkeypatch):
     calls = _count_qhull_calls(monkeypatch)
     rng = np.random.default_rng(5)
-    x = rng.uniform(0, 1, (7, 3))
-    x[6] = x[5]
-    adj = np.eye(7, dtype=bool)
-    adj[:5, 0] = adj[:5, 1] = True  # agents 0 and 1 both hear 0-4
+    # rows 0-7 are the corners of a cube: four points on each facet plane,
+    # which facet enumeration leaves to Qhull
+    x = np.vstack([np.array(list(itertools.product([0.0, 1.0], repeat=3))), rng.uniform(0, 1, (2, 3))])
+    x[9] = x[7]
+    adj = np.eye(10, dtype=bool)
+    adj[:8, 0] = adj[:8, 1] = True  # agents 0 and 1 both hear the cube
     adj[3, 2] = True  # agent 2 hears 2 and 3: a segment, no hull
-    adj[:4, 5] = adj[:4, 6] = True  # agents 5 and 6 hear 0-3 and rows of equal bytes
+    adj[:7, 8] = adj[:7, 9] = True  # 8 hears 0-6 and itself; 9 hears 0-6 and a copy of 7
     new_x = _centroid_round(x, adj)
-    # one Qhull call per stack of distinct bytes, rank 3 and 5 or more rows:
-    # 2 stacks, not 4
-    assert calls == [5, 5]
-    alone = centroid(convex_hull(x[:5])).centroid
-    assert new_x[0].tobytes() == new_x[1].tobytes() == alone.tobytes()
+    # one Qhull call per stack of distinct bytes: 2 stacks, not 4
+    assert calls == [8, 8]
+    alone = centroid(convex_hull(x[:8])).centroid
+    assert new_x[0].tobytes() == new_x[1].tobytes() == new_x[9].tobytes() == alone.tobytes()
     assert new_x.tobytes() == _reference_round(x, adj).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_centroid_round_of_simplices_and_polygons_makes_no_qhull_call(monkeypatch, d):
+    # polygons come from the monotone chain: at d = 3 rows 0-4 lie in a
+    # plane, and at d = 2 each polygon has a point on one of its edges,
+    # which facet enumeration leaves to the chain
     calls = _count_qhull_calls(monkeypatch)
-    rng = np.random.default_rng(11)
-    x = rng.uniform(-1, 1, (8, d))
-    x[:5, 2:] = 0.5  # at d = 3, rows 0-4 are coplanar
+    if d == 2:
+        x = np.array([[0, 0], [2, 0], [4, 0], [4, 4], [0, 4], [1, 1], [3, 2], [2, 4]], dtype=float)
+    else:
+        x = np.random.default_rng(11).uniform(-1, 1, (8, d))
+        x[:5, 2:] = 0.5
     adj = np.eye(8, dtype=bool)
     adj[:5, 0] = True  # five points of a plane: a polygon
-    adj[[2, 3, 4], 1] = True  # four points of a plane: a polygon
+    adj[[2, 3, 4, 7 - 5 * (d == 3)], 1] = True  # four or five points of a plane: a polygon
     adj[[0, 1, 5], 2] = True  # a polygon at d = 2, a tetrahedron at d = 3
     adj[[5, 6], 3] = adj[[2, 7], 4] = True  # two triangles
     adj[:, 5] |= d == 2  # at d = 2, all eight points: a polygon
@@ -503,6 +523,25 @@ def test_centroid_round_of_simplices_and_polygons_makes_no_qhull_call(monkeypatc
     simplices = {3: [3, 5, 6], 4: [2, 4, 7]} | ({2: [0, 1, 2, 5]} if d == 3 else {})
     for p, rows in simplices.items():
         assert new_x[p].tobytes() == x[rows].mean(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_centroid_round_in_general_position_at_most_the_cutoff_makes_no_qhull_call(
+        monkeypatch, d, seed):
+    # random points at the cutoff and below: every stack of rank d is
+    # enumerated, every smaller one is a simplex or a segment
+    calls = _count_qhull_calls(monkeypatch)
+    rng = np.random.default_rng(seed)
+    n = ENUM_MAX[d]
+    x = rng.uniform(-1, 1, (n, d))
+    adj = rng.random((n, n)) < 0.6
+    adj[:, 0] = True  # agent 0 stacks all n points
+    np.fill_diagonal(adj, True)
+    with EnumeratedStacks() as enumerated:
+        _centroid_round(x, adj)
+    assert calls == []
+    assert (x - x.mean(axis=0)).tobytes() in enumerated.rows
 
 
 @settings(max_examples=400, deadline=None)
@@ -525,34 +564,59 @@ def test_in_hull_agrees_with_contains(case, query, seed):
 
 
 @st.composite
-def _planar_and_simplex_sets(draw):
-    """(kind, points): 3-16 points at d = 2, or d + 1 points at d = 2-4, in
-    a box of side 2 or 2e-3 centred at 0 or up to 10 from it."""
-    kind = draw(st.sampled_from(["planar", "simplex"]))
-    d = 2 if kind == "planar" else draw(st.integers(2, 4))
+def _planar_and_simplex_sets(draw, kinds=("planar", "simplex")):
+    """(kind, points): 3-16 points at d = 2, d + 1 points at d = 2-4, or 5-16
+    points at d = 3 ("rank 3") or 4 ("rank 4"), in a box of side 2 or 2e-3
+    centred at 0 or up to 10 from it."""
+    kind = draw(st.sampled_from(kinds))
+    d = {"planar": 2, "rank 3": 3, "rank 4": 4}.get(kind) or draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    k = int(rng.integers(3, 17)) if kind == "planar" else d + 1
+    k = d + 1 if kind == "simplex" else int(rng.integers(3 if kind == "planar" else 5, 17))
     offset = draw(st.sampled_from([0.0, 1.0])) * rng.uniform(-10, 10, d)
     return kind, offset + draw(st.sampled_from([1.0, 1e-3])) * rng.uniform(-1, 1, (k, d))
 
 
 # the worst errors over 20,000 such sets were 4.72 ulps planar and 2.0 for
-# simplices (at d = 4); fanning Qhull's hulls of the same sets reaches 27 and
-# 265 (a simplex at d = 3)
-_ULPS = {"planar": 6, "simplex": 3}
+# simplices (at d = 4) with the monotone chain; fanning Qhull's hulls of the
+# same sets reaches 27 and 265 (a simplex at d = 3). Before facet
+# enumeration the worst at rank 3 was 4.25 ulps (over 9,500 sets; 3.44 up to
+# the cutoff) and at rank 4 4.16 (4,500 sets; 3.71 up to the cutoff). Facet
+# enumeration reached 1.99 at rank 3 (11,000 sets), 1.40 at rank 4 (6,000)
+# and 2.43 on planar sets (10,500), where the chain reached 3.88 (1,500)
+_ULPS = {"planar": 6, "simplex": 3, "rank 3": 5, "rank 4": 5}
+
+
+def _all_and_two_short(k):
+    """Reach over k points: agent 0 holds all of them, and agents 1 and 2
+    all but the last and all but the one before, so that a large enough set
+    has the three candidates facet enumeration needs (ENUM_MIN)."""
+    reach = np.ones((k, k), dtype=bool)
+    reach[k - 1, 1] = reach[k - 2, 2] = False
+    return reach
 
 
 @settings(max_examples=300, deadline=None)
-@given(_planar_and_simplex_sets())
+@given(_planar_and_simplex_sets(("planar", "simplex", "rank 3", "rank 4")))
 def test_centroid_is_within_ulps_of_the_exact_centroid(case):
     # the exact references share no code or rounding with the kernel: an
-    # exact monotone chain and shoelace centroid, and the exact vertex mean
+    # exact monotone chain and shoelace centroid, the exact vertex mean, and
+    # exact facet enumeration
     kind, x = case
-    exact = exact_planar_centroid(x) if kind == "planar" else exact_vertex_mean(x)
-    got = _centroid_round(x, np.ones((len(x), len(x)), dtype=bool))
-    assert len(set(map(bytes, got))) == 1
+    exact = {"planar": exact_planar_centroid, "simplex": exact_vertex_mean}.get(kind, exact_hull_centroid)(x)
+    got = _centroid_round(x, _all_and_two_short(len(x)))
     ulp = Fraction(np.spacing(np.abs(x).max()))
     assert max(abs(Fraction(c) - e) for c, e in zip(got[0], exact)) <= _ULPS[kind] * ulp
+
+
+def test_in_hull_tolerance_scales_with_the_points():
+    # 1e-6 of the extent outside a triangle's edge, and its centroid inside,
+    # at unit scale and at 2^-40 (where a tolerance of 1e-9 would swallow
+    # the whole triangle)
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for scale in (0, -40):
+        pts = np.ldexp(tri, scale)
+        assert not in_hull(pts, np.ldexp(np.array([0.5, 0.5 + 1e-6]), scale))
+        assert in_hull(pts, np.ldexp(np.array([1 / 3, 1 / 3]), scale))
 
 
 @settings(max_examples=300, deadline=None)
@@ -573,7 +637,7 @@ def test_hulls_built_without_qhull_agree_with_qhull(case, query, seed):
     x, expected = {"vertex": (a, True), "edge": (a + rng.uniform() * (b - a), True),
                    "box": ((pts.min(axis=0) + pts.max(axis=0)) / 2, True if len(u) <= 2 else None),
                    "outside": (pts[np.argmax(pts @ u)] + 1e-6 * u, False)}[query]
-    tol = MEM_TOL * max(float((pts.max(axis=0) - pts.min(axis=0)).max()), 1.0)
+    tol = max(MEM_TOL * float((pts.max(axis=0) - pts.min(axis=0)).max()), convex_hull(pts).noise)
     inside = (qhull.equations[:, :-1] @ x + qhull.equations[:, -1]).max() <= tol
     assert in_hull(pts, x) == inside
     assert expected is None or inside == expected

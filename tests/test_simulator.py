@@ -481,10 +481,8 @@ def _batch_pattern(draw, n):
 def _batch_start(draw, n, d, seed, tag):
     """None (the seeded draw), a start in exact consensus, grid positions
     that tie and hold zeros of both signs, or positions so large that an
-    update can overflow (not for centroid, whose hull volumes overflow
-    first)."""
-    kinds = ["seeded", "seeded", "consensus", "grid"] + ["huge"] * (tag != "centroid")
-    kind = draw(st.sampled_from(kinds))
+    update can overflow."""
+    kind = draw(st.sampled_from(["seeded", "seeded", "consensus", "grid", "huge"]))
     rng = np.random.default_rng(seed)
     if kind == "consensus":
         return np.full((n, d), rng.choice([-0.0, 0.25, 3.0]))
@@ -530,6 +528,23 @@ def test_every_run_of_a_batch_is_its_own_run_bit_for_bit(specs):
             got, want = getattr(outcome, field), getattr(alone, field)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
         assert outcome.metrics == alone.metrics
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_centroid_run_is_free_of_the_float_scale(k, d, seed):
+    # 2^k x0 is exact, and the centroid rule has no scale of its own: the run
+    # from it takes the unit run's rounds, and its positions scaled back are
+    # the unit run's (at the parent, k = -400 at d = 3 raised GeometryError,
+    # k = 400 gave NaN, and k = -600 stopped after 6 rounds instead of 15)
+    x0 = np.random.default_rng(seed).random((10, d))
+    spec = RunSpec(n=10, d=d, algorithm=AlgorithmKind("centroid"), pattern=random_nonsplit(10, seed=5),
+                   epsilon=1e-6, initial=x0, max_rounds=200)
+    unit = run(spec)
+    scaled = run(RunSpec(**{**vars(spec), "initial": np.ldexp(x0, k)}))
+    assert scaled.metrics.t_eps == unit.metrics.t_eps
+    assert scaled.positions.shape == unit.positions.shape
+    assert np.abs(np.ldexp(scaled.positions, -k) - unit.positions).max() <= 1e-12
 
 
 @pytest.mark.parametrize("algorithm", ["midpoint", "midpoint+amortized", "midpoint+amortized:3"])
