@@ -55,6 +55,7 @@ from .verification import (
     SafenessViolationError,
     audit_safeness,
     check_moreau_assumptions,
+    in_hull,
     moreau_window,
     reconstruct_matrices,
 )
@@ -406,7 +407,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_counterexample(args) -> int:
     mid = np.full(3, 0.5)  # component-wise midpoint of the three unit vectors
-    inside = geometry.in_hull(np.eye(3), mid)
+    inside = in_hull(np.eye(3), mid)
     print("R^3 component-wise midpoint of the unit simplex vertices: [0.5, 0.5, 0.5]")
     print(f"outside hull: {'true' if not inside else 'false'}")
 
@@ -419,7 +420,7 @@ def cmd_counterexample(args) -> int:
         rng = np.random.default_rng((args.seed or 0, s))
         pts = rng.uniform(0.0, 1.0, (int(rng.integers(3, 9)), 2))
         center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
-        if not geometry.in_hull(pts, center):
+        if not in_hull(pts, center):
             failures += 1
     print(f"all inside: {'true' if failures == 0 else 'false'}"
           f" ({seeds} random planar sets, box centers)")

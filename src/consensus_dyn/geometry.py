@@ -1,13 +1,13 @@
-"""d-dimensional hull kernel: exact centroids of hulls, and hull membership.
+"""d-dimensional hull kernel: exact centroids of hulls.
 
 Degenerate (lower-dimensional) point sets are handled by projecting onto an
 orthonormal basis of their affine hull, computing there, and lifting back.
 Tolerances are relative to the point set's largest component extent: 1e-9 of
-it for greedy dedup and for membership, and 1e-9 of the largest singular
-value for the affine-rank cutoff, with a floor at the rounding noise of the
-input coordinates (64 ulps of the largest |coordinate|), so that every test
-scales with the points; membership also allows for what the rank cut
-flattened.
+it for greedy dedup, and 1e-9 of the largest singular value for the
+affine-rank cutoff, with a floor at the rounding noise of the input
+coordinates (64 ulps of the largest |coordinate|), so that every test scales
+with the points. Hull membership is not here: the audits own it
+(`verification.in_hull`).
 
 `hull_centroids` is the centroid rule's round kernel, for every agent of a
 batch of runs at once. A run far from unit scale is first scaled by a power
@@ -22,8 +22,7 @@ it is thin, or a facet plane holds more than d of its points. Every other
 stack takes the per-hull route of the reference in tests/oracles.py, byte
 for byte: the first point at rank 0, a segment's midpoint at rank 1, a
 simplex's vertex mean, Andrew's monotone chain at rank 2, and Qhull once per
-distinct stack above. `in_hull` runs the same dedup, rank cut and hull
-stage on one point set.
+distinct stack above.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 DUP_TOL = 1e-9
-MEM_TOL = 1e-9
 RANK_TOL = 1e-9
 EPS = float(np.finfo(float).eps)
 # facet enumeration, all set by measurement: the most kept rows a stack of
@@ -85,43 +83,14 @@ def _rank_cut(svals: np.ndarray, scale) -> np.ndarray:
     return (svals > floor[..., None]).sum(axis=-1)
 
 
-class _Simplex:
-    """Hull of r + 1 affinely independent points in r dimensions, with the
-    fields of scipy's ConvexHull that the kernel reads: `vertices`,
-    `simplices` (facet i is every point but i) and `equations` (outward unit
-    normals and offsets, inside where normal @ y + offset <= 0)."""
-
-    def __init__(self, points: np.ndarray):
-        k = len(points)
-        self.points = points
-        self.vertices = np.arange(k)
-        self.simplices = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, k - 1)
-
-    @property
-    def equations(self) -> np.ndarray:
-        # row i of the inverse maps [y, 1] to the barycentric coordinate of
-        # vertex i, which is 0 on the facet opposite it and 1 at the vertex
-        bary = np.linalg.inv(np.vstack([self.points.T, np.ones(len(self.points))]))
-        return -bary / np.linalg.norm(bary[:, :-1], axis=1)[:, None]
-
-
 class _Polygon:
     """Hull of planar points from Andrew's monotone chain, with the fields of
     scipy's ConvexHull that the kernel reads: `vertices` counterclockwise from
-    the least point, `simplices` the edges between them, and `equations` their
-    outward unit normals and offsets (inside where normal @ y + offset <= 0)."""
+    the least point and `simplices` the edges between them."""
 
-    def __init__(self, points: np.ndarray, vertices: list):
-        self.points = points
+    def __init__(self, vertices: list):
         self.vertices = np.array(vertices)
         self.simplices = np.array([vertices, vertices[1:] + vertices[:1]]).T
-
-    @property
-    def equations(self) -> np.ndarray:
-        start, end = self.points[self.simplices[:, 0]], self.points[self.simplices[:, 1]]
-        normal = (end - start)[:, ::-1] * [1.0, -1.0]
-        normal /= np.linalg.norm(normal, axis=1)[:, None]
-        return np.column_stack([normal, -(normal * start).sum(axis=1)])
 
 
 def _monotone_chain(points: np.ndarray) -> list:
@@ -151,12 +120,12 @@ def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
     """Hull of the centered rows in their first `rank` principal directions
     (in the input coordinates when rank is the full dimension).
 
-    The hull's shape is known without Qhull in two cases: rank + 1 rows are
-    their own simplex, and a rank-2 set gets Andrew's monotone chain. Qhull
-    (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) builds the rest, at rank
-    >= 3 from at least rank + 2 rows. A set that Qhull finds flat even after
-    joggling, or whose chain has fewer than 3 vertices, has a lower numerical
-    affine dimension than the SVD cut said, so the rank drops by one and the
+    A rank-2 set gets Andrew's monotone chain, and Qhull (Barber, Dobkin and
+    Huhdanpaa, ACM TOMS 1996) builds the hull at rank >= 3. The kernel takes
+    a simplex's centroid (rank + 1 rows) before it gets here, and the rank
+    only drops below: a set that Qhull finds flat even after joggling, or
+    whose chain has fewer than 3 vertices, has a lower numerical affine
+    dimension than the SVD cut said, so the rank drops by one and the
     projection is redone. Returns (rank, basis, proj, hull); hull is None
     below rank 2 and proj is None at rank 0.
     """
@@ -172,18 +141,16 @@ def _reduced_hull(centered: np.ndarray, vt: np.ndarray, rank: int):
             proj = centered @ basis.T
         if rank == 1:
             return 1, basis, proj, None
-        if len(proj) == rank + 1:
-            return rank, basis, proj, _Simplex(proj)
         if rank == 2:
             chain = _monotone_chain(proj)
             if len(chain) > 2:
-                return 2, basis, proj, _Polygon(proj, chain)
+                return 2, basis, proj, _Polygon(chain)
             logger.warning("planar hull is flat; reducing to dim 1")
             rank = 1
             continue
         # Qhull loads on the first hull it builds, not with the package: only
-        # the centroid rule and `counterexample` build hulls, and scipy.spatial
-        # takes longer to import than a whole run of any other rule.
+        # the centroid rule builds hulls, and scipy.spatial takes longer to
+        # import than a whole run of any other rule.
         from scipy.spatial import ConvexHull, QhullError
 
         try:
@@ -541,29 +508,3 @@ def hull_centroids(x: np.ndarray, reach: np.ndarray, dims) -> np.ndarray:
     for b, (d, owner, exp) in enumerate(zip(dims, owners, exps)):
         out[b, :, :d] = np.ldexp(cent[owner, :d], exp) if exp else cent[owner, :d]
     return out
-
-
-def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
-    """True iff x lies within tol of the hull of the (m, d) points: tol is
-    MEM_TOL of their largest component extent, and at least what the rank
-    cut flattened (the largest singular value it dropped, which bounds how
-    far any of the points lies off the affine hull) and the rounding noise
-    of the coordinates (64 ulps of the largest |coordinate|), so that it
-    scales with the points. The hull comes from the kernel's own dedup,
-    rank cut and hull stages."""
-    scale = float(np.abs(points).max())
-    # every agent of a complete reach holds the one stack of all the points
-    unique = points[_stacks(points, np.ones((len(points),) * 2, dtype=bool))[2][0]]
-    origin = unique.mean(axis=0)
-    _, svals, vt = np.linalg.svd(unique - origin, full_matrices=False)
-    rank = min(int(_rank_cut(svals, scale)), len(unique) - 1)
-    rank, basis, proj, hull = _reduced_hull(unique - origin, vt, rank)
-    tol = max(MEM_TOL * float((points.max(axis=0) - points.min(axis=0)).max()), 64 * EPS * scale,
-              float(svals[rank]) if rank < len(svals) else 0.0)
-    diff = x.reshape(1, -1) - origin
-    y = diff @ basis.T
-    if np.linalg.norm(diff - y @ basis, axis=1)[0] > tol:  # off the affine hull
-        return False
-    if rank < 2:
-        return rank == 0 or proj.min() - tol <= y[0, 0] <= proj.max() + tol
-    return (y @ hull.equations[:, :-1].T + hull.equations[:, -1]).max() <= tol

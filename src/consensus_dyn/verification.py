@@ -7,6 +7,10 @@ engine's update path, so agreement is evidence rather than tautology.
 
 Every audit walks the run through one chunked generator, `_blocks`, and the
 matrix reconstruction streams its chunks straight into the Moreau check.
+
+Hull membership, `in_hull`, is a feasibility problem solved by nonnegative
+least squares: no rank cut, dedup or facet equation of the centroid kernel
+takes part in it.
 """
 
 import math
@@ -96,6 +100,32 @@ class MoreauReport:
             "a3_witness": self.a3_witness,
             "a4_witness": self.a4_witness,
         }
+
+
+def in_hull(points: np.ndarray, x: np.ndarray) -> bool:
+    """Whether x lies in the convex hull of the (m, d) points, up to tol: 1e-9
+    of their largest component extent, at least the rounding noise of the
+    coordinates (64 ulps of the largest |coordinate|).
+
+    x is in the hull iff some weights lam >= 0 with sum(lam) = 1 give
+    points.T @ lam = x, so the test is the residual of nonnegative least
+    squares (Lawson and Hanson, Solving Least Squares Problems, 1974) on
+    those d + 1 equations, with the points centered on their mean and
+    divided by a power of two s at least their extent: the scaling is
+    exact, and the answer the same at every scale. A point within tol of
+    the hull reads inside, and one farther than sqrt(d + 1) * tol outside
+    (the residual may trade distance for the weights' sum)."""
+    # scipy.optimize loads here, not with the package: it takes longer to
+    # import than a whole run, and only `counterexample` tests membership
+    from scipy.optimize import nnls
+
+    origin = points.mean(axis=0)
+    extent = float((points.max(axis=0) - points.min(axis=0)).max())
+    tol = max(1e-9 * extent, 64 * np.finfo(float).eps * float(np.abs(points).max()))
+    s = math.ldexp(1.0, math.frexp(extent)[1]) if extent > 0 else 1.0
+    a = np.vstack([(points - origin).T / s, np.ones(len(points))])
+    _, residual = nnls(a, np.append((x - origin) / s, 1.0))
+    return residual * s <= tol
 
 
 def moreau_window(pattern: CommPattern) -> int:

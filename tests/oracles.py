@@ -6,8 +6,10 @@ the whole-array kernel must agree with, the per-hull `convex_hull` and
 stacks it does not enumerate, exact centroids in `fractions.Fraction` (a
 polygon's, a simplex's and, by facet enumeration, any full-rank hull's) and
 `check_kernel_centroid`, which holds each kernel centroid to the right one
-of them, the one-round margin row that `simulator.run`'s margins must match, the hull
-membership test `contains`, a Monte Carlo centroid, the hyperpyramid that
+of them, the one-round margin row that `simulator.run`'s margins must match, the facet
+reference for hull membership, `contains` (half-spaces of the per-hull
+reference's facets, which `verification.in_hull` is compared against where
+the rank is not ambiguous), a Monte Carlo centroid, the hyperpyramid that
 attains the centroid's safety constant, the scalar convex-combination
 construction that `reconstruct_matrices` vectorizes, a naive pure-Python
 scalar engine for tiny instances, per-macro-round contraction ratios, the
@@ -26,9 +28,13 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from consensus_dyn.algorithms import AlgorithmKind
-from consensus_dyn.geometry import DUP_TOL, MEM_TOL, GeometryError, _rank_cut, _reduced_hull
+from consensus_dyn.geometry import DUP_TOL, GeometryError, _rank_cut, _reduced_hull
 from consensus_dyn.graphs import CommGraph
 from consensus_dyn.simulator import RANGE_FLOOR, RunTrace
+from consensus_dyn.verification import in_hull
+
+# membership tolerance of `contains`, relative to the hull's extent
+MEM_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +214,20 @@ def convex_hull(points, d: Optional[int] = None) -> Polytope:
                         proj, proj[idx].copy(), None, None, extent, noise)
     idx = hull.vertices
     return Polytope(unique[idx].copy(), dim, rank, origin, basis,
-                    proj, proj[idx].copy(), hull.equations.copy(),
+                    proj, proj[idx].copy(), _equations(proj, hull),
                     hull.simplices.copy(), extent, noise)
+
+
+def _equations(proj: np.ndarray, hull) -> np.ndarray:
+    """Facet half-spaces of a hull from `_reduced_hull`: Qhull's own, or a
+    monotone chain's edges, counterclockwise, with their outward unit
+    normals and offsets."""
+    if hasattr(hull, "equations"):
+        return hull.equations.copy()
+    start, end = proj[hull.simplices[:, 0]], proj[hull.simplices[:, 1]]
+    normal = (end - start)[:, ::-1] * [1.0, -1.0]
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    return np.column_stack([normal, -(normal * start).sum(axis=1)])
 
 
 def rank_is_ambiguous(points) -> bool:
@@ -386,7 +404,9 @@ def check_kernel_centroid(got: np.ndarray, stack: np.ndarray, enumerated: Set[by
     the reference has them, are among the bytes in `enumerated`), within
     ENUM_ULPS_PER_COND of the exact centroid; where the rank is ambiguous
     the kernel's rank cut may differ from the reference's, and `got` need
-    only lie in the hull."""
+    only lie in the hull, by `verification.in_hull`, which has no rank cut:
+    the facet reference `contains` can put a sliver's own points outside
+    exactly there."""
     poly = convex_hull(stack)
     if poly.proj_points.tobytes() in enumerated:
         svals = np.linalg.svd(poly.proj_points, compute_uv=False)
@@ -394,7 +414,7 @@ def check_kernel_centroid(got: np.ndarray, stack: np.ndarray, enumerated: Set[by
         error = max(abs(Fraction(c) - e) for c, e in zip(got, exact_hull_centroid(poly.vertices)))
         assert error <= ulps * Fraction(np.spacing(np.abs(stack).max())), (got, stack)
     elif rank_is_ambiguous(stack):
-        assert contains(poly, got), (got, stack)
+        assert in_hull(stack, got), (got, stack)
     else:
         assert got.tobytes() == centroid(poly).centroid.tobytes(), (got, stack)
 

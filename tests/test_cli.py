@@ -897,13 +897,13 @@ _IMPORT_CHECK = """
 import json, sys
 from consensus_dyn.cli import main
 code = main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([code, "scipy.spatial" in sys.modules]))
+print(json.dumps([code, "scipy.spatial" in sys.modules, "scipy.optimize" in sys.modules]))
 """
 
 
 def _loads_scipy_spatial(tmp_path, cfg):
-    """(exit code, whether scipy.spatial was imported) of a `run` of cfg in
-    a fresh interpreter."""
+    """(exit code, whether scipy.spatial was imported, whether
+    scipy.optimize was) of a `run` of cfg in a fresh interpreter."""
     path = _write(tmp_path, cfg)
     env = dict(os.environ, PYTHONPATH=str(Path(consensus_dyn.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK, path, str(tmp_path / "out")],
@@ -915,12 +915,13 @@ def _loads_scipy_spatial(tmp_path, cfg):
 @pytest.mark.parametrize("algorithm, loaded", [("extreme-point", False), ("centroid", True)])
 def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
     # only Qhull hulls need scipy.spatial: a run of any other rule never
-    # imports it. Every agent of a complete graph on 12 agents at d = 3
-    # stacks 12 points of rank 3, more than facet enumeration takes, whose
-    # hull only Qhull builds.
+    # imports it. No run imports scipy.optimize, not even with every audit
+    # on: only hull membership needs it. Every agent of a complete graph on
+    # 12 agents at d = 3 stacks 12 points of rank 3, more than facet
+    # enumeration takes, whose hull only Qhull builds.
     cfg = {"n": 12, "d": 3, "algorithm": algorithm, "epsilon": 1e-6,
            "pattern": {"family": "complete"}, "audits": ALL_AUDITS}
-    assert _loads_scipy_spatial(tmp_path, cfg) == [0, loaded]
+    assert _loads_scipy_spatial(tmp_path, cfg) == [0, loaded, False]
 
 
 @pytest.mark.parametrize("algorithm, pattern", [
@@ -929,10 +930,10 @@ def test_scipy_spatial_loads_at_the_first_hull(tmp_path, algorithm, loaded):
     ("centroid+amortized", {"family": "rotating-star"})])
 def test_planar_centroid_run_never_loads_scipy_spatial(tmp_path, algorithm, pattern):
     # below rank 3 every hull is a segment, a simplex, a monotone chain or
-    # facet enumeration
+    # facet enumeration; the audit needs no hull membership
     cfg = {"n": 8, "d": 2, "algorithm": algorithm, "epsilon": 1e-6, "pattern": pattern,
            "audits": {"safeness": True}}
-    assert _loads_scipy_spatial(tmp_path, cfg) == [0, False]
+    assert _loads_scipy_spatial(tmp_path, cfg) == [0, False, False]
 
 
 def test_each_call_generates_each_round_graph_once(tmp_path, monkeypatch):
