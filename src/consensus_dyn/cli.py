@@ -30,13 +30,11 @@ from .graphs import (
     _is_int,
     adversarial_rotating_star,
     bidirectional_intermittent,
-    complete_graph,
     fixed,
     graph_from_json,
     graph_to_json,
     random_nonsplit,
     random_rooted,
-    self_loops_only,
 )
 from .simulator import (
     RunSpec,
@@ -169,8 +167,8 @@ _SEED = (0, _int(0))
 _PATTERNS = {
     "fixed": ({"graph": (_REQUIRED, lambda v, where: graph_to_json(graph_from_json(v)))},
               lambda pat, n: fixed(graph_from_json(pat["graph"]))),
-    "complete": ({}, lambda pat, n: fixed(complete_graph(n))),
-    "self-loops": ({}, lambda pat, n: fixed(self_loops_only(n))),
+    "complete": ({}, lambda pat, n: fixed(np.ones((n, n), dtype=bool))),
+    "self-loops": ({}, lambda pat, n: fixed(np.eye(n, dtype=bool))),
     "random-rooted": ({"seed": _SEED}, lambda pat, n: random_rooted(n, seed=pat["seed"])),
     "random-nonsplit": ({"seed": _SEED}, lambda pat, n: random_nonsplit(n, seed=pat["seed"])),
     "rotating-star": ({}, lambda pat, n: adversarial_rotating_star(n)),

@@ -146,7 +146,7 @@ def initial_positions(spec: RunSpec) -> np.ndarray:
     return initial.copy()
 
 
-def _margin_row(positions: np.ndarray, ends: List[np.ndarray], period: int) -> np.ndarray:
+def _margin_row(positions: np.ndarray, ends: Sequence[np.ndarray], period: int) -> np.ndarray:
     """(T, n) realized relative margins of a run's (T+1, n, d) positions;
     row t-1 is round t. At the block ends t = period, 2·period, ... agent p's
     margin is measured against the range of positions[t - period] over the
@@ -162,7 +162,7 @@ def _margin_row(positions: np.ndarray, ends: List[np.ndarray], period: int) -> n
     with np.errstate(divide="ignore", invalid="ignore"):
         for first in range(0, len(block_ends), per_chunk):
             t = block_ends[first:first + per_chunk]
-            reach, prev = np.stack(ends[first:first + per_chunk]), positions[t - period]
+            reach, prev = np.asarray(ends[first:first + per_chunk]), positions[t - period]
             low, high = masked_min(prev, reach), masked_max(prev, reach)
             new = positions[t]
             span = high - low
@@ -237,7 +237,10 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
             thresholds[i] = np.where(active, specs[i].epsilon * delta0, np.inf)
     live = list(thresholds)
     period = effective_period(kind, n)
-    ends: List[np.ndarray] = []  # the reach matrix of every block end
+    # the reach matrix of every block end; at period 1 that is the round's
+    # graph, read from the stack after the loop, since views of its rounds
+    # would keep alive every buffer the stack has outgrown
+    ends = []
     segments = []  # (live runs, their (rounds, B, n, D) positions) per stretch of rounds
     if live:
         if graphs is None:
@@ -262,7 +265,7 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
                 reach = adj if (t - 1) % period == 0 else reach @ adj
                 x = step(x, reach, kind, t, seeds, dims)
                 rows.append(x)
-                if t % period == 0:
+                if period > 1 and t % period == 0:
                     ends.append(reach)
                 # the ufuncs' own reductions: x.max, x.min and all without
                 # their Python wrappers, a few microseconds a round
@@ -289,6 +292,8 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
                 seeds = tuple(specs[i].seed for i in live)
                 x, threshold = x[~done, :, :max(dims)], threshold[~done, :max(dims)]
                 rows = []
+        if period == 1:
+            ends = graphs.first(t)
     for i, x0 in starts.items():
         if outcomes[i] is not None:
             continue

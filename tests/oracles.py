@@ -12,8 +12,9 @@ reference's facets, which `verification.in_hull` is compared against where
 the rank is not ambiguous), a Monte Carlo centroid, the hyperpyramid that
 attains the centroid's safety constant, the scalar convex-combination
 construction that `reconstruct_matrices` vectorizes, a naive pure-Python
-scalar engine for tiny instances, per-macro-round contraction ratios, the
-graph operations the tests build expectations from, each round's own random
+scalar engine for tiny instances, per-macro-round contraction ratios,
+graphs by edge list, patterns given round by round, the graph operations
+the tests build expectations from, each round's own random
 stream as the pattern families define it, and the round-graph count of the
 stack's read-ahead rule.
 """
@@ -23,13 +24,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from consensus_dyn.algorithms import AlgorithmKind
 from consensus_dyn.geometry import DUP_TOL, GeometryError, _rank_cut, _reduced_hull
-from consensus_dyn.graphs import CommGraph
 from consensus_dyn.simulator import RANGE_FLOOR, RunTrace
 from consensus_dyn.verification import in_hull
 
@@ -483,23 +483,44 @@ def build_hyperpyramid(d: int, L: float, theta: float) -> Polytope:
 # graphs
 
 
-def in_neighbors(g: CommGraph, p: int) -> Set[int]:
+def from_edges(n: int, edges: Iterable[Tuple[int, int]]) -> np.ndarray:
+    """The read-only (n, n) adjacency of the (sender, receiver) pairs, with
+    every self-loop added."""
+    adj = np.eye(n, dtype=bool)
+    for p, q in edges:
+        if not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"edge ({p}, {q}) out of range for n={n}")
+        adj[p, q] = True
+    adj.flags.writeable = False
+    return adj
+
+
+def per_round(graph_fn: Callable[[int], np.ndarray]) -> Callable[[int, np.ndarray], None]:
+    """The `CommPattern` fill function of a pattern given as a function of
+    one round, filled round by round."""
+    def fill(t0: int, out: np.ndarray) -> None:
+        for i in range(len(out)):
+            out[i] = graph_fn(t0 + i)
+    return fill
+
+
+def in_neighbors(adj: np.ndarray, p: int) -> Set[int]:
     """Agents q with an edge q -> p (always includes p itself)."""
-    if not (0 <= p < g.n):
-        raise ValueError(f"agent {p} out of range for n={g.n}")
-    return {int(q) for q in np.nonzero(g.adj[:, p])[0]}
+    if not (0 <= p < len(adj)):
+        raise ValueError(f"agent {p} out of range for n={len(adj)}")
+    return {int(q) for q in np.nonzero(adj[:, p])[0]}
 
 
-def graph_product(g: CommGraph, h: CommGraph) -> CommGraph:
+def graph_product(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Relational composition: edge p->q iff p->r in g and r->q in h for some r."""
-    if g.n != h.n:
-        raise ValueError(f"size mismatch: {g.n} != {h.n}")
-    prod = (g.adj.astype(np.uint8) @ h.adj.astype(np.uint8)) > 0
-    return CommGraph(g.n, prod)
+    if g.shape != h.shape:
+        raise ValueError(f"size mismatch: {len(g)} != {len(h)}")
+    # int64 path counts, which no graph that fits in memory can wrap
+    return (g.astype(np.int64) @ h.astype(np.int64)) > 0
 
 
-def is_bidirectional(g: CommGraph) -> bool:
-    return bool((g.adj == g.adj.T).all())
+def is_bidirectional(adj: np.ndarray) -> bool:
+    return bool((adj == adj.T).all())
 
 
 def round_rng(seed: int, t: int) -> np.random.Generator:
@@ -587,7 +608,7 @@ def decompose_safe_value(values: Sequence[float], x: float, alpha: float) -> Lis
     return a
 
 
-def brute_force_consensus_1d(values: Sequence[float], graphs: Sequence[CommGraph],
+def brute_force_consensus_1d(values: Sequence[float], graphs: Sequence[np.ndarray],
                              algorithm: AlgorithmKind) -> List[List[float]]:
     """Naive scalar reference: iterate explicit weight vectors over a fixed
     list of round graphs, pure Python throughout. Supports the non-amortized
@@ -607,8 +628,8 @@ def brute_force_consensus_1d(values: Sequence[float], graphs: Sequence[CommGraph
         raise ValueError(f"unknown algorithm {tag!r}")
     trace = [list(xs)]
     for g in graphs:
-        if g.n != n:
-            raise ValueError(f"graph on {g.n} nodes, expected {n}")
+        if len(g) != n:
+            raise ValueError(f"graph on {len(g)} nodes, expected {n}")
         new = []
         for p in range(n):
             nbrs = sorted(in_neighbors(g, p))

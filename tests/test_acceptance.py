@@ -14,7 +14,6 @@ from conftest import check
 from consensus_dyn import cli
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha
 from consensus_dyn.graphs import (
-    CommGraph,
     RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
@@ -235,9 +234,8 @@ def test_06_amortized_centroid_bound_and_linear_growth():
 def _random_rooted_graph(rng, n):
     while True:
         adj = np.eye(n, dtype=bool) | (rng.random((n, n)) < 0.35)
-        g = CommGraph(n, adj)
-        if is_rooted(g):
-            return g
+        if is_rooted(adj):
+            return adj
 
 
 def test_07_rooted_products_are_nonsplit():
@@ -251,9 +249,8 @@ def test_07_rooted_products_are_nonsplit():
         for b, (p, q) in zip(bits, offdiag):
             if b:
                 adj[p, q] = True
-        g = CommGraph(3, adj)
-        if is_rooted(g):
-            rooted3.append(g)
+        if is_rooted(adj):
+            rooted3.append(adj)
     counterexamples = 0
     checked = 0
     for g1 in rooted3:
@@ -420,7 +417,7 @@ def test_12_brute_force_agreement_and_bit_identical_output(tmp_path):
                           (4, lambda n: random_nonsplit(n, seed=9))]:
             pattern = pat_fn(n)
             init = np.random.default_rng((12, n, cases)).uniform(-1.0, 1.0, n)
-            graphs = [pattern.graph(t) for t in range(1, 13)]
+            graphs = pattern.rounds(1, 13)
             oracle = brute_force_consensus_1d(list(init), graphs, AlgorithmKind(tag))
             spec = RunSpec(n=n, d=1, algorithm=AlgorithmKind(tag), pattern=pattern,
                            epsilon=1e-300, initial=init[:, None], max_rounds=12, seed=0)

@@ -43,7 +43,7 @@ def _rounds(kind, x0, pattern, rounds, period):
     # positions after round t) for each round
     x = x0
     for t in range(1, rounds + 1):
-        adj = pattern.graph(t).adj
+        adj = pattern.rounds(t, t + 1)[0]
         reach = adj if (t - 1) % period == 0 else reach @ adj
         start, x = x, x if t % period else _rule(kind, x, reach, t)
         yield t, start, reach, x
@@ -305,9 +305,9 @@ def test_block_ends_match_reference_updates():
                         positions = run(spec).positions
                     for t in range(period, len(positions), period):
                         start = positions[t - period]
-                        reach = pattern.graph(t - period + 1).adj
+                        reach = pattern.rounds(t - period + 1, t - period + 2)[0]
                         for s in range(t - period + 2, t + 1):
-                            reach = reach @ pattern.graph(s).adj
+                            reach = reach @ pattern.rounds(s, s + 1)[0]
                         for p in range(n):
                             ids = np.flatnonzero(reach[:, p])
                             got = positions[t, p]

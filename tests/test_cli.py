@@ -422,8 +422,9 @@ def test_audits_read_only_the_runs_round_graphs(tmp_path, monkeypatch):
     monkeypatch.setattr(RoundGraphs, "first", lambda self, rounds:
                         reads.append(rounds) or first(self, rounds))
     assert main(["run", "--config", path, "--out", out]) == 0
-    # the engine's loop generated its rounds ahead; the audits read its 18
-    assert calls == _read_ahead(18) and reads == [18]
+    # the engine's loop generated its rounds ahead, and it and the audits
+    # read its 18
+    assert calls == _read_ahead(18) and reads == [18, 18]
     summary = json.loads((Path(out) / "summary.json").read_text())
     assert summary["rounds"] == 18
     moreau = summary["audits"]["moreau"]
@@ -562,9 +563,9 @@ def test_verify_accepts_a_period_beyond_int64(tmp_path, capsys):
 def test_memory_error_exits_2(tmp_path, monkeypatch, capsys):
     # a graph too large for memory is reported, not a traceback; nothing
     # here allocates it for real
-    def too_large(n):
+    def too_large(pat, n):
         raise MemoryError(f"Unable to allocate an ({n}, {n}) array")
-    monkeypatch.setattr(cli, "complete_graph", too_large)
+    monkeypatch.setitem(cli._PATTERNS, "complete", (cli._PATTERNS["complete"][0], too_large))
     path = _write(tmp_path, _minimal())
     for command in ("run", "verify"):
         capsys.readouterr()
@@ -982,6 +983,17 @@ def test_fixed_pattern_bound_generates_no_round(tmp_path, monkeypatch):
         assert calls == generated, command
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert (summary["rounds"], summary["bound_t"]) == (1, 20)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_complete_graph_has_its_bound_at_any_size(tmp_path, n):
+    # 256 common in-neighbours must not count as none: the complete graph is
+    # nonsplit at every n, so its midpoint bound is ceil(log2(1e6)) = 20
+    cfg = {"n": n, "d": 1, "algorithm": "midpoint", "pattern": {"family": "complete"},
+           "epsilon": 1e-6, "seed": 1}
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["bound_t"] == 20
 
 
 def test_equal_neighbor_alone_has_a_one_round_bound(tmp_path):

@@ -54,7 +54,7 @@ def test_oracles_import_nothing_of_the_package_but_shared_stages_and_types():
     # hull stage they share with the centroid kernel, the types they read,
     # and the audits' hull membership, which shares no stage with the kernel
     allowed = {"geometry": {"DUP_TOL", "GeometryError", "_rank_cut", "_reduced_hull"},
-               "algorithms": {"AlgorithmKind"}, "graphs": {"CommGraph"},
+               "algorithms": {"AlgorithmKind"},
                "simulator": {"RANGE_FLOOR", "RunTrace"}, "verification": {"in_hull"}}
     for node in ast.walk(ast.parse(ORACLES.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("consensus_dyn"):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -10,16 +11,12 @@ from consensus_dyn import simulator
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, parse_kind
 from consensus_dyn.graphs import (
     READ_AHEAD,
-    CommGraph,
     CommPattern,
     adversarial_rotating_star,
     bidirectional_intermittent,
-    complete_graph,
     fixed,
-    per_round,
     random_nonsplit,
     random_rooted,
-    self_loops_only,
 )
 from consensus_dyn.simulator import (
     Metrics,
@@ -37,7 +34,15 @@ from consensus_dyn.simulator import (
     write_margins_csv,
     write_trace_csv,
 )
-from oracles import contains, convex_hull, margin_row, measure_contraction, rounds_read_ahead
+from oracles import (
+    contains,
+    convex_hull,
+    from_edges,
+    margin_row,
+    measure_contraction,
+    per_round,
+    rounds_read_ahead,
+)
 
 
 def _spec(**kw):
@@ -54,7 +59,7 @@ def test_step_self_loops_only_is_identity():
         kind = AlgorithmKind(tag)
         rng = np.random.default_rng(1)
         x = rng.uniform(0, 1, (3, d))
-        out = step(x[None], self_loops_only(3).adj, kind, 1, (0,), (d,))[0]
+        out = step(x[None], np.eye(3, dtype=bool), kind, 1, (0,), (d,))[0]
         assert out.shape == x.shape
         assert np.allclose(out, x, atol=1e-12)
 
@@ -62,14 +67,14 @@ def test_step_self_loops_only_is_identity():
 def test_step_complete_graph_midpoint():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("midpoint")
-    out = step(x[None], complete_graph(3).adj, kind, 1, (0,), (1,))[0]
+    out = step(x[None], np.ones((3, 3), dtype=bool), kind, 1, (0,), (1,))[0]
     assert np.array_equal(out, np.full((3, 1), 1.0))
 
 
 def test_step_complete_graph_equal_neighbor():
     x = np.array([[0.0], [1.0], [2.0]])
     kind = AlgorithmKind("equal-neighbor")
-    out = step(x[None], complete_graph(3).adj, kind, 1, (0,), (1,))[0]
+    out = step(x[None], np.ones((3, 3), dtype=bool), kind, 1, (0,), (1,))[0]
     assert np.allclose(out, 1.0)
 
 
@@ -77,11 +82,11 @@ def test_step_size_mismatch():
     x = np.zeros((3, 1))
     kind = AlgorithmKind("midpoint")
     with pytest.raises(ValueError):
-        step(x[None], self_loops_only(4).adj, kind, 1, (0,), (1,))
+        step(x[None], np.eye(4, dtype=bool), kind, 1, (0,), (1,))
 
 
 def test_run_single_agent():
-    trace = run(_spec(n=1, pattern=fixed(self_loops_only(1))))
+    trace = run(_spec(n=1, pattern=fixed(np.eye(1, dtype=bool))))
     assert trace.metrics.t_eps == 0
     assert trace.metrics.converged
 
@@ -169,10 +174,10 @@ def test_amortized_bound_matches_the_per_rule_base_table():
 
 
 def test_theorem_bound_fixed_graph_classification():
-    g = complete_graph(3)
+    g = np.ones((3, 3), dtype=bool)
     spec = _spec(n=3, pattern=fixed(g), epsilon=1e-3)
     assert theorem_bound(spec) == 10  # ceil(log2 1000)
-    chain = CommGraph.from_edges(3, [(0, 1), (1, 2)])
+    chain = from_edges(3, [(0, 1), (1, 2)])
     spec = _spec(n=3, pattern=fixed(chain), epsilon=1e-3)
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)  # rooted but not nonsplit, per-round rule
@@ -185,7 +190,7 @@ def test_theorem_bound_unsupported():
     spec = _spec(pattern=bidirectional_intermittent(4, period=3, seed=0))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
-    spec = _spec(pattern=CommPattern(4, per_round(lambda t: complete_graph(4))))
+    spec = _spec(pattern=CommPattern(4, per_round(lambda t: np.ones((4, 4), dtype=bool))))
     with pytest.raises(UnsupportedScenarioError):
         theorem_bound(spec)
     # the amortized component-wise midpoint has no bound on file
@@ -219,12 +224,12 @@ def test_run_permutation_equivariance():
     perm = np.array([3, 0, 4, 1, 2])
 
     def permuted_graph(t):
-        adj = base.graph(t).adj
+        adj = base.rounds(t, t + 1)[0]
         out = np.zeros_like(adj)
         for p in range(n):
             for q in range(n):
                 out[perm[p], perm[q]] = adj[p, q]
-        return CommGraph(n, out)
+        return out
 
     rng = np.random.default_rng(8)
     x0 = rng.uniform(0, 1, (n, d))
@@ -258,7 +263,8 @@ def test_run_validity_hull_shrinks():
 
 
 def test_run_margins_midpoint_complete_graph():
-    spec = _spec(n=3, pattern=fixed(complete_graph(3)), initial=np.array([[0.0], [1.0], [2.0]]))
+    spec = _spec(n=3, pattern=fixed(np.ones((3, 3), dtype=bool)),
+                 initial=np.array([[0.0], [1.0], [2.0]]))
     trace = run(spec)
     assert trace.margins.shape[1] == 3
     assert np.allclose(trace.margins[0], 0.5)
@@ -276,7 +282,7 @@ def test_run_mixed_degenerate_components():
 
 
 def test_run_non_convergence_is_recorded():
-    spec = _spec(n=2, pattern=fixed(self_loops_only(2)),
+    spec = _spec(n=2, pattern=fixed(np.eye(2, dtype=bool)),
                  initial=np.array([[0.0], [1.0]]), max_rounds=50)
     trace = run(spec)
     assert not trace.metrics.converged
@@ -288,14 +294,14 @@ def test_run_non_convergence_is_recorded():
 
 def test_run_stops_at_the_first_non_finite_position():
     # midpoints of 1e308 and 1.7e308 overflow to inf in round 1
-    spec = _spec(n=3, pattern=fixed(complete_graph(3)),
+    spec = _spec(n=3, pattern=fixed(np.ones((3, 3), dtype=bool)),
                  initial=np.array([[1.7e308], [1e308], [1.7e308]]), max_rounds=50)
     with pytest.raises(ValueError, match=r"^round 1: agent 0 has a non-finite position inf"):
         run(spec)
     # finite positions whose range alone overflows are rejected before round
     # 1: epsilon times an infinite range would pass every range
     spec = _spec(n=2, algorithm=AlgorithmKind("equal-neighbor"),
-                 pattern=fixed(self_loops_only(2)),
+                 pattern=fixed(np.eye(2, dtype=bool)),
                  initial=np.array([[0.0, 1.7e308], [0.0, -1.7e308]]), d=2, max_rounds=3)
     with pytest.raises(ValueError, match=r"^the range of the initial positions overflows a float"
                                          r" in component 1: 1\.7e\+308 - -1\.7e\+308$"):
@@ -303,7 +309,7 @@ def test_run_stops_at_the_first_non_finite_position():
 
 
 def test_measure_contraction_zero_floor():
-    spec = _spec(n=3, pattern=fixed(complete_graph(3)),
+    spec = _spec(n=3, pattern=fixed(np.ones((3, 3), dtype=bool)),
                  initial=np.array([[0.0], [1.0], [2.0]]), max_rounds=3, epsilon=1e-30)
     trace = run(spec)
     ratios = measure_contraction(trace, 1)
@@ -372,9 +378,9 @@ def test_amortized_margins_are_block_end_margins():
 
 def _block_reach(pattern, first, last):
     """Boolean product of the round graphs first..last of `pattern`."""
-    reach = pattern.graph(first).adj
+    reach = pattern.rounds(first, first + 1)[0]
     for t in range(first + 1, last + 1):
-        reach = reach @ pattern.graph(t).adj
+        reach = reach @ pattern.rounds(t, t + 1)[0]
     return reach
 
 
@@ -468,9 +474,9 @@ def _batch_pattern(draw, n):
     if family == "fixed":
         adj = np.random.default_rng(seed).random((n, n)) < 0.4
         np.fill_diagonal(adj, True)
-        return fixed(CommGraph(n, adj))
-    return {"complete": lambda: fixed(complete_graph(n)),
-            "self-loops": lambda: fixed(self_loops_only(n)),
+        return fixed(adj)
+    return {"complete": lambda: fixed(np.ones((n, n), dtype=bool)),
+            "self-loops": lambda: fixed(np.eye(n, dtype=bool)),
             "rotating-star": lambda: adversarial_rotating_star(n),
             "random-nonsplit": lambda: random_nonsplit(n, seed=seed),
             "random-rooted": lambda: random_rooted(n, seed=seed),
@@ -581,7 +587,26 @@ def test_run_calls_each_layer_the_benchmark_times_as_often_as_it_counts(monkeypa
 def test_run_stops_at_the_first_round_whose_range_equals_the_threshold():
     # agent 1 holds still and agent 0 moves halfway to it: the range halves
     # every round and meets epsilon * delta0 = 0.25 exactly at round 2
-    pattern = fixed(CommGraph.from_edges(2, [(1, 0)]))
+    pattern = fixed(from_edges(2, [(1, 0)]))
     trace = run(_spec(n=2, pattern=pattern, initial=np.array([[0.0], [1.0]]), epsilon=0.25))
     assert trace.deltas[:, 0].tolist() == [1.0, 0.5, 0.25]
     assert trace.metrics.t_eps == 2
+
+
+def test_a_run_holds_only_the_last_buffer_of_its_round_graphs():
+    # at period 1 a block end's reach matrix is its round's graph: the trace
+    # holds those through the stack's last buffer, not through views that
+    # keep alive every buffer the stack has outgrown (as much again)
+    n, rounds = 32, 4000
+    spec = _spec(n=n, pattern=fixed(np.eye(n, dtype=bool)), max_rounds=rounds)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(spec)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(trace.positions) == rounds + 1
+    stack = rounds_read_ahead(rounds, READ_AHEAD) * n * n
+    assert held < 1.5 * stack + 2 * trace.positions.nbytes, (held, stack)
+    assert np.isnan(trace.margins).all()

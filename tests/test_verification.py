@@ -11,18 +11,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from consensus_dyn.algorithms import AlgorithmKind, claimed_alpha, effective_period
 from consensus_dyn.graphs import (
-    CommGraph,
     CommPattern,
     RoundGraphs,
     adversarial_rotating_star,
     bidirectional_intermittent,
-    complete_graph,
     fixed,
     is_strongly_connected,
-    per_round,
     random_nonsplit,
     random_rooted,
-    self_loops_only,
 )
 from consensus_dyn import verification
 from consensus_dyn.simulator import RANGE_FLOOR, RunSpec, RunTrace, run
@@ -40,9 +36,11 @@ from consensus_dyn.verification import (
 from oracles import (
     brute_force_consensus_1d,
     decompose_safe_value,
+    from_edges,
     graph_product,
     in_neighbors,
     is_bidirectional,
+    per_round,
 )
 
 
@@ -72,9 +70,9 @@ def _matrices(positions, graphs, alpha):
 
 
 def test_audit_midpoint_complete_graph_is_exactly_half():
-    trace = _run(3, 1, "midpoint", fixed(complete_graph(3)),
-                 initial=np.array([[0.0], [1.0], [2.0]]))
-    report = audit_safeness(trace.positions, _graphs_of(trace, fixed(complete_graph(3))), 0.5)
+    pattern = fixed(np.ones((3, 3), dtype=bool))
+    trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
+    report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.5)
     assert report.worst_alpha == 0.5
     assert report.violations == []
 
@@ -96,7 +94,7 @@ def test_audit_extreme_point_d2():
 
 
 def test_audit_vacuous_when_nothing_moves():
-    pattern = fixed(self_loops_only(3))
+    pattern = fixed(np.eye(3, dtype=bool))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
     report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.5)
@@ -122,11 +120,11 @@ def test_audit_amortized_macro_blocks():
 
 
 def test_audit_validation():
-    pattern = fixed(complete_graph(3))
+    pattern = fixed(np.ones((3, 3), dtype=bool))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
     graphs = _graphs_of(trace, pattern)
     with pytest.raises(ValueError):
-        audit_safeness(trace.positions, _graphs_of(trace, fixed(complete_graph(4))), 0.5)
+        audit_safeness(trace.positions, _graphs_of(trace, fixed(np.ones((4, 4), dtype=bool))), 0.5)
     with pytest.raises(ValueError):
         audit_safeness(trace.positions, graphs, 0.5, period=0)
     flat = _run(3, 1, "midpoint", pattern, initial=np.zeros((3, 1)))
@@ -135,7 +133,7 @@ def test_audit_validation():
 
 
 def test_safeness_report_json():
-    pattern = fixed(complete_graph(3))
+    pattern = fixed(np.ones((3, 3), dtype=bool))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
     report = audit_safeness(trace.positions, _graphs_of(trace, pattern), 0.5)
     blob = json.dumps(report.to_json())
@@ -148,7 +146,7 @@ def test_safeness_report_json():
 def test_safeness_report_json_is_the_summary_fragment():
     # every agent holds its value on the complete graph: agents 0 and 2 sit on
     # the ends of the received range, two violations a round for 15 rounds
-    graphs = _stack(fixed(complete_graph(3)), 15)
+    graphs = _stack(fixed(np.ones((3, 3), dtype=bool)), 15)
     forged = np.tile(np.array([[0.0], [1.0], [2.0]]), (16, 1, 1))
     report = audit_safeness(forged, graphs, 0.5)
     assert len(report.violations) == 30
@@ -157,7 +155,7 @@ def test_safeness_report_json_is_the_summary_fragment():
     assert blob["violations"] == [list(v) for v in report.violations[:20]]
     assert blob["worst_alpha"] == 0.0 and blob["passed"] is False
     # nobody hears anybody else: every constraint is vacuous
-    vacuous = audit_safeness(forged, _stack(fixed(self_loops_only(3)), 15), 0.5)
+    vacuous = audit_safeness(forged, _stack(fixed(np.eye(3, dtype=bool)), 15), 0.5)
     assert math.isinf(vacuous.worst_alpha)
     assert json.loads(json.dumps(vacuous.to_json()))["worst_alpha"] is None
 
@@ -219,7 +217,7 @@ def test_decompose_random_triples():
 
 
 def test_reconstruct_self_loops_identity():
-    pattern = fixed(self_loops_only(3))
+    pattern = fixed(np.eye(3, dtype=bool))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
     matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
@@ -229,7 +227,7 @@ def test_reconstruct_self_loops_identity():
 
 
 def test_reconstruct_midpoint_complete_graph_row():
-    pattern = fixed(complete_graph(3))
+    pattern = fixed(np.ones((3, 3), dtype=bool))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
     matrices = _matrices(trace.positions, _graphs_of(trace, pattern), 0.5)
     # x_p = 1 decomposes over (0,1,2) as alpha/3 plus the two-point split
@@ -245,8 +243,8 @@ def test_reconstruct_invariants():
     assert T == len(trace.positions) - 1
     scale = float(np.abs(trace.positions).max())
     for t in range(T):
-        g = pattern.graph(t + 1)
-        reversed_adj = g.adj.T
+        g = pattern.rounds(t + 1, t + 2)[0]
+        reversed_adj = g.T
         for k in range(2):
             A = matrices[t, k]
             assert np.all(A >= 0) and np.all(A <= 1 + 1e-15)
@@ -268,7 +266,7 @@ def test_reconstruct_component_matrices_differ_for_centroid():
 
 
 def test_reconstruct_rejects_unsafe_trace():
-    pattern = fixed(complete_graph(3))
+    pattern = fixed(np.ones((3, 3), dtype=bool))
     trace = _run(3, 1, "midpoint", pattern, initial=np.array([[0.0], [1.0], [2.0]]))
     bad = trace.positions.copy()
     bad[1, 0, 0] = 2.5  # outside the received interval [0, 2]
@@ -281,7 +279,7 @@ def test_reconstruct_rejects_unsafe_trace():
 
 
 def test_moreau_identity_matrices():
-    pattern = fixed(self_loops_only(3))
+    pattern = fixed(np.eye(3, dtype=bool))
     trace = _run(3, 1, "midpoint", pattern,
                  initial=np.array([[0.0], [1.0], [2.0]]), epsilon=1e-4)
     graphs = _graphs_of(trace, pattern)
@@ -309,7 +307,7 @@ def test_moreau_midpoint_bidirectional_intermittent():
 
 
 def test_moreau_zero_diagonal_witness():
-    g = complete_graph(2)
+    g = np.ones((2, 2), dtype=bool)
     A = np.array([[[0.0, 1.0], [0.5, 0.5]]])  # agent 0 ignores itself
     report = check_moreau_assumptions([A[np.newaxis]], _stack(fixed(g), 1), 0.5,
                                       moreau_window(fixed(g)))
@@ -318,7 +316,7 @@ def test_moreau_zero_diagonal_witness():
 
 
 def test_moreau_non_bidirectional_witness():
-    g = CommGraph.from_edges(2, [(0, 1)])
+    g = from_edges(2, [(0, 1)])
     pattern = fixed(g)
     trace = _run(2, 1, "equal-neighbor", pattern,
                  initial=np.array([[0.0], [1.0]]), epsilon=1e-3)
@@ -334,7 +332,7 @@ def test_moreau_non_bidirectional_witness():
 
 
 def test_brute_force_pair_midpoint():
-    trace = brute_force_consensus_1d([0.0, 1.0], [complete_graph(2)],
+    trace = brute_force_consensus_1d([0.0, 1.0], [np.ones((2, 2), dtype=bool)],
                                      AlgorithmKind("midpoint"))
     assert trace == [[0.0, 1.0], [0.5, 0.5]]
 
@@ -342,7 +340,7 @@ def test_brute_force_pair_midpoint():
 def test_brute_force_matches_simulator_rotating_star():
     n = 3
     pattern = adversarial_rotating_star(n)
-    graphs = [pattern.graph(t) for t in range(1, 11)]
+    graphs = pattern.rounds(1, 11)
     init = [0.0, 0.7, 1.0]
     oracle = brute_force_consensus_1d(init, graphs, AlgorithmKind("midpoint"))
     spec = RunSpec(n=n, d=1, algorithm=AlgorithmKind("midpoint"), pattern=pattern,
@@ -355,7 +353,7 @@ def test_brute_force_matches_simulator_rotating_star():
 
 def test_brute_force_matches_simulator_equal_neighbor_cycle():
     n = 3
-    cycle = CommGraph.from_edges(n, [(0, 1), (1, 2), (2, 0)])
+    cycle = from_edges(n, [(0, 1), (1, 2), (2, 0)])
     graphs = [cycle] * 8
     init = [0.0, 0.25, 1.0]
     oracle = brute_force_consensus_1d(init, graphs, AlgorithmKind("equal-neighbor"))
@@ -368,7 +366,7 @@ def test_brute_force_matches_simulator_equal_neighbor_cycle():
 def test_brute_force_matches_simulator_extreme_point_and_centroid_1d():
     n = 4
     pattern = random_nonsplit(n, seed=6)
-    graphs = [pattern.graph(t) for t in range(1, 9)]
+    graphs = pattern.rounds(1, 9)
     init = [0.3, -1.0, 0.4, 2.0]
     for tag in ("extreme-point", "centroid"):
         oracle = brute_force_consensus_1d(init, graphs, AlgorithmKind(tag))
@@ -379,10 +377,10 @@ def test_brute_force_matches_simulator_extreme_point_and_centroid_1d():
 
 
 def test_brute_force_limits():
-    g6 = complete_graph(6)
+    g6 = np.ones((6, 6), dtype=bool)
     with pytest.raises(ValueError):
         brute_force_consensus_1d([0.0] * 6, [g6], AlgorithmKind("midpoint"))
-    g2 = complete_graph(2)
+    g2 = np.ones((2, 2), dtype=bool)
     with pytest.raises(ValueError):
         brute_force_consensus_1d([0.0, 1.0], [g2] * 21, AlgorithmKind("midpoint"))
     with pytest.raises(ValueError):
@@ -400,9 +398,9 @@ def test_brute_force_limits():
 
 
 def _ref_block_graph(pattern, start, end):
-    g = pattern.graph(start + 1)
+    g = pattern.rounds(start + 1, start + 2)[0]
     for t in range(start + 2, end + 1):
-        g = graph_product(g, pattern.graph(t))
+        g = graph_product(g, pattern.rounds(t, t + 1)[0])
     return g
 
 
@@ -473,7 +471,7 @@ def _ref_reconstruct_matrices(trace, pattern, alpha):
     matrices = np.zeros((total, d, n, n))
     graphs = []
     for t in range(total):
-        g = pattern.graph(t + 1)
+        g = pattern.rounds(t + 1, t + 2)[0]
         graphs.append(g)
         for p in range(n):
             nbrs = sorted(in_neighbors(g, p))
@@ -500,11 +498,11 @@ def _ref_union(pattern, window, rounds):
     for _ in range(rounds // window):
         block = np.zeros((pattern.n, pattern.n), dtype=bool)
         for _ in range(window):
-            block |= pattern.graph(t).adj
+            block |= pattern.rounds(t, t + 1)[0]
             t += 1
         keep &= block
     np.fill_diagonal(keep, True)
-    return CommGraph(pattern.n, keep)
+    return keep
 
 
 def _ref_moreau(matrices, graphs, pattern, alpha):
@@ -581,7 +579,7 @@ def _audit_cases(draw):
         "rooted": lambda: random_rooted(n, seed),
         "bidir": lambda: bidirectional_intermittent(n, period=1 + seed % 5, seed=seed),
         "star": lambda: adversarial_rotating_star(n),
-        "loops": lambda: fixed(self_loops_only(n)),
+        "loops": lambda: fixed(np.eye(n, dtype=bool)),
     }[family]()
     rng = np.random.default_rng(seed)
     inputs = draw(st.sampled_from(["seeded", "grid", "ulps", "thin", "vacuous"]))
@@ -687,19 +685,18 @@ def test_moreau_witnesses_match_per_matrix_loop(seed, chunk):
         matrices[cell] = rng.choice([0.0, 1e-3, 0.05])
     adj = (rng.random((T, n, n)) < 0.4) | np.eye(n, dtype=bool)
     adj |= adj.transpose(0, 2, 1) & (rng.random((T, 1, 1)) < 0.7)
-    graphs = [CommGraph(n, a) for a in adj]
-    pattern = CommPattern(n, per_round(lambda t: graphs[(t - 1) % T]))
+    pattern = CommPattern(n, per_round(lambda t: adj[(t - 1) % T]))
     stack = _stack(pattern, T)
     # the matrices arrive in chunks of `chunk` elements (at least one round)
     step = max(1, chunk // (n * n * d))
     chunks = (matrices[t:t + step] for t in range(0, T, step))
     report = check_moreau_assumptions(chunks, stack, 0.5, moreau_window(pattern))
-    assert report == _ref_moreau(matrices, graphs, pattern, 0.5)
+    assert report == _ref_moreau(matrices, adj, pattern, 0.5)
 
 
 def test_reconstruct_raises_for_first_bad_cell_in_round_agent_component_order():
     # with only self-loops every agent must stay put, so each edit is a bad cell
-    pattern = fixed(self_loops_only(3))
+    pattern = fixed(np.eye(3, dtype=bool))
     bad = np.tile(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), (4, 1, 1))
     bad[3, 0, 0] = 9.0  # a later round
     bad[2, 2, 0] = 9.0  # a later agent in the first bad round
@@ -737,7 +734,7 @@ def test_matrix_audits_stream_in_bounded_memory():
     # temporaries take about 1 MB each, and the reconstruction's one pass for
     # max |x| takes the size of the positions (2.6 MB)
     n, rounds = 64, 5000
-    pattern = fixed(self_loops_only(n))
+    pattern = fixed(np.eye(n, dtype=bool))
     trace = run(RunSpec(n=n, d=1, algorithm=AlgorithmKind("midpoint"), pattern=pattern,
                         epsilon=1e-6, max_rounds=rounds, seed=1))
     stack = _graphs_of(trace, pattern)
