@@ -325,7 +325,7 @@ def cmd_run(args) -> int:
     trace = run(spec, graphs)
     write_trace_csv(trace, out / "trace.csv")
     write_deltas_csv(trace, out / "deltas.csv")
-    write_margins_csv(trace, out / "margins.csv")
+    write_margins_csv(trace, graphs, out / "margins.csv")
     summary = _summary(spec, trace.deltas, trace.metrics)
     audit_blob, code = _run_audits(trace.positions, spec, cfg["audits"], graphs)
     if audit_blob:

@@ -25,29 +25,43 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    # transitive closure by boolean squaring until nothing changes; adj
-    # includes the diagonal, so k squarings cover all paths of length <= 2^k.
-    # A bool matmul ors its products, where an integer one counts paths and
-    # can wrap.
-    reach, prev = adj @ adj, adj
-    while not np.array_equal(reach, prev):
-        reach, prev = reach @ reach, reach
-    return reach
+def _search(adj: np.ndarray, root: int, seen: np.ndarray) -> np.ndarray:
+    # breadth-first search from root along adj's edges, one layer per pass,
+    # through the nodes not in `seen`, which it marks; each node's row is
+    # read once, so a search costs O(n^2) however long its paths
+    frontier = np.zeros(len(adj), dtype=bool)
+    frontier[root] = True
+    seen |= frontier
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_rooted(adj: np.ndarray) -> bool:
     """True iff some node reaches every node along directed edges."""
-    return bool(_closure(adj).all(axis=1).any())
+    # searches from each node not yet seen, in turn, sharing what they mark:
+    # the marked set stays closed under out-edges, so a node that reaches
+    # every node is marked by the last search, whose root then reaches it
+    n = len(adj)
+    seen = np.zeros(n, dtype=bool)
+    while not seen.all():
+        root = int(np.argmin(seen))
+        _search(adj, root, seen)
+    return bool(_search(adj, root, np.zeros(n, dtype=bool)).all())
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
-    return bool(_closure(adj).all())
+    """True iff node 0 reaches every node and every node reaches node 0."""
+    return all(_search(g, 0, np.zeros(len(adj), dtype=bool)).all() for g in (adj, adj.T))
 
 
 def is_nonsplit(adj: np.ndarray) -> bool:
     """True iff any two nodes have a common in-neighbor."""
-    return bool((adj.T @ adj).all())
+    # counts of common in-neighbors in float32: exact below 2^24 nodes in
+    # any summation order, so a BLAS product reads only whether one exists
+    a = adj.astype(np.float32)
+    return bool((a.T @ a > 0).all())
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ Rounds are 1-based: configuration t is the state after round t, configuration 0
 is the initial one. Positions hold still inside a block of `period` rounds;
 at its end every agent applies the base rule to the block-start positions that
 reached it (period 1 is the per-round algorithm).
+
+A run's record is its positions: its range history and metrics follow from
+them, and its realized margins from them and its round graphs, formed when
+margins.csv is written.
 """
 
 import csv
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .algorithms import (
     apply_rule,
     claimed_alpha,
     effective_period,
-    format_kind,
     masked_max,
     masked_min,
     validate_kind,
@@ -35,10 +37,6 @@ RANGE_FLOOR = 1e-30
 # elements in one chunk of the passes over a whole run (margins, CSV rows):
 # bounds their temporary memory whatever the number of rounds
 CHUNK_ELEMS = 1 << 16
-
-
-class UnsupportedScenarioError(RuntimeError):
-    """No worst-case bound is on file for this algorithm/network pairing."""
 
 
 @dataclass
@@ -63,24 +61,12 @@ class Metrics:
 
 @dataclass
 class RunTrace:
-    """A run's trajectory and what it measured. `margins` is the (T, n)
-    array of realized safety margins, row t-1 for round t; for amortized
-    rules only block ends carry one (against the block's product graph), and
-    NaN marks rounds inside a block and vacuous constraints. It is computed
-    when first read: `run` passes the margin pass, not its result, so a
-    caller that never reads margins (a sweep) never pays for it."""
+    """A run's trajectory and what it measured."""
 
     spec: RunSpec
     positions: np.ndarray  # (T+1, n, d), row t is the configuration after round t
     deltas: np.ndarray  # (T+1, d) per-component ranges
-    _margins: Union[np.ndarray, Callable[[], np.ndarray]]
     metrics: Metrics
-
-    @property
-    def margins(self) -> np.ndarray:
-        if callable(self._margins):
-            self._margins = self._margins()
-        return self._margins
 
 
 def delta_components(positions: np.ndarray) -> np.ndarray:
@@ -90,11 +76,11 @@ def delta_components(positions: np.ndarray) -> np.ndarray:
     return positions.max(axis=-2) - positions.min(axis=-2)
 
 
-def within_epsilon(delta: np.ndarray, delta0: np.ndarray, epsilon: float):
-    """run's stopping test, row-wise over a (T, d) range history: every
-    component with a range at round 0 is within epsilon times that range."""
-    active = delta0 > 0.0
-    return (delta[..., active] <= epsilon * delta0[active]).all(axis=-1)
+def stop_threshold(delta0: np.ndarray, epsilon: float) -> np.ndarray:
+    """run's stopping threshold per component of the round-0 ranges
+    `delta0`: epsilon times the range, inf for a component without one. A
+    run stops at the first round whose every range is at most this."""
+    return np.where(delta0 > 0.0, epsilon * delta0, np.inf)
 
 
 def step(start: np.ndarray, reach: np.ndarray, algorithm: AlgorithmKind, t: int,
@@ -146,11 +132,13 @@ def initial_positions(spec: RunSpec) -> np.ndarray:
     return initial.copy()
 
 
-def _margin_row(positions: np.ndarray, ends: Sequence[np.ndarray], period: int) -> np.ndarray:
-    """(T, n) realized relative margins of a run's (T+1, n, d) positions;
-    row t-1 is round t. At the block ends t = period, 2·period, ... agent p's
-    margin is measured against the range of positions[t - period] over the
-    agents q with ends[t // period - 1][q, p], the block's reach matrix; it
+def _margin_row(positions: np.ndarray, graphs: np.ndarray, period: int) -> np.ndarray:
+    """(T, n) realized relative margins of a run's (T+1, n, d) positions
+    over its (T, n, n) round-graph stack `graphs`, entry t-1 round t's
+    graph; row t-1 is round t. At the block ends t = period, 2·period, ...
+    agent p's margin is measured against the range of positions[t - period]
+    over the agents q that reached p during the block, by the boolean
+    product of its round graphs, folded left as the round loop folds it; it
     is NaN inside a block and where every component range had already
     collapsed. One pass over the run, in chunks of block ends whose
     (blocks, n, n, d) temporaries hold at most CHUNK_ELEMS elements (or one
@@ -162,7 +150,11 @@ def _margin_row(positions: np.ndarray, ends: Sequence[np.ndarray], period: int) 
     with np.errstate(divide="ignore", invalid="ignore"):
         for first in range(0, len(block_ends), per_chunk):
             t = block_ends[first:first + per_chunk]
-            reach, prev = np.asarray(ends[first:first + per_chunk]), positions[t - period]
+            block = graphs[t[0] - period:t[-1]].reshape(len(t), period, n, n)
+            reach = block[:, 0]
+            for k in range(1, period):
+                reach = reach @ block[:, k]
+            prev = positions[t - period]
             low, high = masked_min(prev, reach), masked_max(prev, reach)
             new = positions[t]
             span = high - low
@@ -183,7 +175,8 @@ def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
     if not active.any():
         t_eps = 0
     else:
-        hit = np.flatnonzero(within_epsilon(deltas[1:spec.max_rounds + 1], delta0, spec.epsilon))
+        threshold = stop_threshold(delta0, spec.epsilon)
+        hit = np.flatnonzero((deltas[1:spec.max_rounds + 1] <= threshold).all(axis=1))
         t_eps = int(hit[0]) + 1 if len(hit) else None
     rounds = len(deltas) - 1
     rate = 0.0
@@ -191,11 +184,8 @@ def measure_run(spec: RunSpec, deltas: np.ndarray) -> Metrics:
         final = deltas[-1]
         for k in np.flatnonzero(active & (final > 0.0)):
             rate = max(rate, float((final[k] / delta0[k]) ** (1.0 / rounds)))
-    try:
-        bound = theorem_bound(spec)
-    except UnsupportedScenarioError:
-        bound = None
-    return Metrics(t_eps=t_eps, converged=t_eps is not None, empirical_rate=rate, bound_t=bound)
+    return Metrics(t_eps=t_eps, converged=t_eps is not None, empirical_rate=rate,
+                   bound_t=theorem_bound(spec))
 
 
 def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) -> list:
@@ -214,7 +204,8 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
     epsilon times that range. A run that passes, reaches its max_rounds or
     fails leaves the live set at that round; a run that starts in exact
     consensus never enters it. Each run's range history and metrics are
-    computed after the loop, and its margins when first read.
+    computed after the loop. Nothing of the round graphs is kept: margins
+    are formed from the positions and the stack when margins.csv is written.
     """
     kind, n = specs[0].algorithm, specs[0].n
     if any(spec.algorithm != kind or spec.n != n for spec in specs[1:]):
@@ -226,21 +217,15 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
             starts[i] = initial_positions(spec)
         except ValueError as e:
             outcomes[i] = e
-    # within_epsilon's test of the range history, one round at a time:
-    # components without a range at round 0 always pass; a run with none
-    # starts in exact consensus and never enters the loop
+    # measure_run's stopping test, one round at a time; a run without a
+    # range at round 0 starts in exact consensus and never enters the loop
     thresholds = {}
     for i, x0 in starts.items():
         delta0 = delta_components(x0)
-        active = delta0 > 0.0
-        if active.any():
-            thresholds[i] = np.where(active, specs[i].epsilon * delta0, np.inf)
+        if (delta0 > 0.0).any():
+            thresholds[i] = stop_threshold(delta0, specs[i].epsilon)
     live = list(thresholds)
     period = effective_period(kind, n)
-    # the reach matrix of every block end; at period 1 that is the round's
-    # graph, read from the stack after the loop, since views of its rounds
-    # would keep alive every buffer the stack has outgrown
-    ends = []
     segments = []  # (live runs, their (rounds, B, n, D) positions) per stretch of rounds
     if live:
         if graphs is None:
@@ -260,13 +245,10 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
             for t in itertools.count(1):
                 adj = graphs.adj(t)
                 # reach[q, p]: q's value can reach p within the current block;
-                # the block-end update applies the rule over reach, and its
-                # margin is measured against reach, not the round's graph alone
+                # the block-end update applies the rule over reach
                 reach = adj if (t - 1) % period == 0 else reach @ adj
                 x = step(x, reach, kind, t, seeds, dims)
                 rows.append(x)
-                if period > 1 and t % period == 0:
-                    ends.append(reach)
                 # the ufuncs' own reductions: x.max, x.min and all without
                 # their Python wrappers, a few microseconds a round
                 span = np.maximum.reduce(x, axis=1) - np.minimum.reduce(x, axis=1)
@@ -292,8 +274,6 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
                 seeds = tuple(specs[i].seed for i in live)
                 x, threshold = x[~done, :, :max(dims)], threshold[~done, :max(dims)]
                 rows = []
-        if period == 1:
-            ends = graphs.first(t)
     for i, x0 in starts.items():
         if outcomes[i] is not None:
             continue
@@ -302,10 +282,7 @@ def run_batch(specs: Sequence[RunSpec], graphs: Optional[RoundGraphs] = None) ->
         positions = (np.concatenate(parts) if len(parts) > 1
                      else np.ascontiguousarray(parts[0]) if parts else x0[None])
         deltas = delta_components(positions)
-        margins = functools.partial(_margin_row, positions,
-                                    ends[:(len(positions) - 1) // period], period)
-        outcomes[i] = RunTrace(specs[i], positions, deltas, margins,
-                               measure_run(specs[i], deltas))
+        outcomes[i] = RunTrace(specs[i], positions, deltas, measure_run(specs[i], deltas))
     return outcomes
 
 
@@ -319,8 +296,7 @@ def run(spec: RunSpec, graphs: Optional[RoundGraphs] = None) -> RunTrace:
     every component that had one at round 0 is within epsilon times that
     range. An invalid spec, or a position that becomes non-finite, raises a
     ValueError. The range history and metrics of the whole run are computed
-    once, after the last round; the margins when `RunTrace.margins` is
-    first read.
+    once, after the last round.
     """
     outcome = run_batch([spec], graphs)[0]
     if isinstance(outcome, ValueError):
@@ -339,7 +315,7 @@ def _ceil_log(ratio: float, base: float) -> int:
     return max(0, math.ceil(r - 1e-12))
 
 
-def theorem_bound(spec: RunSpec) -> int:
+def theorem_bound(spec: RunSpec) -> Optional[int]:
     """Worst-case number of rounds until every component range has shrunk by
     the factor epsilon. The convergence criterion is relative, so the count
     does not depend on the initial ranges.
@@ -347,8 +323,8 @@ def theorem_bound(spec: RunSpec) -> int:
     Covered pairings: any non-amortized rule on always-nonsplit patterns
     (`pattern.nonsplit`), and amortized midpoint, extreme-point and centroid
     at period n-1 on always-rooted ones (`pattern.rooted`); both contract by
-    1 - claimed_alpha per round or block. Anything else raises
-    UnsupportedScenarioError.
+    1 - claimed_alpha per round or block. Anything else has no bound on
+    file: None.
     """
     validate_kind(spec.algorithm, spec.n, spec.d)
     if not (spec.epsilon > 0 and math.isfinite(spec.epsilon)):
@@ -363,14 +339,10 @@ def theorem_bound(spec: RunSpec) -> int:
     steps = _ceil_log(ratio, 1.0 / (1.0 - alpha)) if alpha < 1 else int(ratio > 1.0)
     if period == 1 and spec.pattern.nonsplit:
         return steps
-    if spec.algorithm.amortized and period == max(1, spec.n - 1) and spec.pattern.rooted:
-        if spec.algorithm.tag not in ("midpoint", "extreme-point", "centroid"):
-            raise UnsupportedScenarioError(
-                f"no amortized round bound on file for {spec.algorithm.tag!r}")
+    if (spec.algorithm.amortized and period == max(1, spec.n - 1) and spec.pattern.rooted
+            and spec.algorithm.tag in ("midpoint", "extreme-point", "centroid")):
         return period * steps
-    raise UnsupportedScenarioError(
-        f"no round bound on file for {format_kind(spec.algorithm)} at period {period}"
-        f" over pattern {spec.pattern.name!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -486,5 +458,9 @@ def write_deltas_csv(trace: RunTrace, path) -> None:
     _write_table(path, ["round", "k", "delta_k"], trace.deltas[..., None], 0)
 
 
-def write_margins_csv(trace: RunTrace, path) -> None:
-    _write_table(path, ["round", "agent", "alpha_hat"], trace.margins[..., None], 1)
+def write_margins_csv(trace: RunTrace, graphs: RoundGraphs, path) -> None:
+    """The realized margins of `trace` (see `_margin_row`) over the round
+    graphs of `graphs`, a stack of its pattern's rounds."""
+    margins = _margin_row(trace.positions, graphs.first(len(trace.positions) - 1),
+                          effective_period(trace.spec.algorithm, trace.spec.n))
+    _write_table(path, ["round", "agent", "alpha_hat"], margins[..., None], 1)

@@ -6,7 +6,7 @@ the whole-array kernel must agree with, the per-hull `convex_hull` and
 stacks it does not enumerate, exact centroids in `fractions.Fraction` (a
 polygon's, a simplex's and, by facet enumeration, any full-rank hull's) and
 `check_kernel_centroid`, which holds each kernel centroid to the right one
-of them, the one-round margin row that `simulator.run`'s margins must match, the facet
+of them, the one-round margin row that the margins of margins.csv must match, the facet
 reference for hull membership, `contains` (half-spaces of the per-hull
 reference's facets, which `verification.in_hull` is compared against where
 the rank is not ambiguous), a Monte Carlo centroid, the hyperpyramid that

@@ -3,6 +3,7 @@ are exactly what csv.writer's excel dialect writes for rows of ints and
 repr() floats, and trace.csv reads back bit for bit."""
 
 import csv
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_dyn import simulator
+from consensus_dyn.algorithms import AlgorithmKind
+from consensus_dyn.graphs import RoundGraphs, fixed
 from consensus_dyn.simulator import (
-    RunTrace,
+    RunSpec,
     read_margins_csv,
     read_trace_csv,
     write_deltas_csv,
@@ -56,8 +59,19 @@ def ref_margins_csv(trace, path):
                 w.writerow([i + 1, p, _fmt(trace.margins[i, p])])
 
 
+def margins_csv(trace, path):
+    """write_margins_csv with its margin pass (checked in test_simulator)
+    replaced by the case's margins, so that any float reaches the writer."""
+    def margin_pass(positions, graphs, period):
+        assert graphs.shape == (len(positions) - 1,) + positions.shape[1:2] * 2
+        return trace.margins
+
+    with mock.patch.object(simulator, "_margin_row", margin_pass):
+        write_margins_csv(trace, RoundGraphs(trace.spec.pattern), path)
+
+
 WRITERS = [(write_trace_csv, ref_trace_csv), (write_deltas_csv, ref_deltas_csv),
-           (write_margins_csv, ref_margins_csv)]
+           (margins_csv, ref_margins_csv)]
 
 # a NaN with the sign bit and a payload: still printed `nan`
 ODD_NAN = np.array([0xFFF8000000000123], dtype=np.uint64).view(np.float64)[0]
@@ -66,7 +80,12 @@ SPECIAL = [0.0, -0.0, np.nan, ODD_NAN, np.inf, -np.inf, 5e-324, -5e-324,
 
 
 def _trace(positions, deltas, margins):
-    return RunTrace(None, positions, deltas, margins, None)
+    """A run's record of arbitrary floats, with the margins its margins.csv
+    is to hold."""
+    n, d = positions.shape[1:]
+    spec = RunSpec(n=n, d=d, algorithm=AlgorithmKind("equal-neighbor"),
+                   pattern=fixed(np.eye(n, dtype=bool)), epsilon=1.0)
+    return SimpleNamespace(spec=spec, positions=positions, deltas=deltas, margins=margins)
 
 
 def _assert_same_bytes(tmp_path, trace):
@@ -107,7 +126,7 @@ def test_writers_match_csv_writer_bytes(tmp_path_factory, trace, chunk):
 def test_writers_match_on_zero_row_margins_and_one_dimension(tmp_path):
     trace = _trace(np.array([[[-0.0], [0.0], [np.nan]]]), np.array([[np.inf]]), np.empty((0, 3)))
     _assert_same_bytes(tmp_path, trace)
-    assert (tmp_path / "write_margins_csv.csv").read_bytes() == b"round,agent,alpha_hat\r\n"
+    assert (tmp_path / "margins_csv.csv").read_bytes() == b"round,agent,alpha_hat\r\n"
 
 
 def test_writers_match_across_chunk_boundaries(tmp_path):

@@ -1,4 +1,5 @@
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -141,14 +142,33 @@ def test_is_rooted_star():
     assert not is_rooted(adj)
 
 
-def test_is_rooted_matches_bfs_oracle():
+def test_predicates_match_bfs_and_pairwise_oracles():
+    # sparse graphs at up to 40 nodes have long paths and many components,
+    # dense ones many common in-neighbors
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        n = int(rng.integers(2, 8))
-        adj = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+    for _ in range(300):
+        n = int(rng.integers(1, 41))
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.6)
         np.fill_diagonal(adj, True)
-        brute = any(len(_bfs_reachable(adj, p)) == n for p in range(n))
-        assert is_rooted(adj) == brute
+        reached = [len(_bfs_reachable(adj, p)) for p in range(n)]
+        assert is_rooted(adj) == any(r == n for r in reached)
+        assert is_strongly_connected(adj) == all(r == n for r in reached)
+        nonsplit = all(any(adj[r, p] and adj[r, q] for r in range(n))
+                       for p in range(n) for q in range(p + 1, n))
+        assert is_nonsplit(adj) == nonsplit
+
+
+def test_fixed_classifies_a_long_path_in_quadratic_time():
+    # a directed path is rooted only through n - 1 hops, and no two of its
+    # nodes but neighbours share an in-neighbour; both tests stay O(n^2)
+    n = 1024
+    path = np.eye(n, dtype=bool)
+    path[np.arange(n - 1), np.arange(1, n)] = True
+    start = time.process_time()
+    pattern = fixed(path)
+    elapsed = time.process_time() - start
+    assert pattern.rooted and not pattern.nonsplit
+    assert elapsed < 1.0, elapsed
 
 
 def test_is_nonsplit_examples():

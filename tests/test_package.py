@@ -48,6 +48,23 @@ def test_every_top_level_name_is_used_by_the_package():
     assert not unused, f"defined in consensus_dyn but used by none of it: {unused}"
 
 
+def test_every_imported_name_is_read_by_its_module():
+    # an import that nothing reads is left behind by a deletion; it costs
+    # import time and hides what a module depends on
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{path.name}:{name}" for name in sorted(bound - read)]
+    assert not unread, f"imported but never read: {unread}"
+
+
 def test_oracles_import_nothing_of_the_package_but_shared_stages_and_types():
     # a reference that calls the code it checks agrees with it by
     # construction; the oracles may take the tolerance and the rank cut and

@@ -609,7 +609,7 @@ def _audit_cases(draw):
                 scale = float(np.spacing(positions[t, p, k]))
                 shift = draw(st.sampled_from([-8, -2, 2, 8]))
             positions[t, p, k] += shift * scale
-    tampered = RunTrace(spec, positions, trace.deltas, trace.margins, trace.metrics)
+    tampered = RunTrace(spec, positions, trace.deltas, trace.metrics)
     return tampered, pattern, claimed_alpha(kind, n, d), effective_period(kind, n)
 
 
@@ -701,7 +701,7 @@ def test_reconstruct_raises_for_first_bad_cell_in_round_agent_component_order():
     bad[3, 0, 0] = 9.0  # a later round
     bad[2, 2, 0] = 9.0  # a later agent in the first bad round
     bad[2, 1, 1] = -9.0  # reported: first (round, agent, component)
-    trace = RunTrace(None, bad, np.empty((0, 2)), np.empty((0, 3)), None)
+    trace = RunTrace(None, bad, np.empty((0, 2)), None)
     stack = _graphs_of(trace, pattern)
     with pytest.raises(SafenessViolationError, match=r"^round 2, agent 1, component 1: value -9\.0"):
         _matrices(bad, stack, 0.5)
